@@ -26,7 +26,7 @@ from .errors import ConfigError, SirsKitError
 from .incidence import check_hypotheses, compute_beta, make_builtin
 from .model import ModelParams, State, dfe, in_omega
 from .simulate import attractor, integrate, omega_lattice, sweep
-from .stability import certify
+from .stability import certify, secant_slope
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -233,9 +233,8 @@ def cmd_reproduce(args) -> int:
 
     # h(u) curve for the supercritical case at the fixed k1 above.
     f_sup = make_builtin("power", {"k": _REFERENCE_CASES["supercritical"], "q": 2.0})
-    f1_star = float(f_sup.eval_f1(eq.S, eq.I))
     u = np.linspace(0.0, params.s0, 501)
-    slope = (np.asarray(f_sup.eval_f1(u, eq.I + 0.0 * u), dtype=float) - f1_star) / (u - eq.S)
+    slope = secant_slope(f_sup, eq, u, eq.I + 0.0 * u)
     h = (2.0 * params.mu + params.alpha - targets["h_k1"] * slope) ** 2
     with open(out_dir / "h_of_u.csv", "w", newline="") as handle:
         handle.write("u,h\n")

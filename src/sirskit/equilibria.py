@@ -81,9 +81,18 @@ def verify_equilibrium(p: ModelParams, f: IncidenceFunction, x: State) -> float:
     return float(np.max(np.abs(vector_field(p, f, x))))
 
 
+# Halving reaches adjacent doubles within about 2,100 steps even across the
+# whole exponent range, so the cap only guards against a runaway loop.
+_BISECT_MAX_ITER = 2_200
+
+
 def _bisect(g, lo: float, hi: float, g_lo: float, tol: float) -> float:
-    while hi - lo >= tol:
+    """Bisect a sign change of g down to width ``tol``, or to adjacent
+    doubles when ``tol`` is below their spacing."""
+    for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
+        if hi - lo < tol or mid in (lo, hi):
+            break
         g_mid = g(mid)
         if g_mid == 0.0:
             return mid
@@ -124,7 +133,8 @@ def find_endemic(p: ModelParams, f: IncidenceFunction, tol: float = 1e-10,
 
     Scans ``n_brackets`` uniform subintervals of (eps, I0 - eps) with
     eps = 1e-9*I0 for sign changes of g, bisects each bracket to an
-    I-interval below ``tol``, reconstructs S from the equilibrium line
+    I-interval below ``tol`` (or to adjacent doubles, when those are
+    farther apart), reconstructs S from the equilibrium line
     and R = gamma2*I/(mu+delta), and requires the vector-field residual
     of every candidate to stay below 10*tol.
 

@@ -91,18 +91,35 @@ class State:
         return cls(s, i, r)
 
 
+def make_rhs(p: ModelParams, f: IncidenceFunction):
+    """The model right-hand side as a closure ``rhs(S, I, R) -> (dS, dI, dR)``.
+
+    Works on scalars (the integrators' inner loop) and on broadcastable
+    arrays (the certificate scans) alike.
+    """
+    lam, mu, g1, g2, delta = p.Lambda, p.mu, p.gamma1, p.gamma2, p.delta
+    outflow = p.infected_outflow
+    mu_delta = mu + delta
+    eval_f = f.eval_f
+
+    def rhs(s, i, r):
+        fv = eval_f(s, i)
+        return (lam - mu * s - fv + g1 * i + delta * r,
+                fv - outflow * i,
+                g2 * i - mu_delta * r)
+
+    return rhs
+
+
 def vector_field(p: ModelParams, f: IncidenceFunction, x: State) -> np.ndarray:
     """Right-hand side of the model at ``x``.
 
     The component sum always equals Lambda - mu*(S+I+R) - alpha*I.
     """
-    fv = float(f.eval_f(x.S, x.I))
-    if not math.isfinite(fv):
+    field = np.array(make_rhs(p, f)(x.S, x.I, x.R))
+    if not np.all(np.isfinite(field)):
         raise EvaluationError(f"incidence is non-finite at (S, I) = ({x.S:g}, {x.I:g})")
-    ds = p.Lambda - p.mu * x.S - fv + p.gamma1 * x.I + p.delta * x.R
-    di = fv - p.infected_outflow * x.I
-    dr = p.gamma2 * x.I - (p.mu + p.delta) * x.R
-    return np.array([ds, di, dr])
+    return field
 
 
 def dfe(p: ModelParams) -> State:

@@ -19,7 +19,7 @@ import numpy as np
 from .equilibria import find_endemic
 from .errors import BlowUpError, InvarianceViolationError, SirsKitError
 from .incidence import IncidenceFunction
-from .model import ModelParams, State, dfe, r0
+from .model import ModelParams, State, dfe, make_rhs, r0
 
 _MAX_STORED = 10_000
 _CLAMP = 1e-12
@@ -110,22 +110,6 @@ class SweepReport:
                 for run in self.runs
             ],
         }
-
-
-def _rhs(p: ModelParams, f: IncidenceFunction):
-    lam, mu, g1, g2, alpha, delta = (p.Lambda, p.mu, p.gamma1, p.gamma2,
-                                     p.alpha, p.delta)
-    outflow = p.infected_outflow
-    mu_delta = mu + delta
-    eval_f = f.eval_f
-
-    def rhs(s, i, r):
-        fv = eval_f(s, i)
-        return (lam - mu * s - fv + g1 * i + delta * r,
-                fv - outflow * i,
-                g2 * i - mu_delta * r)
-
-    return rhs
 
 
 def _postprocess(y, p: ModelParams, t: float):
@@ -239,7 +223,7 @@ def integrate(p: ModelParams, f: IncidenceFunction, x0: State, t_end: float,
     if x0.S + x0.I + x0.R > p.s0:
         raise ValueError(
             f"initial state sums to {x0.S + x0.I + x0.R:g} > Lambda/mu = {p.s0:g}")
-    rhs = _rhs(p, f)
+    rhs = make_rhs(p, f)
     y0 = (x0.S, x0.I, x0.R)
     if method == "rk4_fixed":
         times, states, stats = _rk4(rhs, y0, t_end, step_or_tol, p)

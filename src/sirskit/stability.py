@@ -31,11 +31,18 @@ conditions hold:
 k2 = (2mu + alpha)/gamma2 cancels the (I - I*)(R - R*) cross term and is
 the default whenever gamma2 > 0.
 
-Certificates here are grid-based confirmation, not interval proofs: a
-pass means "verified at the reported grid resolution, with refinement
-toward u = S* to detect an unbounded secant slope".  When f1 genuinely
-depends on I the slope G blows up near u = S* and no k1 can exist; the
-scan surfaces that through ``divergence_flag``.
+With c = 2mu + alpha, h = (c - k1*G)^2 is convex in G, so over any set
+of samples its supremum sits at the smallest or largest slope, Gmin or
+Gmax.  Condition (a2) therefore only needs the slope range: the k1
+minimising sup h is 2c/(Gmin + Gmax), where sup h = c^2 *
+((Gmax - Gmin)/(Gmax + Gmin))^2, and no k1 > 0 can pass when
+Gmin + Gmax <= 0.
+
+Certificates here are grid-based confirmation, not interval proofs: the
+slope range is taken over a grid plus refinement toward u = S*, and a
+pass means "verified at the reported grid resolution".  When f1
+genuinely depends on I the slope G blows up near u = S* and no k1 can
+exist; the refinement surfaces that through ``divergence_flag``.
 """
 
 from __future__ import annotations
@@ -48,7 +55,7 @@ import numpy as np
 
 from .errors import DegenerateParameterError, EvaluationError, SingularPointError
 from .incidence import IncidenceFunction
-from .model import ModelParams, State, r0
+from .model import ModelParams, State, make_rhs, r0
 
 _SINGULAR_TOL = 1e-12
 
@@ -133,145 +140,117 @@ def check_a1(p: ModelParams) -> A1Check:
     return A1Check(passed=margin > 0, margin=float(margin), remark_value=float(remark))
 
 
-def secant_slope(f: IncidenceFunction, eq: State, u: float, v: float) -> float:
+def secant_slope(f: IncidenceFunction, eq: State, u, v):
     """(f1(u, v) - f1(S*, I*)) / (u - S*), the slope G of the certificate.
 
-    v = 0 uses the continuous extension of f1.  Raises
-    SingularPointError when u is within 1e-12 of S*.
+    Accepts scalars (returning a float) or broadcastable arrays.  v = 0
+    uses the continuous extension of f1.  Raises SingularPointError when
+    any u is within 1e-12 of S*.
     """
-    if abs(u - eq.S) < _SINGULAR_TOL:
+    offset = np.asarray(u, dtype=float) - eq.S
+    if np.any(np.abs(offset) < _SINGULAR_TOL):
         raise SingularPointError(f"secant slope undefined at u = S* = {eq.S:g}")
     f1_star = float(f.eval_f1(eq.S, eq.I))
-    return (float(f.eval_f1(u, v)) - f1_star) / (u - eq.S)
+    g = (np.asarray(f.eval_f1(u, v), dtype=float) - f1_star) / offset
+    return float(g) if g.ndim == 0 else g
 
 
-@dataclass(frozen=True)
-class _SlopeGrid:
-    """Secant slopes sampled over the scan region, singular column excluded."""
+class _SlopeRange(NamedTuple):
+    """Extremes of G over the scan samples and the (u, v) reaching each."""
 
-    g: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
+    g_min: float
+    g_max: float
+    at_min: tuple[float, float]
+    at_max: tuple[float, float]
     divergence_flag: bool
 
 
-def _slope_grid(f: IncidenceFunction, eq: State, s0: float,
-                grid_n: int, exclusion: float) -> _SlopeGrid:
+def _slope_range(f: IncidenceFunction, eq: State, s0: float,
+                 grid_n: int, exclusion: float) -> _SlopeRange:
+    """G over a grid_n x grid_n grid on [0, S0]^2 minus the strip
+    |u - S*| < exclusion, plus spokes at offsets exclusion/{1, 4, 16}."""
     axis = np.linspace(0.0, s0, grid_n)
-    f1_star = float(f.eval_f1(eq.S, eq.I))
-
     uu, vv = np.meshgrid(axis, axis, indexing="ij")
     keep = np.abs(uu - eq.S) >= exclusion
-    u_flat, v_flat = uu[keep], vv[keep]
-    g_flat = (np.asarray(f.eval_f1(u_flat, v_flat), dtype=float) - f1_star) / (u_flat - eq.S)
-
-    # Refine toward u = S* on shrinking offsets to detect growth of |G|;
-    # removable singularities stay bounded, genuine ones grow ~1/offset.
+    us, vs = [uu[keep]], [vv[keep]]
     offsets = (exclusion, exclusion / 4.0, exclusion / 16.0)
-    divergence = False
-    ref_u, ref_v, ref_g = [], [], []
     for side in (1.0, -1.0):
-        per_offset = []
-        for off in offsets:
-            u_val = eq.S + side * off
-            if not (0.0 <= u_val <= s0):
-                per_offset = []
-                break
-            g_col = (np.asarray(f.eval_f1(u_val + 0.0 * axis, axis), dtype=float)
-                     - f1_star) / (u_val - eq.S)
-            per_offset.append(g_col)
-            ref_u.append(np.full_like(axis, u_val))
-            ref_v.append(axis)
-            ref_g.append(g_col)
-        if per_offset:
-            near, far = np.abs(per_offset[-1]), np.abs(per_offset[0])
-            if np.any(near > 10.0 * np.maximum(far, _SINGULAR_TOL)):
-                divergence = True
-
-    if ref_g:
-        u_flat = np.concatenate([u_flat] + ref_u)
-        v_flat = np.concatenate([v_flat] + ref_v)
-        g_flat = np.concatenate([g_flat] + ref_g)
-
-    if not np.all(np.isfinite(g_flat)):
-        bad = int(np.flatnonzero(~np.isfinite(g_flat))[0])
+        spoke = [eq.S + side * off for off in offsets]
+        if all(0.0 <= u_val <= s0 for u_val in spoke):
+            us += [u_val + 0.0 * axis for u_val in spoke]
+            vs += [axis] * len(offsets)
+    u_all, v_all = np.concatenate(us), np.concatenate(vs)
+    g = secant_slope(f, eq, u_all, v_all)
+    if not np.all(np.isfinite(g)):
+        bad = int(np.flatnonzero(~np.isfinite(g))[0])
         raise EvaluationError(
-            f"secant slope non-finite at (u, v) = ({u_flat[bad]:g}, {v_flat[bad]:g})")
-    return _SlopeGrid(g=g_flat, u=u_flat, v=v_flat, divergence_flag=divergence)
+            f"secant slope non-finite at (u, v) = ({u_all[bad]:g}, {v_all[bad]:g})")
+
+    # Along each spoke removable singularities keep |G| bounded, genuine
+    # ones grow ~1/offset: compare the innermost offset with the outermost.
+    spokes = np.abs(g[us[0].size:]).reshape(-1, len(offsets), grid_n)
+    divergence = bool(np.any(spokes[:, -1] > 10.0 * np.maximum(spokes[:, 0], _SINGULAR_TOL)))
+    lo, hi = int(np.argmin(g)), int(np.argmax(g))
+    return _SlopeRange(g_min=float(g[lo]), g_max=float(g[hi]),
+                       at_min=(float(u_all[lo]), float(v_all[lo])),
+                       at_max=(float(u_all[hi]), float(v_all[hi])),
+                       divergence_flag=divergence)
 
 
-def check_a2(p: ModelParams, f: IncidenceFunction, eq: State, k1: float,
-             grid_n: int = 201, exclusion: float | None = None) -> A2Scan:
-    """Scan h(u, v) = (2mu + alpha - k1*G(u, v))^2 against 2mu*(mu+alpha).
-
-    Evaluates h on a grid_n x grid_n grid over [0, Lambda/mu]^2 with the
-    strip |u - S*| < exclusion removed, plus refinement spokes at
-    offsets exclusion/{1, 4, 16} from S*.  Passes when the supremum
-    stays below the bound and |G| shows no divergent growth toward S*.
-    """
-    if k1 < 0:
-        raise ValueError(f"k1 must be non-negative, got {k1}")
-    if exclusion is None:
-        exclusion = 1e-4 * p.s0
-    grid = _slope_grid(f, eq, p.s0, grid_n, exclusion)
-    c = 2.0 * p.mu + p.alpha
-    h = (c - k1 * grid.g) ** 2
+def _a2_scan(p: ModelParams, slopes: _SlopeRange, k1: float) -> A2Scan:
+    # h is convex in G and rounding is monotone, so the sampled supremum
+    # of h is reached at Gmin or Gmax, bit for bit.
+    h = (2.0 * p.mu + p.alpha - k1 * np.array([slopes.g_min, slopes.g_max])) ** 2
     worst = int(np.argmax(h))
     sup_h = float(h[worst])
     bound = 2.0 * p.mu * (p.mu + p.alpha)
     return A2Scan(
         sup_h=sup_h,
         h_bound=bound,
-        passed=sup_h < bound and not grid.divergence_flag,
-        divergence_flag=grid.divergence_flag,
-        worst_point=(float(grid.u[worst]), float(grid.v[worst])),
+        passed=sup_h < bound and not slopes.divergence_flag,
+        divergence_flag=slopes.divergence_flag,
+        worst_point=(slopes.at_min, slopes.at_max)[worst],
     )
+
+
+def _optimal_k1(p: ModelParams, slopes: _SlopeRange) -> float | None:
+    total = slopes.g_min + slopes.g_max
+    if total <= 0.0:
+        return None
+    k1 = 2.0 * (2.0 * p.mu + p.alpha) / total
+    return k1 if _a2_scan(p, slopes, k1).passed else None
+
+
+def check_a2(p: ModelParams, f: IncidenceFunction, eq: State, k1: float,
+             grid_n: int = 201, exclusion: float | None = None) -> A2Scan:
+    """Scan h(u, v) = (2mu + alpha - k1*G(u, v))^2 against 2mu*(mu+alpha).
+
+    Takes the range of G on a grid_n x grid_n grid over [0, Lambda/mu]^2
+    with the strip |u - S*| < exclusion removed, plus refinement spokes
+    at offsets exclusion/{1, 4, 16} from S*; sup h is reached at one of
+    its ends.  Passes when the supremum stays below the bound and |G|
+    shows no divergent growth toward S*.
+    """
+    if k1 < 0:
+        raise ValueError(f"k1 must be non-negative, got {k1}")
+    if exclusion is None:
+        exclusion = 1e-4 * p.s0
+    return _a2_scan(p, _slope_range(f, eq, p.s0, grid_n, exclusion), k1)
 
 
 def find_k1(p: ModelParams, f: IncidenceFunction, eq: State,
             grid_n: int = 201, exclusion: float | None = None) -> float | None:
-    """Search for a constant k1 satisfying the coupling bound, or None.
+    """The k1 minimising sup h over the scan samples, or None.
 
-    Minimises sup h over k1 in [1e-6, k_max] by golden-section search,
-    where k_max = 2(2mu+alpha)/max|G| (beyond it the bracketed term
-    changes sign everywhere and h only grows).  sup h is a maximum of
-    parabolas in k1, hence convex, so the search is exact.  Absence of a
-    valid k1 is a value, not an error.
+    That is k1 = 2(2mu+alpha)/(Gmin + Gmax), where both parabolas
+    (2mu + alpha - k1*G)^2 at the slope extremes take equal values.  It
+    is None when Gmin + Gmax <= 0 (no positive k1 lowers h below
+    (2mu+alpha)^2), or when even this k1 fails condition (a2).  Absence
+    of a valid k1 is a value, not an error.
     """
     if exclusion is None:
         exclusion = 1e-4 * p.s0
-    grid = _slope_grid(f, eq, p.s0, grid_n, exclusion)
-    c = 2.0 * p.mu + p.alpha
-    bound = 2.0 * p.mu * (p.mu + p.alpha)
-    g_max = float(np.max(np.abs(grid.g)))
-    if g_max <= 0.0:
-        return None  # h == c^2 >= bound for every k1
-
-    def sup_h(k1):
-        return float(np.max((c - k1 * grid.g) ** 2))
-
-    lo, hi = 1e-6, 2.0 * c / g_max
-    if hi <= lo:
-        return None
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1_val, f2_val = sup_h(x1), sup_h(x2)
-    for _ in range(200):
-        if hi - lo <= 1e-12 * max(1.0, hi):
-            break
-        if f1_val <= f2_val:
-            hi, x2, f2_val = x2, x1, f1_val
-            x1 = hi - invphi * (hi - lo)
-            f1_val = sup_h(x1)
-        else:
-            lo, x1, f1_val = x1, x2, f2_val
-            x2 = lo + invphi * (hi - lo)
-            f2_val = sup_h(x2)
-    best = 0.5 * (lo + hi)
-    if sup_h(best) < bound and not grid.divergence_flag:
-        return float(best)
-    return None
+    return _optimal_k1(p, _slope_range(f, eq, p.s0, grid_n, exclusion))
 
 
 def default_k2(p: ModelParams) -> float:
@@ -293,19 +272,21 @@ def lyapunov_v(eq: State, k1: float, k2: float, x: State) -> float:
     return 0.5 * shift * shift + k1 * log_term + 0.5 * k2 * (x.R - eq.R) ** 2
 
 
+def _dvdt(eq: State, k1: float, k2: float, s, i, r, field):
+    """dV/dt at (s, i, r), given the model right-hand side ``field`` there."""
+    ds, di, dr = field
+    shift = (s - eq.S) + (i - eq.I) + (r - eq.R)
+    return (shift * (ds + di + dr)
+            + k1 * (1.0 - eq.I / i) * di
+            + k2 * (r - eq.R) * dr)
+
+
 def dvdt_at(p: ModelParams, f: IncidenceFunction, eq: State,
             k1: float, k2: float, x: State) -> float:
     """Derivative of V along the flow at a single state (analytic gradient)."""
     if x.I <= 0:
         raise ValueError(f"dV/dt requires I > 0, got I = {x.I}")
-    fv = float(f.eval_f(x.S, x.I))
-    ds = p.Lambda - p.mu * x.S - fv + p.gamma1 * x.I + p.delta * x.R
-    di = fv - p.infected_outflow * x.I
-    dr = p.gamma2 * x.I - (p.mu + p.delta) * x.R
-    shift = (x.S - eq.S) + (x.I - eq.I) + (x.R - eq.R)
-    return (shift * (ds + di + dr)
-            + k1 * (1.0 - eq.I / x.I) * di
-            + k2 * (x.R - eq.R) * dr)
+    return float(_dvdt(eq, k1, k2, x.S, x.I, x.R, make_rhs(p, f)(x.S, x.I, x.R)))
 
 
 def dvdt_scan(p: ModelParams, f: IncidenceFunction, eq: State, k1: float,
@@ -326,17 +307,10 @@ def dvdt_scan(p: ModelParams, f: IncidenceFunction, eq: State, k1: float,
     keep &= ((ss - eq.S) ** 2 + (ii - eq.I) ** 2 + (rr - eq.R) ** 2) > ball_radius ** 2
     ss, ii, rr = ss[keep], ii[keep], rr[keep]
 
-    fv = np.asarray(f.eval_f(ss, ii), dtype=float)
-    if not np.all(np.isfinite(fv)):
+    field = make_rhs(p, f)(ss, ii, rr)
+    if not np.all(np.isfinite(field[1])):
         raise EvaluationError("incidence non-finite on the dV/dt scan grid")
-    ds = p.Lambda - p.mu * ss - fv + p.gamma1 * ii + p.delta * rr
-    di = fv - p.infected_outflow * ii
-    dr = p.gamma2 * ii - (p.mu + p.delta) * rr
-    shift = (ss - eq.S) + (ii - eq.I) + (rr - eq.R)
-    dvdt = (shift * (ds + di + dr)
-            + k1 * (1.0 - eq.I / ii) * di
-            + k2_value * (rr - eq.R) * dr)
-    return float(np.max(dvdt))
+    return float(np.max(_dvdt(eq, k1, k2_value, ss, ii, rr, field)))
 
 
 def pq_matrices(p: ModelParams, f: IncidenceFunction, eq: State,
@@ -372,10 +346,10 @@ def dfe_lyapunov_bound(p: ModelParams, f: IncidenceFunction, grid_n: int = 201) 
     ss, ii = np.meshgrid(axis, axis, indexing="ij")
     keep = ss + ii <= s0 * (1.0 + 1e-12)
     ss, ii = ss[keep], ii[keep]
-    fv = np.asarray(f.eval_f(ss, ii), dtype=float)
-    if not np.all(np.isfinite(fv)):
+    _, di, _ = make_rhs(p, f)(ss, ii, 0.0)
+    if not np.all(np.isfinite(di)):
         raise EvaluationError("incidence non-finite on the bound-check grid")
-    gap = (fv - outflow * ii) - outflow * (r0_value - 1.0) * ii
+    gap = di - outflow * (r0_value - 1.0) * ii
     return float(np.max(gap))
 
 
@@ -385,30 +359,28 @@ def certify(p: ModelParams, f: IncidenceFunction, eq: State,
             dvdt_grid_n: int = 41, ball: float | None = None) -> CertificateReport:
     """Run the full endemic-certificate pipeline and assemble a report.
 
-    ``k1`` and ``k2`` override the search and the default cancellation
-    choice respectively.  With gamma2 = 0 an explicit k2 is required.
+    ``k1`` and ``k2`` override the closed-form k1 and the default
+    cancellation choice respectively.  With gamma2 = 0 an explicit k2 is
+    required.  The slope range is computed once and serves both the k1
+    choice and the (a2) scan.
     """
+    if k1 is not None and k1 < 0:
+        raise ValueError(f"k1 must be non-negative, got {k1}")
     if exclusion is None:
         exclusion = 1e-4 * p.s0
     a1 = check_a1(p)
-    k2_value = k2 if k2 is not None else default_k2(p)
-    k1_value = k1 if k1 is not None else find_k1(p, f, eq, grid_n, exclusion)
+    k2_value = float(k2 if k2 is not None else default_k2(p))
+    slopes = _slope_range(f, eq, p.s0, grid_n, exclusion)
+    k1_value = _optimal_k1(p, slopes) if k1 is None else float(k1)
 
-    if k1_value is None:
-        scan = check_a2(p, f, eq, 0.0, grid_n, exclusion)
-        return CertificateReport(
-            a1_pass=a1.passed, a1_margin=a1.margin, a1_remark_value=a1.remark_value,
-            k1=None, k2=k2_value, sup_h=scan.sup_h, h_bound=scan.h_bound,
-            divergence_flag=scan.divergence_flag, p_minors=None, q_minors=None,
-            dvdt_max=None, grid_n=grid_n, exclusion=exclusion)
-
-    scan = check_a2(p, f, eq, k1_value, grid_n, exclusion)
-    _, _, minors = pq_matrices(p, f, eq, k1_value, k2_value, scan.worst_point)
-    dvdt_max = dvdt_scan(p, f, eq, k1_value, k2_value, dvdt_grid_n, ball)
+    scan = _a2_scan(p, slopes, 0.0 if k1_value is None else k1_value)
+    p_minors = q_minors = dvdt_max = None
+    if k1_value is not None:
+        _, _, minors = pq_matrices(p, f, eq, k1_value, k2_value, scan.worst_point)
+        p_minors, q_minors = minors[:2], minors[2:]
+        dvdt_max = dvdt_scan(p, f, eq, k1_value, k2_value, dvdt_grid_n, ball)
     return CertificateReport(
         a1_pass=a1.passed, a1_margin=a1.margin, a1_remark_value=a1.remark_value,
-        k1=float(k1_value), k2=float(k2_value),
-        sup_h=scan.sup_h, h_bound=scan.h_bound,
-        divergence_flag=scan.divergence_flag,
-        p_minors=(minors[0], minors[1]), q_minors=(minors[2], minors[3]),
+        k1=k1_value, k2=k2_value, sup_h=scan.sup_h, h_bound=scan.h_bound,
+        divergence_flag=scan.divergence_flag, p_minors=p_minors, q_minors=q_minors,
         dvdt_max=dvdt_max, grid_n=grid_n, exclusion=exclusion)

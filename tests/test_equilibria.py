@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -163,3 +167,23 @@ def test_input_validation(ref_params, high_incidence):
         find_endemic(ref_params, high_incidence, tol=0.0)
     with pytest.raises(ValueError):
         find_endemic(ref_params, high_incidence, n_brackets=8)
+
+
+def test_large_population_terminates():
+    # The reference model at population scale 1e6 (Lambda*s, k/s^2): the
+    # spacing of doubles near I* ~ 9.4e6 exceeds tol = 1e-10, and bisection
+    # must still stop.  A hang fails here by timeout.
+    code = (
+        "from sirskit import ModelParams, SirsKitError, find_endemic, make_builtin\n"
+        "p = ModelParams(Lambda=1e7, mu=0.2, gamma1=0.2, gamma2=0.2, alpha=0.1, delta=0.1)\n"
+        "f = make_builtin('power', {'k': 0.0008 / 1e6 ** 2, 'q': 2.0})\n"
+        "try:\n"
+        "    find_endemic(p, f)\n"
+        "except SirsKitError:\n"
+        "    pass\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {"PATH": "", "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], env=env, timeout=30,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr

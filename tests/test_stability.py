@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from sirskit import (
     dvdt_scan,
     find_endemic,
     find_k1,
+    from_callables,
     lyapunov_v,
     make_builtin,
     pq_matrices,
@@ -116,6 +118,17 @@ def test_secant_slope_independent_of_v_for_power(f_high, eq_high, ref_p):
 def test_secant_slope_singular_point(f_high, eq_high):
     with pytest.raises(SingularPointError):
         secant_slope(f_high, eq_high, eq_high.S, 1.0)
+    with pytest.raises(SingularPointError):
+        secant_slope(f_high, eq_high, np.array([1.0, eq_high.S]), np.ones(2))
+
+
+def test_secant_slope_arrays_match_scalars(f_high, eq_high):
+    u = np.array([0.0, 12.5, 33.0, 50.0])
+    v = np.array([0.0, 4.0, 9.0, 1.0])
+    g = secant_slope(f_high, eq_high, u, v)
+    assert g.shape == u.shape
+    assert list(g) == [secant_slope(f_high, eq_high, float(a), float(b))
+                       for a, b in zip(u, v)]
 
 
 def test_check_a2_reference_k1_7(ref_p, f_high, eq_high):
@@ -165,7 +178,25 @@ def test_find_k1_bilinear_closed_form():
     f = make_builtin("bilinear", {"beta": beta})
     eq = find_endemic(p, f).endemic[0][0]
     k1 = find_k1(p, f, eq)
-    assert k1 == pytest.approx((2 * p.mu + p.alpha) / beta, rel=1e-6)
+    assert k1 == pytest.approx((2 * p.mu + p.alpha) / beta, rel=1e-9)
+
+
+@pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
+def test_find_k1_power_closed_form_across_scales(scale):
+    # f1 = k*S^2 gives G = k*(u + S*), ranging over [k*S*, k*(S0 + S*)],
+    # so the optimum 2c/(Gmin + Gmax) is 2c/(k*(2S* + S0))
+    p = ModelParams(**dict(REF, Lambda=REF["Lambda"] * scale))
+    k = 0.0008 / scale ** 2
+    f = make_builtin("power", {"k": k, "q": 2.0})
+    eq = find_endemic(p, f).endemic[0][0]
+    c = 2 * p.mu + p.alpha
+    assert find_k1(p, f, eq) == pytest.approx(2 * c / (k * (2 * eq.S + p.s0)), rel=1e-9)
+
+
+def test_find_k1_none_for_decreasing_f1(ref_p):
+    # f1 decreasing in S makes every secant slope negative
+    f = from_callables(lambda S, I: (60.0 - S) * I, f1=lambda S, I: 60.0 - S + 0.0 * I)
+    assert find_k1(ref_p, f, State(25.0, 5.0, 2.0)) is None
 
 
 def test_default_k2(ref_p):
@@ -330,6 +361,26 @@ def test_certify_forced_k1(ref_p, f_high, eq_high):
     assert cert.granted
     assert cert.k1 == 7.0
     assert cert.sup_h == pytest.approx(0.1117898, abs=1e-5)
+
+
+def test_certify_rejects_negative_k1(ref_p, f_high, eq_high):
+    with pytest.raises(ValueError):
+        certify(ref_p, f_high, eq_high, k1=-1.0)
+
+
+@pytest.mark.parametrize("k1", [None, 7.0])
+def test_certify_scans_slopes_once(ref_p, f_high, eq_high, k1):
+    # one scan evaluates f1 on at most the grid plus six spokes
+    sizes = []
+
+    def counting_f1(S, I):
+        sizes.append(np.broadcast(S, I).size)
+        return f_high.eval_f1(S, I)
+
+    f = dataclasses.replace(f_high, eval_f1=counting_f1)
+    grid_n = 201
+    assert certify(ref_p, f, eq_high, k1=k1, grid_n=grid_n).granted
+    assert sum(n for n in sizes if n > 1) <= grid_n ** 2 + 6 * grid_n
 
 
 def test_certify_divergent_family(ref_p):
