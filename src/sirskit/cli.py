@@ -25,7 +25,7 @@ from .equilibria import find_endemic
 from .errors import ConfigError, SirsKitError
 from .incidence import check_hypotheses, compute_beta, make_builtin
 from .model import ModelParams, State, dfe, in_omega
-from .simulate import attractor, integrate, omega_lattice, sweep
+from .simulate import attractor, integrate, omega_lattice, sweep, write_csv
 from .stability import certify, secant_slope
 
 EXIT_OK = 0
@@ -236,10 +236,7 @@ def cmd_reproduce(args) -> int:
     u = np.linspace(0.0, params.s0, 501)
     slope = secant_slope(f_sup, eq, u, eq.I + 0.0 * u)
     h = (2.0 * params.mu + params.alpha - targets["h_k1"] * slope) ** 2
-    with open(out_dir / "h_of_u.csv", "w", newline="") as handle:
-        handle.write("u,h\n")
-        for u_val, h_val in zip(u, h):
-            handle.write(f"{float(u_val)!r},{float(h_val)!r}\n")
+    write_csv(out_dir / "h_of_u.csv", "u,h", u, h)
     h_max = float(np.max(h))
     checks.append({
         "quantity": "h_max",
@@ -281,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
                              help="R0, equilibria and stability certificate")
     analyze.add_argument("config", type=Path)
     analyze.add_argument("--k1", type=float, default=None,
-                         help="force this k1 instead of searching")
+                         help="force this k1 instead of the closed form")
     analyze.add_argument("--k2", type=float, default=None,
                          help="override the default k2 = (2mu+alpha)/gamma2")
     analyze.add_argument("--grid-n", dest="grid_n", type=int, default=None,

@@ -24,9 +24,9 @@ from numbers import Real
 from .errors import ConfigError
 from .incidence import IncidenceFunction, make_builtin
 from .model import ModelParams
+from .simulate import METHODS
 
 _PARAM_KEYS = ("Lambda", "mu", "gamma1", "gamma2", "alpha", "delta")
-_SOLVER_METHODS = ("rk4_fixed", "rk45_adaptive")
 
 
 @dataclass(frozen=True)
@@ -112,9 +112,9 @@ def parse_config(doc, source: str = "<config>") -> ModelConfig:
             raise ConfigError(f"{source}: solver must be an object")
         _reject_unknown(raw, ("method", "step_or_tol", "t_end"), "solver", source)
         method = raw.get("method", solver.method)
-        if method not in _SOLVER_METHODS:
+        if method not in METHODS:
             raise ConfigError(f"{source}: solver.method must be one of "
-                              f"{list(_SOLVER_METHODS)}, got {method!r}")
+                              f"{list(METHODS)}, got {method!r}")
         step_or_tol = (_number(raw, "step_or_tol", "solver", source)
                        if "step_or_tol" in raw else solver.step_or_tol)
         t_end = _number(raw, "t_end", "solver", source) if "t_end" in raw else solver.t_end

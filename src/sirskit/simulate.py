@@ -1,11 +1,12 @@
 """Trajectory integration, convergence sweeps and conservation checks.
 
-Two integrators are provided: classic fixed-step RK4 and an embedded
-Dormand-Prince 4(5) pair with mixed absolute/relative error control.
-Both enforce the model's invariants numerically: components are clamped
-to zero only for round-off (within 1e-12 below zero), and a state that
-leaves the feasible simplex by more than 1e-6 aborts the run, since the
-model guarantees non-negativity and forward invariance.
+One explicit Runge-Kutta engine steps two tableaux, both written in
+first-same-as-last form: classic RK4 with a fixed step, and the embedded
+Dormand-Prince 5(4) pair with mixed absolute/relative error control.
+Every step enforces the model's invariants numerically: components are
+clamped to zero only for round-off (within 1e-12 below zero), and a
+state that leaves the feasible simplex by more than 1e-6 aborts the run,
+since the model guarantees non-negativity and forward invariance.
 """
 
 from __future__ import annotations
@@ -22,22 +23,29 @@ from .incidence import IncidenceFunction
 from .model import ModelParams, State, dfe, make_rhs, r0
 
 _MAX_STORED = 10_000
+_MAX_STEPS = 5_000_000
 _CLAMP = 1e-12
 _OMEGA_SLACK = 1e-6
 
-# Dormand-Prince 5(4) tableau; the last A row doubles as the 5th-order
-# weights (FSAL), so stage 7 evaluates the accepted solution.
-_DP_A = (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640,
-          -92097 / 339200, 187 / 2100, 1 / 40)
-_DP_ERR = tuple(b5 - b4 for b5, b4 in zip(_DP_A[-1] + (0.0,), _DP_B4))
+# Explicit Runge-Kutta tableaux in first-same-as-last (FSAL) form: row m
+# weights stages 0..m into the input of stage m+1, and the last row is the
+# new solution, whose stage starts the next step.  A method with an error
+# row (higher- minus lower-order weights) adapts its step; one without
+# takes fixed steps.  ``step_or_tol`` is that step or the error tolerance.
+METHODS = {
+    "rk4_fixed": (((1 / 2,), (0.0, 1 / 2), (0.0, 0.0, 1.0),
+                   (1 / 6, 1 / 3, 1 / 3, 1 / 6)), None),
+    "rk45_adaptive": (  # Dormand-Prince 5(4)
+        ((1 / 5,),
+         (3 / 40, 9 / 40),
+         (44 / 45, -56 / 15, 32 / 9),
+         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+         (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)),
+        (35 / 384 - 5179 / 57600, 0.0, 500 / 1113 - 7571 / 16695,
+         125 / 192 - 393 / 640, -2187 / 6784 + 92097 / 339200,
+         11 / 84 - 187 / 2100, -1 / 40)),
+}
 
 
 class StepStats(NamedTuple):
@@ -72,10 +80,16 @@ class Trajectory:
 
     def to_csv(self, path) -> None:
         """Write the trajectory with header exactly ``t,S,I,R``."""
-        with open(path, "w", newline="") as handle:
-            handle.write("t,S,I,R\n")
-            for t, (s, i, r) in zip(self.times, self.states):
-                handle.write(f"{float(t)!r},{float(s)!r},{float(i)!r},{float(r)!r}\n")
+        write_csv(path, "t,S,I,R", self.times, *self.states.T)
+
+
+def write_csv(path, header: str, *columns) -> None:
+    """Write equal-length float columns under ``header``, each value as
+    its ``repr`` so that it reads back exactly."""
+    rows = zip(*(np.asarray(column, dtype=float).tolist() for column in columns))
+    with open(path, "w", newline="") as handle:
+        handle.write(header + "\n")
+        handle.writelines(",".join(map(repr, row)) + "\n" for row in rows)
 
 
 @dataclass(frozen=True)
@@ -129,70 +143,62 @@ def _postprocess(y, p: ModelParams, t: float):
     return (s, i, r)
 
 
-def _combine(y, h, coefs, ks):
-    return tuple(
-        y[j] + h * math.fsum(a * ks[m][j] for m, a in enumerate(coefs))
-        for j in range(3))
+def _combine(y, h, row, ks):
+    """y + h * sum(a * k) over the nonzero weights a of ``row``."""
+    ds = di = dr = 0.0
+    for a, (k_s, k_i, k_r) in zip(row, ks):
+        if a:
+            ds += a * k_s
+            di += a * k_i
+            dr += a * k_r
+    return (y[0] + h * ds, y[1] + h * di, y[2] + h * dr)
 
 
-def _rk4(rhs, y0, t_end, step, p):
-    # times come from k*step, not accumulation, so the grid stays uniform
-    # to the ulp and no spurious sliver step appears at t_end
-    n_steps = max(1, math.ceil(t_end / step - 1e-12))
-    times, states = [0.0], [y0]
-    y = y0
-    for k in range(n_steps):
-        t0 = k * step
-        h = min(step, t_end - t0)
-        t1 = t_end if k == n_steps - 1 else t0 + h
-        k1 = rhs(*y)
-        k2 = rhs(*(tuple(y[j] + 0.5 * h * k1[j] for j in range(3))))
-        k3 = rhs(*(tuple(y[j] + 0.5 * h * k2[j] for j in range(3))))
-        k4 = rhs(*(tuple(y[j] + h * k3[j] for j in range(3))))
-        y = tuple(y[j] + (h / 6.0) * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
-                  for j in range(3))
-        y = _postprocess(y, p, t1)
-        times.append(t1)
-        states.append(y)
-    return times, states, StepStats(steps=n_steps, rejected=0, max_error=0.0)
-
-
-def _rk45(rhs, y0, t_end, tol, p):
-    h_min, h_max = 1e-10, t_end / 10.0
-    h = min(t_end / 1000.0, h_max)
-    t, y = 0.0, y0
-    k1 = rhs(*y)
+def _run(rhs, y0, t_end, step_or_tol, p, tableau):
+    rows, error = tableau
+    if error:
+        tol, h_min, h_max = step_or_tol, 1e-10, t_end / 10.0
+        h = min(t_end / 1000.0, h_max)
+    else:
+        # times come from k*step, not accumulation, so the grid stays uniform
+        # to the ulp and no spurious sliver step appears at t_end
+        step = step_or_tol
+        n_steps = max(1, math.ceil(t_end / step - 1e-12))
+    t, y, k1 = 0.0, y0, rhs(*y0)
     times, states = [0.0], [y0]
     steps = rejected = 0
     max_error = 0.0
-    while t_end - t > 1e-14 * t_end:
-        h = min(h, t_end - t)
+    while t_end - t > 1e-14 * t_end if error else steps < n_steps:
+        if error:
+            h = min(h, t_end - t)
+        else:
+            t = steps * step
+            h = min(step, t_end - t)
         ks = [k1]
-        for row in _DP_A:
-            ks.append(rhs(*_combine(y, h, row, ks)))
-        y_new = _combine(y, h, _DP_A[-1], ks)  # 5th-order solution (FSAL)
-        err = tuple(h * math.fsum(e * ks[m][j] for m, e in enumerate(_DP_ERR))
-                    for j in range(3))
-        err_norm = max(
-            abs(err[j]) / (tol + tol * max(abs(y[j]), abs(y_new[j])))
-            for j in range(3))
-        if err_norm <= 1.0:
-            t += h
-            processed = _postprocess(y_new, p, t)
-            k1 = ks[6] if processed == y_new else rhs(*processed)
-            y = processed
+        for row in rows:
+            y_new = _combine(y, h, row, ks)
+            ks.append(rhs(*y_new))
+        if error:
+            err = _combine((0.0, 0.0, 0.0), h, error, ks)
+            err_norm = max(abs(e) / (tol + tol * max(abs(a), abs(b)))
+                           for e, a, b in zip(err, y, y_new))
+            factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
+        if not error or err_norm <= 1.0:
+            t = t + h if error or steps < n_steps - 1 else t_end
+            y = _postprocess(y_new, p, t)
+            k1 = ks[-1] if y == y_new else rhs(*y)
             times.append(t)
             states.append(y)
             steps += 1
-            max_error = max(max_error, max(abs(e) for e in err))
-            factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
+            if error:
+                max_error = max(max_error, *map(abs, err))
         else:
             rejected += 1
-            factor = max(0.2, 0.9 * err_norm ** -0.2)
-        h = min(h_max, max(h_min, h * factor))
-        if h <= h_min and err_norm > 1.0:
-            raise BlowUpError(f"step size underflow at t = {t:g}")
-        if steps + rejected > 5_000_000:
+        if error:
+            h = min(h_max, max(h_min, h * factor))
+            if h <= h_min and err_norm > 1.0:
+                raise BlowUpError(f"step size underflow at t = {t:g}")
+        if steps + rejected > _MAX_STEPS:
             raise BlowUpError("step budget exhausted; integration is not progressing")
     return times, states, StepStats(steps=steps, rejected=rejected, max_error=max_error)
 
@@ -223,15 +229,10 @@ def integrate(p: ModelParams, f: IncidenceFunction, x0: State, t_end: float,
     if x0.S + x0.I + x0.R > p.s0:
         raise ValueError(
             f"initial state sums to {x0.S + x0.I + x0.R:g} > Lambda/mu = {p.s0:g}")
-    rhs = make_rhs(p, f)
-    y0 = (x0.S, x0.I, x0.R)
-    if method == "rk4_fixed":
-        times, states, stats = _rk4(rhs, y0, t_end, step_or_tol, p)
-    elif method == "rk45_adaptive":
-        times, states, stats = _rk45(rhs, y0, t_end, step_or_tol, p)
-    else:
-        raise ValueError(f"unknown method {method!r}; "
-                         "expected 'rk4_fixed' or 'rk45_adaptive'")
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {list(METHODS)}")
+    times, states, stats = _run(make_rhs(p, f), (x0.S, x0.I, x0.R), t_end,
+                                step_or_tol, p, METHODS[method])
     t_arr, y_arr = _downsample(times, states)
     params_id = (f"{f.label}|Lambda={p.Lambda:g},mu={p.mu:g},gamma1={p.gamma1:g},"
                  f"gamma2={p.gamma2:g},alpha={p.alpha:g},delta={p.delta:g}")
@@ -298,8 +299,7 @@ def omega_lattice(p: ModelParams, n: int, include_i_zero: bool = True) -> list:
     return points
 
 
-def conservation_check(traj: Trajectory, p: ModelParams,
-                       f: IncidenceFunction) -> float:
+def conservation_check(traj: Trajectory, p: ModelParams) -> float:
     """Max residual of the total-population law along the trajectory.
 
     Compares the centred difference of N = S+I+R at interior stored

@@ -199,7 +199,7 @@ def test_criterion_5_property_suites():
 
     residuals = [conservation_check(
         integrate(p, f_high, State(30, 10, 5), 50.0, "rk4_fixed", step),
-        p, f_high) for step in (0.02, 0.01)]
+        p) for step in (0.02, 0.01)]
     assert 3.0 <= residuals[0] / residuals[1] <= 5.0
 
     _report("5 (property suites)", True)

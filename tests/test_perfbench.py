@@ -1,0 +1,50 @@
+"""The benchmark's tracer wraps ``sirskit`` functions by name from outside
+``src``; renaming or dropping one of them must fail here, not only in a
+benchmark run."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+from sirskit import cli
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing(monkeypatch):
+    # read perfbench/ only: no bytecode cache is written next to it
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_uninstalls(monkeypatch, tmp_path):
+    tracing = load_tracing(monkeypatch)
+    originals = [(owner, attr, owner.__dict__.get(attr))
+                 for owner, attr, _, _ in tracing._TARGETS]
+    config = tmp_path / "model.json"
+    config.write_text(json.dumps({
+        "params": {"Lambda": 10, "mu": 0.2, "gamma1": 0.2, "gamma2": 0.2,
+                   "alpha": 0.1, "delta": 0.1},
+        "incidence": {"family": "power", "coefficients": {"k": 0.0008, "q": 2}}}))
+
+    tracer = tracing.Tracer()
+    tracer.install(counting=True)
+    try:
+        with tracer.op(0):
+            code = cli.main(["simulate", str(config), "--initial", "30,10,5",
+                             "--t-end", "5", "--out", str(tmp_path / "traj.csv")])
+    finally:
+        tracer.uninstall()
+
+    assert code == cli.EXIT_OK
+    names = {span[0] for span in tracer.spans}
+    assert {"op", "config.load_config", "simulate.integrate_rk45",
+            "simulate.to_csv", "simulate.attractor"} <= names
+    assert tracer.counts["simulate.steps"] > 0
+    assert tracer.counts["simulate.integrate_rk45.eval_f.calls"] > 0
+    for owner, attr, original in originals:
+        assert owner.__dict__.get(attr) is original

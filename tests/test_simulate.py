@@ -28,6 +28,16 @@ def zero_incidence():
                           label="zero")
 
 
+def counted_zero_incidence():
+    calls = [0]
+
+    def f(S, I):
+        calls[0] += 1
+        return 0.0 * S * I
+
+    return from_callables(f, f1=lambda S, I: 0.0 * S, label="zero"), calls
+
+
 def test_subcritical_converges_to_dfe(ref_params, low_incidence):
     traj = integrate(ref_params, low_incidence, State(30, 10, 5), 500.0,
                      "rk45_adaptive", 1e-8)
@@ -79,18 +89,48 @@ def test_rk4_order_four_on_linear_decay(ref_params):
     c = ref_params.infected_outflow
     errors = []
     for step in (0.2, 0.1):
-        traj = integrate(ref_params, zero_incidence(), State(30, 10, 5), 10.0,
-                         "rk4_fixed", step)
+        f, calls = counted_zero_incidence()
+        traj = integrate(ref_params, f, State(30, 10, 5), 10.0, "rk4_fixed", step)
         exact = 10.0 * np.exp(-c * traj.times)
         errors.append(np.max(np.abs(traj.states[:, 1] - exact)))
+        assert calls[0] <= 4 * traj.step_stats.steps + 1
     ratio = errors[0] / errors[1]
     assert 12.0 <= ratio <= 20.0
+
+
+@pytest.mark.parametrize("t_end, step", [(500.0, 0.01), (2.0, 1e-4), (1.0, 0.3),
+                                          (123.456, 0.007)])
+def test_rk4_fixed_grid(ref_params, monkeypatch, t_end, step):
+    # keep every step so the grid itself is visible
+    monkeypatch.setattr(simulate_mod, "_MAX_STORED", 10**6)
+    traj = integrate(ref_params, zero_incidence(), State(30, 10, 5), t_end,
+                     "rk4_fixed", step)
+    assert traj.step_stats.steps == math.ceil(t_end / step - 1e-12)
+    assert len(traj.times) == traj.step_stats.steps + 1
+    assert traj.times[-1] == t_end
+    widths = np.diff(traj.times)
+    assert np.all(np.abs(widths[:-1] - step) <= 4 * np.spacing(t_end))
+    assert 0.0 < widths[-1] <= step + 4 * np.spacing(t_end)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+def test_rk45_accuracy_and_work_on_linear_decay(ref_params, tol):
+    # with f == 0, I(t) = 10 exp(-c t); a wrong Dormand-Prince weight
+    # shows up here as an error far above tol or as extra evaluations
+    f, calls = counted_zero_incidence()
+    traj = integrate(ref_params, f, State(30, 10, 5), 10.0, "rk45_adaptive", tol)
+    exact = 10.0 * np.exp(-ref_params.infected_outflow * traj.times)
+    assert np.max(np.abs(traj.states[:, 1] - exact)) <= 10 * tol
+    stats = traj.step_stats
+    assert calls[0] == 6 * (stats.steps + stats.rejected) + 1
+    # a 4th-order error estimate needs O(tol^(-1/5)) steps
+    assert stats.steps + stats.rejected <= 4 * tol ** -0.2
 
 
 def test_conservation_residual_small(ref_params, high_incidence):
     traj = integrate(ref_params, high_incidence, State(30, 10, 5), 50.0,
                      "rk4_fixed", 0.01)
-    assert conservation_check(traj, ref_params, high_incidence) < 1e-3
+    assert conservation_check(traj, ref_params) < 1e-3
 
 
 def test_conservation_residual_order_two(ref_params, high_incidence):
@@ -98,7 +138,7 @@ def test_conservation_residual_order_two(ref_params, high_incidence):
     for step in (0.02, 0.01):
         traj = integrate(ref_params, high_incidence, State(30, 10, 5), 50.0,
                          "rk4_fixed", step)
-        residuals.append(conservation_check(traj, ref_params, high_incidence))
+        residuals.append(conservation_check(traj, ref_params))
     ratio = residuals[0] / residuals[1]
     assert 3.0 <= ratio <= 5.0
 
@@ -106,13 +146,13 @@ def test_conservation_residual_order_two(ref_params, high_incidence):
 def test_conservation_constant_trajectory(ref_params, high_incidence):
     traj = integrate(ref_params, high_incidence, dfe(ref_params), 20.0,
                      "rk4_fixed", 0.1)
-    assert conservation_check(traj, ref_params, high_incidence) < 1e-12
+    assert conservation_check(traj, ref_params) < 1e-12
 
 
 def test_conservation_short_trajectory_is_zero(ref_params, high_incidence):
     traj = integrate(ref_params, high_incidence, State(30, 10, 5), 0.01,
                      "rk4_fixed", 0.01)
-    assert conservation_check(traj, ref_params, high_incidence) == 0.0
+    assert conservation_check(traj, ref_params) == 0.0
 
 
 def test_infected_eventually_decreasing_when_subcritical(ref_params, low_incidence):
