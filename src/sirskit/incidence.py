@@ -18,7 +18,10 @@ built-in families implement that extension analytically; user-supplied
 functions fall back on Richardson extrapolation of f(S, I)/I.
 
 Evaluation callables are expected to accept either Python floats or
-numpy arrays (all built-ins do); grid scans rely on this.
+numpy arrays (all built-ins do); grid scans rely on this.  So does the
+f1 derived from a user-supplied f, which calls f once on the array of
+entries with I > 0 and fills the entries with I <= 0 from one
+array-valued small-I limit.
 """
 
 from __future__ import annotations
@@ -232,33 +235,25 @@ def from_callables(f: Callable, f1: Callable | None = None,
 
 def _ratio_f1(f):
     def f1(S, I):
-        s_arr = np.asarray(S, dtype=float)
-        i_arr = np.asarray(I, dtype=float)
-        s_b, i_b = np.broadcast_arrays(s_arr, i_arr)
-        out = np.empty(s_b.shape, dtype=float)
-        flat_out = out.reshape(-1)
-        flat_s = np.ravel(s_b)
-        flat_i = np.ravel(i_b)
-        for n in range(flat_out.size):
-            i_val = float(flat_i[n])
-            if i_val > 0.0:
-                flat_out[n] = f(float(flat_s[n]), i_val) / i_val
-            else:
-                limit, _ = small_i_limit(f, float(flat_s[n]))
-                flat_out[n] = limit
-        if out.shape == ():
-            return float(out)
-        return out
+        s, i = np.broadcast_arrays(np.asarray(S, dtype=float), np.asarray(I, dtype=float))
+        out = np.empty(s.shape)
+        positive = i > 0.0
+        out[positive] = f(s[positive], i[positive]) / i[positive]
+        if not positive.all():
+            out[~positive] = small_i_limit(f, s[~positive])[0]
+        return float(out) if out.ndim == 0 else out
 
     return f1
 
 
-def small_i_limit(f_eval: Callable, S: float, eps: float = 1e-4):
+def small_i_limit(f_eval: Callable, S, eps: float = 1e-4):
     """Richardson-extrapolated limit of f(S, I)/I as I -> 0+.
 
     Evaluates the ratio at eps, eps/2 and eps/4 and extrapolates twice.
     Returns (limit, converged) where ``converged`` means the two
-    first-level extrapolants agree to 1e-6 relative.
+    first-level extrapolants agree to 1e-6 relative.  A float ``S`` gives
+    a float and a bool; an array ``S`` gives an array of limits and one of
+    flags, from three calls of ``f_eval`` on the whole array.
     """
     v0 = f_eval(S, eps) / eps
     v1 = f_eval(S, eps / 2.0) / (eps / 2.0)
@@ -266,19 +261,33 @@ def small_i_limit(f_eval: Callable, S: float, eps: float = 1e-4):
     r1 = 2.0 * v1 - v0
     r2 = 2.0 * v2 - v1
     limit = (4.0 * r2 - r1) / 3.0
-    scale = max(abs(r1), abs(r2), _ZERO_TOL)
-    converged = abs(r2 - r1) <= _LIMIT_RTOL * scale
-    return float(limit), bool(converged)
+    scale = np.maximum(np.maximum(np.abs(r1), np.abs(r2)), _ZERO_TOL)
+    converged = np.abs(r2 - r1) <= _LIMIT_RTOL * scale
+    if np.ndim(S) == 0:
+        return float(limit), bool(converged)
+    return limit, converged
 
 
-def _require_finite(values, points, what):
+def require_finite(values, what: str, s, i):
+    """``values`` as a float array, or EvaluationError naming the first
+    non-finite entry by its sample (S, I); ``s`` and ``i`` broadcast
+    against ``values``."""
     values = np.asarray(values, dtype=float)
-    bad = ~np.isfinite(values)
-    if np.any(bad):
-        first = int(np.flatnonzero(bad.ravel())[0])
-        pt = points[first]
-        raise EvaluationError(f"{what} is non-finite at (S, I) = ({pt[0]:g}, {pt[1]:g})")
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        s_at, i_at, _ = np.broadcast_arrays(s, i, values)
+        k = bad[0]
+        raise EvaluationError(
+            f"{what} is non-finite at (S, I) = ({s_at.flat[k]:g}, {i_at.flat[k]:g})")
     return values
+
+
+def _violations(hyp: str, bad, s, i, values) -> list:
+    """(hyp, (S, I), value) for every flagged sample, in grid order."""
+    bad, s, i, values = np.broadcast_arrays(bad, s, i, values)
+    at = np.flatnonzero(bad)
+    s, i, values = (a.ravel()[at].tolist() for a in (s, i, values))
+    return [(hyp, point, value) for point, value in zip(zip(s, i), values)]
 
 
 def check_hypotheses(f: IncidenceFunction, s_max: float,
@@ -289,7 +298,9 @@ def check_hypotheses(f: IncidenceFunction, s_max: float,
     interior grid only (the boundary S = 0 is degenerate there since
     f(0, I) = 0 forces f1(0, I) = 0), and (H3) by extrapolating
     f(S, I)/I from I in {eps, eps/2, eps/4} at every sampled S > 0.
-    Deterministic: identical inputs yield identical reports.
+    Violations are listed H1 on the S axis, H1 on the I axis, H2 in S,
+    H2 in I, then H3, each in grid order.  Deterministic: identical
+    inputs yield identical reports.
     """
     if not (s_max > 0):
         raise ValueError(f"s_max must be positive, got {s_max}")
@@ -299,49 +310,34 @@ def check_hypotheses(f: IncidenceFunction, s_max: float,
         raise ValueError(f"eps must lie in (0, s_max), got {eps}")
 
     axis = np.linspace(0.0, s_max, grid_n)
-    violations = []
+    zero = 0.0 * axis
 
     # (H1): boundary identities.
-    on_s_axis = _require_finite(f.eval_f(axis, 0.0 * axis),
-                                [(s, 0.0) for s in axis], "f(S, 0)")
-    for s, val in zip(axis, on_s_axis):
-        if abs(val) > _ZERO_TOL:
-            violations.append(("H1", (float(s), 0.0), float(val)))
-    on_i_axis = _require_finite(f.eval_f(0.0 * axis, axis),
-                                [(0.0, i) for i in axis], "f(0, I)")
-    for i, val in zip(axis, on_i_axis):
-        if abs(val) > _ZERO_TOL:
-            violations.append(("H1", (0.0, float(i)), float(val)))
+    on_s_axis = require_finite(f.eval_f(axis, zero), "f(S, 0)", axis, 0.0)
+    on_i_axis = require_finite(f.eval_f(zero, axis), "f(0, I)", 0.0, axis)
+    violations = (_violations("H1", np.abs(on_s_axis) > _ZERO_TOL, axis, 0.0, on_s_axis)
+                  + _violations("H1", np.abs(on_i_axis) > _ZERO_TOL, 0.0, axis, on_i_axis))
 
     # (H2): strict monotonicity in S, non-increase in I, interior only.
     interior = axis[1:-1]
     su, iv = np.meshgrid(interior, interior, indexing="ij")
-    pts = list(zip(su.ravel(), iv.ravel()))
-    ds = _require_finite(f.f1_ds(su, iv), pts, "df1/dS")
-    di = _require_finite(f.f1_di(su, iv), pts, "df1/dI")
-    for (s, i), v in zip(pts, np.ravel(ds)):
-        if v <= _ZERO_TOL:
-            violations.append(("H2", (float(s), float(i)), float(v)))
-    for (s, i), v in zip(pts, np.ravel(di)):
-        if v > _ZERO_TOL:
-            violations.append(("H2", (float(s), float(i)), float(v)))
+    ds = require_finite(f.f1_ds(su, iv), "df1/dS", su, iv)
+    di = require_finite(f.f1_di(su, iv), "df1/dI", su, iv)
+    violations += (_violations("H2", ds <= _ZERO_TOL, su, iv, ds)
+                   + _violations("H2", di > _ZERO_TOL, su, iv, di))
 
     # (H3): positive, Cauchy-convergent small-I limit at every S > 0.
-    h3_limit_at = []
-    for s in axis[axis > 0]:
-        limit, converged = small_i_limit(f.eval_f, float(s), eps)
-        if not np.isfinite(limit):
-            raise EvaluationError(f"f(S, I)/I is non-finite near (S, I) = ({s:g}, 0)")
-        h3_limit_at.append((float(s), limit))
-        if not (converged and limit > _ZERO_TOL):
-            violations.append(("H3", (float(s), 0.0), limit))
+    s_pos = axis[axis > 0]
+    limits, converged = small_i_limit(f.eval_f, s_pos, eps)
+    limits = require_finite(limits, "f(S, I)/I as I -> 0", s_pos, 0.0)
+    violations += _violations("H3", ~(converged & (limits > _ZERO_TOL)), s_pos, 0.0, limits)
 
     failed = {hyp for hyp, _, _ in violations}
     return HypothesisReport(
         h1_pass="H1" not in failed,
         h2_pass="H2" not in failed,
         h3_pass="H3" not in failed,
-        h3_limit_at=h3_limit_at,
+        h3_limit_at=list(zip(s_pos.tolist(), limits.tolist())),
         violations=violations,
         grid={"s_max": float(s_max), "grid_n": int(grid_n), "eps": float(eps),
               "axis": [float(a) for a in axis]},
@@ -388,6 +384,6 @@ def check_incidence_bound(f: IncidenceFunction, Lambda: float, mu: float,
     s0 = Lambda / mu
     axis = np.linspace(0.0, s0, grid_n)
     su, iv = np.meshgrid(axis, axis, indexing="ij")
-    fv = _require_finite(f.eval_f(su, iv), list(zip(su.ravel(), iv.ravel())), "f(S, I)")
+    fv = require_finite(f.eval_f(su, iv), "f(S, I)", su, iv)
     slack = s0 * beta * iv - fv
     return bool(slack.min() >= -1e-12), float(slack.min())

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EvaluationError
-from .incidence import IncidenceFunction, compute_beta
+from .incidence import IncidenceFunction, compute_beta, require_finite
 
 
 @dataclass(frozen=True)
@@ -85,11 +84,6 @@ class State:
     def as_dict(self) -> dict:
         return {"S": self.S, "I": self.I, "R": self.R}
 
-    @classmethod
-    def from_array(cls, arr) -> "State":
-        s, i, r = (float(v) for v in arr)
-        return cls(s, i, r)
-
 
 def make_rhs(p: ModelParams, f: IncidenceFunction):
     """The model right-hand side as a closure ``rhs(S, I, R) -> (dS, dI, dR)``.
@@ -116,10 +110,7 @@ def vector_field(p: ModelParams, f: IncidenceFunction, x: State) -> np.ndarray:
 
     The component sum always equals Lambda - mu*(S+I+R) - alpha*I.
     """
-    field = np.array(make_rhs(p, f)(x.S, x.I, x.R))
-    if not np.all(np.isfinite(field)):
-        raise EvaluationError(f"incidence is non-finite at (S, I) = ({x.S:g}, {x.I:g})")
-    return field
+    return require_finite(make_rhs(p, f)(x.S, x.I, x.R), "incidence", x.S, x.I)
 
 
 def dfe(p: ModelParams) -> State:
@@ -148,3 +139,25 @@ def in_omega(p: ModelParams, x: State, tol: float = 1e-9) -> bool:
     if x.S < -tol or x.I < -tol or x.R < -tol:
         return False
     return x.S + x.I + x.R <= p.s0 + tol
+
+
+def omega_grid(p: ModelParams, n: int, dims: int = 3):
+    """The lattice points of Omega at spacing S0/(n-1), one array per axis.
+
+    Returns (S, I, R) for ``dims=3`` or (S, I) for ``dims=2``: the points
+    (a, b[, c]) * S0/(n-1) with integers a + b [+ c] <= n - 1, taken from
+    ``linspace(0, S0, n)`` and listed in lexicographic order.  Only those
+    points are built, never the n**dims cube.  Boundary points whose
+    floating-point sum lands just above S0 are kept; callers needing exact
+    membership filter on the sum.
+    """
+    axis = np.linspace(0.0, p.s0, n)
+    columns, room = [], np.array([n])
+    for _ in range(dims):
+        # point k of the lattice so far extends to room[k] points, its next
+        # index running over 0..room[k]-1
+        parent = np.repeat(np.arange(room.size), room)
+        index = np.arange(parent.size) - (np.cumsum(room) - room)[parent]
+        columns = [col[parent] for col in columns] + [index]
+        room = room[parent] - index
+    return tuple(axis[col] for col in columns)

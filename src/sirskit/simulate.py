@@ -20,7 +20,7 @@ import numpy as np
 from .equilibria import find_endemic
 from .errors import BlowUpError, InvarianceViolationError, SirsKitError
 from .incidence import IncidenceFunction
-from .model import ModelParams, State, dfe, make_rhs, r0
+from .model import ModelParams, State, dfe, make_rhs, omega_grid, r0
 
 _MAX_STORED = 10_000
 _MAX_STEPS = 5_000_000
@@ -277,26 +277,21 @@ def sweep(p: ModelParams, f: IncidenceFunction, initials: Sequence[State],
 
 
 def omega_lattice(p: ModelParams, n: int, include_i_zero: bool = True) -> list:
-    """n x n x n candidate lattice over [0, Lambda/mu]^3, kept inside Omega.
+    """The ``omega_grid`` lattice of Omega at spacing Lambda/(mu*(n-1)), as States.
 
     Membership is exact (tolerance 0) so every point satisfies the
     integrator's precondition; boundary triples whose floating-point sum
     lands just above Lambda/mu are dropped.  With ``include_i_zero``
     false the I = 0 plane is excluded, which is the right choice when
-    the attractor is endemic.
+    the attractor is endemic.  Points come in lexicographic (S, I, R)
+    order.
     """
     if n < 2:
         raise ValueError(f"lattice size must be at least 2, got {n}")
-    axis = np.linspace(0.0, p.s0, n)
-    points = []
-    for s in axis:
-        for i in axis:
-            if not include_i_zero and i == 0.0:
-                continue
-            for rv in axis:
-                if s + i + rv <= p.s0:
-                    points.append(State(float(s), float(i), float(rv)))
-    return points
+    ss, ii, rr = omega_grid(p, n)
+    keep = (ss + ii + rr <= p.s0) & ((ii > 0.0) | include_i_zero)
+    return [State(s, i, rv) for s, i, rv in zip(ss[keep].tolist(), ii[keep].tolist(),
+                                                 rr[keep].tolist())]
 
 
 def conservation_check(traj: Trajectory, p: ModelParams) -> float:

@@ -53,9 +53,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateParameterError, EvaluationError, SingularPointError
-from .incidence import IncidenceFunction
-from .model import ModelParams, State, make_rhs, r0
+from .errors import DegenerateParameterError, SingularPointError
+from .incidence import IncidenceFunction, require_finite
+from .model import ModelParams, State, make_rhs, omega_grid, r0
 
 _SINGULAR_TOL = 1e-12
 
@@ -180,11 +180,7 @@ def _slope_range(f: IncidenceFunction, eq: State, s0: float,
             us += [u_val + 0.0 * axis for u_val in spoke]
             vs += [axis] * len(offsets)
     u_all, v_all = np.concatenate(us), np.concatenate(vs)
-    g = secant_slope(f, eq, u_all, v_all)
-    if not np.all(np.isfinite(g)):
-        bad = int(np.flatnonzero(~np.isfinite(g))[0])
-        raise EvaluationError(
-            f"secant slope non-finite at (u, v) = ({u_all[bad]:g}, {v_all[bad]:g})")
+    g = require_finite(secant_slope(f, eq, u_all, v_all), "secant slope", u_all, v_all)
 
     # Along each spoke removable singularities keep |G| bounded, genuine
     # ones grow ~1/offset: compare the innermost offset with the outermost.
@@ -292,24 +288,23 @@ def dvdt_at(p: ModelParams, f: IncidenceFunction, eq: State,
 def dvdt_scan(p: ModelParams, f: IncidenceFunction, eq: State, k1: float,
               k2: float | None = None, grid_n: int = 41,
               ball: float | None = None) -> float:
-    """Maximum of dV/dt over a grid on Omega excluding a ball around eq.
+    """Maximum of dV/dt over the ``omega_grid`` lattice of Omega with I > 0,
+    outside the ball of radius ``ball`` (default 1e-3*S0) around eq.
 
     The gradient of V is taken analytically; finite differences of V are
     only a cross-check in the test suite.  A sound certificate makes the
-    returned maximum negative.
+    returned maximum negative.  A non-finite incidence raises
+    EvaluationError naming the first such (S, I).
     """
     k2_value = default_k2(p) if k2 is None else k2
-    s0 = p.s0
-    ball_radius = 1e-3 * s0 if ball is None else ball
-    axis = np.linspace(0.0, s0, grid_n)
-    ss, ii, rr = np.meshgrid(axis, axis, axis, indexing="ij")
-    keep = (ss + ii + rr <= s0 * (1.0 + 1e-12)) & (ii > 0)
-    keep &= ((ss - eq.S) ** 2 + (ii - eq.I) ** 2 + (rr - eq.R) ** 2) > ball_radius ** 2
+    ball_radius = 1e-3 * p.s0 if ball is None else ball
+    ss, ii, rr = omega_grid(p, grid_n)
+    keep = (ii > 0) & (((ss - eq.S) ** 2 + (ii - eq.I) ** 2 + (rr - eq.R) ** 2)
+                       > ball_radius ** 2)
     ss, ii, rr = ss[keep], ii[keep], rr[keep]
 
     field = make_rhs(p, f)(ss, ii, rr)
-    if not np.all(np.isfinite(field[1])):
-        raise EvaluationError("incidence non-finite on the dV/dt scan grid")
+    require_finite(field[1], "incidence", ss, ii)
     return float(np.max(_dvdt(eq, k1, k2_value, ss, ii, rr, field)))
 
 
@@ -335,28 +330,24 @@ def pq_matrices(p: ModelParams, f: IncidenceFunction, eq: State,
 def dfe_lyapunov_bound(p: ModelParams, f: IncidenceFunction, grid_n: int = 201) -> float:
     """Worst gap of dI/dt <= infected_outflow * (R0 - 1) * I over Omega.
 
-    Returns max over the grid of dI/dt minus the bound; the inequality
-    holds (for any R0) when the result is at most 1e-10.  The gap
-    reaches zero along S = S0 for f1 independent of I.
+    Returns the max of dI/dt minus the bound over the two-dimensional
+    ``omega_grid`` lattice {S + I <= S0} (R plays no part in dI/dt); the
+    inequality holds (for any R0) when the result is at most 1e-10.  The
+    gap reaches zero along S = S0 for f1 independent of I.  A non-finite
+    incidence raises EvaluationError naming the first such (S, I).
     """
     r0_value = r0(p, f)
-    outflow = p.infected_outflow
-    s0 = p.s0
-    axis = np.linspace(0.0, s0, grid_n)
-    ss, ii = np.meshgrid(axis, axis, indexing="ij")
-    keep = ss + ii <= s0 * (1.0 + 1e-12)
-    ss, ii = ss[keep], ii[keep]
+    ss, ii = omega_grid(p, grid_n, dims=2)
     _, di, _ = make_rhs(p, f)(ss, ii, 0.0)
-    if not np.all(np.isfinite(di)):
-        raise EvaluationError("incidence non-finite on the bound-check grid")
-    gap = di - outflow * (r0_value - 1.0) * ii
+    require_finite(di, "incidence", ss, ii)
+    gap = di - p.infected_outflow * (r0_value - 1.0) * ii
     return float(np.max(gap))
 
 
 def certify(p: ModelParams, f: IncidenceFunction, eq: State,
             k1: float | None = None, k2: float | None = None,
             grid_n: int = 201, exclusion: float | None = None,
-            dvdt_grid_n: int = 41, ball: float | None = None) -> CertificateReport:
+            dvdt_grid_n: int = 41) -> CertificateReport:
     """Run the full endemic-certificate pipeline and assemble a report.
 
     ``k1`` and ``k2`` override the closed-form k1 and the default
@@ -378,7 +369,7 @@ def certify(p: ModelParams, f: IncidenceFunction, eq: State,
     if k1_value is not None:
         _, _, minors = pq_matrices(p, f, eq, k1_value, k2_value, scan.worst_point)
         p_minors, q_minors = minors[:2], minors[2:]
-        dvdt_max = dvdt_scan(p, f, eq, k1_value, k2_value, dvdt_grid_n, ball)
+        dvdt_max = dvdt_scan(p, f, eq, k1_value, k2_value, dvdt_grid_n)
     return CertificateReport(
         a1_pass=a1.passed, a1_margin=a1.margin, a1_remark_value=a1.remark_value,
         k1=k1_value, k2=k2_value, sup_h=scan.sup_h, h_bound=scan.h_bound,

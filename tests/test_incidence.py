@@ -151,6 +151,44 @@ def test_non_finite_value_reports_point():
         check_hypotheses(f, 50.0)
 
 
+def brute_force_violations(f, s_max, grid_n=64, eps=1e-4):
+    """check_hypotheses' violation list, one sample at a time."""
+    axis = np.linspace(0.0, s_max, grid_n)
+    interior = axis[1:-1]
+    found = []
+    for point in [(s, 0.0) for s in axis] + [(0.0, i) for i in axis]:
+        value = float(f.eval_f(*point))
+        if abs(value) > 1e-12:
+            found.append(("H1", point, value))
+    for partial, bad in ((f.f1_ds, lambda v: v <= 1e-12), (f.f1_di, lambda v: v > 1e-12)):
+        for s in interior:
+            for i in interior:
+                value = float(partial(s, i))
+                if bad(value):
+                    found.append(("H2", (float(s), float(i)), value))
+    for s in axis[1:]:
+        limit, converged = small_i_limit(f.eval_f, float(s), eps)
+        if not (converged and limit > 1e-12):
+            found.append(("H3", (float(s), 0.0), limit))
+    return found
+
+
+@pytest.mark.parametrize("f", [
+    make_builtin("ruan", FAMILY_INSTANCES["ruan"]),
+    # f(S, 0) and f(0, I) nonzero, f1 decreasing in S and mostly increasing
+    # in I, f/I unbounded as I -> 0: every list is non-empty
+    from_callables(lambda S, I: I * (60.0 - S) * (1.0 + I / 100.0) + 0.01 * (S + I),
+                   label="offset"),
+], ids=["ruan", "offset"])
+def test_violations_match_brute_force(f):
+    report = check_hypotheses(f, 50.0)
+    expected = brute_force_violations(f, 50.0)
+    assert report.violations == expected
+    failed = {hyp for hyp, _, _ in expected}
+    assert (report.h1_pass, report.h2_pass, report.h3_pass) == tuple(
+        hyp not in failed for hyp in ("H1", "H2", "H3"))
+
+
 def test_compute_beta_power_values():
     assert compute_beta(make_builtin("power", {"k": 0.0008, "q": 2.0}),
                         10.0, 0.2) == pytest.approx(0.04, rel=1e-12)

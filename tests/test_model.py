@@ -13,6 +13,7 @@ from sirskit import (
     r0,
     vector_field,
 )
+from sirskit.model import omega_grid
 
 from conftest import FAMILY_INSTANCES, HYPOTHESIS_FAMILIES, REF
 
@@ -120,3 +121,18 @@ def test_in_omega(ref_params):
 def test_in_omega_tolerance(ref_params):
     assert not in_omega(ref_params, State(50.0, 1e-6, 0.0), tol=1e-9)
     assert in_omega(ref_params, State(50.0, 1e-6, 0.0), tol=1e-3)
+
+
+@pytest.mark.parametrize("dims", [2, 3])
+@pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
+@pytest.mark.parametrize("n", [2, 3, 8, 41])
+def test_omega_grid_matches_dense_mask(n, scale, dims):
+    # the dense grid masked with a relative slack on S0: same values, same order
+    p = ModelParams(**dict(REF, Lambda=REF["Lambda"] * scale))
+    axis = np.linspace(0.0, p.s0, n)
+    dense = np.meshgrid(*[axis] * dims, indexing="ij")
+    keep = sum(dense) <= p.s0 * (1.0 + 1e-12)
+    grid = omega_grid(p, n, dims=dims)
+    assert len(grid) == dims
+    for got, want in zip(grid, dense):
+        assert got.tobytes() == want[keep].tobytes()

@@ -1,28 +1,32 @@
 """The benchmark's tracer wraps ``sirskit`` functions by name from outside
-``src``; renaming or dropping one of them must fail here, not only in a
-benchmark run."""
+``src``, and its workloads check each op's output; renaming or dropping one
+of those functions, or breaking an output a check relies on, must fail
+here, not only in a benchmark run."""
 
 import importlib.util
 import json
 import sys
 from pathlib import Path
 
+import pytest
+
 from sirskit import cli
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracing(monkeypatch):
+def load_perfbench(monkeypatch, name):
     # read perfbench/ only: no bytecode cache is written next to it
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_installs_and_uninstalls(monkeypatch, tmp_path):
-    tracing = load_tracing(monkeypatch)
+    tracing = load_perfbench(monkeypatch, "tracing")
     originals = [(owner, attr, owner.__dict__.get(attr))
                  for owner, attr, _, _ in tracing._TARGETS]
     config = tmp_path / "model.json"
@@ -48,3 +52,16 @@ def test_tracer_installs_and_uninstalls(monkeypatch, tmp_path):
     assert tracer.counts["simulate.integrate_rk45.eval_f.calls"] > 0
     for owner, attr, original in originals:
         assert owner.__dict__.get(attr) is original
+
+
+@pytest.mark.parametrize("name", ["reference", "certify_fine"])
+def test_workload_cycle_passes_its_checks(monkeypatch, tmp_path, name):
+    # one whole cycle of inputs, plus the first input again so that the
+    # byte-determinism check compares two ops
+    workloads = load_perfbench(monkeypatch, "workloads")
+    workload = workloads.WORKLOADS[name](1, tmp_path)
+    workload.prepare()
+    for index in range(workload.cycle + 1):
+        out = tmp_path / f"op-{index}"
+        out.mkdir()
+        workload.check(index, workload.run_op(index, out), out)

@@ -246,6 +246,16 @@ def test_omega_lattice(ref_params):
         omega_lattice(ref_params, 1)
 
 
+@pytest.mark.parametrize("include_i_zero", [True, False])
+@pytest.mark.parametrize("n", [2, 5, 16])
+def test_omega_lattice_matches_triple_loop(ref_params, n, include_i_zero):
+    axis = np.linspace(0.0, ref_params.s0, n)
+    expected = [State(float(s), float(i), float(r))
+                for s in axis for i in axis for r in axis
+                if (include_i_zero or i > 0.0) and s + i + r <= ref_params.s0]
+    assert omega_lattice(ref_params, n, include_i_zero) == expected
+
+
 def test_trajectory_csv_format(tmp_path, ref_params, high_incidence):
     traj = integrate(ref_params, high_incidence, State(30, 10, 5), 1.0,
                      "rk4_fixed", 0.5)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from sirskit import (
     DegenerateParameterError,
+    EvaluationError,
     ModelParams,
     SingularPointError,
     State,
@@ -391,3 +393,25 @@ def test_certify_divergent_family(ref_p):
     assert cert.k1 is None
     assert cert.divergence_flag
     assert cert.dvdt_max is None
+
+
+# NaN on S < 10, I > 5: inside Omega, away from (S0, 0) = (50, 0) where R0
+# and the equilibrium's f1 are evaluated.
+def _nan_patch(S, I):
+    return np.where((S < 10.0) & (I > 5.0), np.nan, 0.0008 * I * S * S)
+
+
+_SAMPLE = r"\(S, I\) = \(([^,]+), ([^)]+)\)"
+
+
+@pytest.mark.parametrize("scan", [
+    lambda p, f, eq: find_k1(p, f, eq),
+    lambda p, f, eq: dvdt_scan(p, f, eq, 7.0, 2.5),
+    lambda p, f, eq: dfe_lyapunov_bound(p, f),
+], ids=["slope_scan", "dvdt_scan", "dfe_lyapunov_bound"])
+def test_non_finite_scan_names_sample(ref_p, eq_high, scan):
+    f = from_callables(_nan_patch, label="nan-patch")
+    with pytest.raises(EvaluationError, match=_SAMPLE) as err:
+        scan(ref_p, f, eq_high)
+    s, i = map(float, re.search(_SAMPLE, str(err.value)).groups())
+    assert s < 10.0 and i > 5.0
