@@ -12,7 +12,8 @@ A configuration document has the shape
 
 ``solver`` and ``scan`` are optional and may be given partially;
 unknown keys anywhere are rejected, and missing required keys are
-reported by name.
+reported by name.  ``scan.grid_n`` and ``scan.n_brackets`` must be
+integers of at least 2 and 16.
 """
 
 from __future__ import annotations
@@ -67,6 +68,14 @@ def _number(mapping: dict, key: str, where: str, source: str) -> float:
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ConfigError(f"{source}: {where}.{key} must be a number, got {value!r}")
     return float(value)
+
+
+def _integer(mapping: dict, key: str, where: str, source: str, minimum: int) -> int:
+    value = _number(mapping, key, where, source)
+    if not (value.is_integer() and value >= minimum):
+        raise ConfigError(f"{source}: {where}.{key} must be an integer >= {minimum}, "
+                          f"got {mapping[key]!r}")
+    return int(value)
 
 
 def parse_config(doc, source: str = "<config>") -> ModelConfig:
@@ -129,15 +138,13 @@ def parse_config(doc, source: str = "<config>") -> ModelConfig:
         if not isinstance(raw, dict):
             raise ConfigError(f"{source}: scan must be an object")
         _reject_unknown(raw, ("grid_n", "exclusion", "n_brackets"), "scan", source)
-        grid_n = int(_number(raw, "grid_n", "scan", source)) if "grid_n" in raw else scan.grid_n
+        grid_n = (_integer(raw, "grid_n", "scan", source, 2)
+                  if "grid_n" in raw else scan.grid_n)
         exclusion = scan.exclusion
         if "exclusion" in raw and raw["exclusion"] is not None:
             exclusion = _number(raw, "exclusion", "scan", source)
-        n_brackets = (int(_number(raw, "n_brackets", "scan", source))
+        n_brackets = (_integer(raw, "n_brackets", "scan", source, 16)
                       if "n_brackets" in raw else scan.n_brackets)
-        if grid_n < 2 or n_brackets < 16:
-            raise ConfigError(f"{source}: scan.grid_n must be >= 2 and "
-                              "scan.n_brackets >= 16")
         scan = ScanSettings(grid_n=grid_n, exclusion=exclusion, n_brackets=n_brackets)
 
     return ModelConfig(params=params, family=family, coefficients=coefficients,

@@ -149,8 +149,10 @@ def omega_grid(p: ModelParams, n: int, dims: int = 3):
     ``linspace(0, S0, n)`` and listed in lexicographic order.  Only those
     points are built, never the n**dims cube.  Boundary points whose
     floating-point sum lands just above S0 are kept; callers needing exact
-    membership filter on the sum.
+    membership filter on the sum.  Raises ValueError when n < 2.
     """
+    if n < 2:
+        raise ValueError(f"grid size must be at least 2 points per axis, got {n}")
     axis = np.linspace(0.0, p.s0, n)
     columns, room = [], np.array([n])
     for _ in range(dims):

@@ -286,8 +286,6 @@ def omega_lattice(p: ModelParams, n: int, include_i_zero: bool = True) -> list:
     the attractor is endemic.  Points come in lexicographic (S, I, R)
     order.
     """
-    if n < 2:
-        raise ValueError(f"lattice size must be at least 2, got {n}")
     ss, ii, rr = omega_grid(p, n)
     keep = (ss + ii + rr <= p.s0) & ((ii > 0.0) | include_i_zero)
     return [State(s, i, rv) for s, i, rv in zip(ss[keep].tolist(), ii[keep].tolist(),

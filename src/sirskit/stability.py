@@ -163,15 +163,25 @@ class _SlopeRange(NamedTuple):
     at_min: tuple[float, float]
     at_max: tuple[float, float]
     divergence_flag: bool
+    exclusion: float
 
 
 def _slope_range(f: IncidenceFunction, eq: State, s0: float,
-                 grid_n: int, exclusion: float) -> _SlopeRange:
+                 grid_n: int, exclusion: float | None) -> _SlopeRange:
     """G over a grid_n x grid_n grid on [0, S0]^2 minus the strip
-    |u - S*| < exclusion, plus spokes at offsets exclusion/{1, 4, 16}."""
+    |u - S*| < exclusion (default 1e-4*S0), plus spokes at offsets
+    exclusion/{1, 4, 16}.  Raises ValueError when grid_n < 2 or when the
+    strip is empty or covers the whole grid."""
+    if grid_n < 2:
+        raise ValueError(f"grid_n must be at least 2, got {grid_n}")
+    if exclusion is None:
+        exclusion = 1e-4 * s0
     axis = np.linspace(0.0, s0, grid_n)
     uu, vv = np.meshgrid(axis, axis, indexing="ij")
     keep = np.abs(uu - eq.S) >= exclusion
+    if not (exclusion > 0 and keep.any()):
+        raise ValueError(f"exclusion must be positive and leave grid samples, "
+                         f"got {exclusion}")
     us, vs = [uu[keep]], [vv[keep]]
     offsets = (exclusion, exclusion / 4.0, exclusion / 16.0)
     for side in (1.0, -1.0):
@@ -190,10 +200,12 @@ def _slope_range(f: IncidenceFunction, eq: State, s0: float,
     return _SlopeRange(g_min=float(g[lo]), g_max=float(g[hi]),
                        at_min=(float(u_all[lo]), float(v_all[lo])),
                        at_max=(float(u_all[hi]), float(v_all[hi])),
-                       divergence_flag=divergence)
+                       divergence_flag=divergence, exclusion=exclusion)
 
 
 def _a2_scan(p: ModelParams, slopes: _SlopeRange, k1: float) -> A2Scan:
+    if k1 < 0:
+        raise ValueError(f"k1 must be non-negative, got {k1}")
     # h is convex in G and rounding is monotone, so the sampled supremum
     # of h is reached at Gmin or Gmax, bit for bit.
     h = (2.0 * p.mu + p.alpha - k1 * np.array([slopes.g_min, slopes.g_max])) ** 2
@@ -225,12 +237,9 @@ def check_a2(p: ModelParams, f: IncidenceFunction, eq: State, k1: float,
     with the strip |u - S*| < exclusion removed, plus refinement spokes
     at offsets exclusion/{1, 4, 16} from S*; sup h is reached at one of
     its ends.  Passes when the supremum stays below the bound and |G|
-    shows no divergent growth toward S*.
+    shows no divergent growth toward S*.  Raises ValueError when k1 < 0,
+    grid_n < 2 or the exclusion is not positive or leaves no grid sample.
     """
-    if k1 < 0:
-        raise ValueError(f"k1 must be non-negative, got {k1}")
-    if exclusion is None:
-        exclusion = 1e-4 * p.s0
     return _a2_scan(p, _slope_range(f, eq, p.s0, grid_n, exclusion), k1)
 
 
@@ -244,8 +253,6 @@ def find_k1(p: ModelParams, f: IncidenceFunction, eq: State,
     (2mu+alpha)^2), or when even this k1 fails condition (a2).  Absence
     of a valid k1 is a value, not an error.
     """
-    if exclusion is None:
-        exclusion = 1e-4 * p.s0
     return _optimal_k1(p, _slope_range(f, eq, p.s0, grid_n, exclusion))
 
 
@@ -286,21 +293,20 @@ def dvdt_at(p: ModelParams, f: IncidenceFunction, eq: State,
 
 
 def dvdt_scan(p: ModelParams, f: IncidenceFunction, eq: State, k1: float,
-              k2: float | None = None, grid_n: int = 41,
-              ball: float | None = None) -> float:
+              k2: float | None = None, grid_n: int = 41) -> float:
     """Maximum of dV/dt over the ``omega_grid`` lattice of Omega with I > 0,
-    outside the ball of radius ``ball`` (default 1e-3*S0) around eq.
+    outside the ball of radius 1e-3*S0 around eq.
 
     The gradient of V is taken analytically; finite differences of V are
     only a cross-check in the test suite.  A sound certificate makes the
-    returned maximum negative.  A non-finite incidence raises
-    EvaluationError naming the first such (S, I).
+    returned maximum negative.  Raises ValueError when grid_n < 2, and
+    EvaluationError naming the first (S, I) where the incidence is
+    non-finite.
     """
     k2_value = default_k2(p) if k2 is None else k2
-    ball_radius = 1e-3 * p.s0 if ball is None else ball
     ss, ii, rr = omega_grid(p, grid_n)
     keep = (ii > 0) & (((ss - eq.S) ** 2 + (ii - eq.I) ** 2 + (rr - eq.R) ** 2)
-                       > ball_radius ** 2)
+                       > (1e-3 * p.s0) ** 2)
     ss, ii, rr = ss[keep], ii[keep], rr[keep]
 
     field = make_rhs(p, f)(ss, ii, rr)
@@ -334,7 +340,8 @@ def dfe_lyapunov_bound(p: ModelParams, f: IncidenceFunction, grid_n: int = 201) 
     ``omega_grid`` lattice {S + I <= S0} (R plays no part in dI/dt); the
     inequality holds (for any R0) when the result is at most 1e-10.  The
     gap reaches zero along S = S0 for f1 independent of I.  A non-finite
-    incidence raises EvaluationError naming the first such (S, I).
+    incidence raises EvaluationError naming the first such (S, I), and
+    grid_n < 2 raises ValueError.
     """
     r0_value = r0(p, f)
     ss, ii = omega_grid(p, grid_n, dims=2)
@@ -355,10 +362,6 @@ def certify(p: ModelParams, f: IncidenceFunction, eq: State,
     required.  The slope range is computed once and serves both the k1
     choice and the (a2) scan.
     """
-    if k1 is not None and k1 < 0:
-        raise ValueError(f"k1 must be non-negative, got {k1}")
-    if exclusion is None:
-        exclusion = 1e-4 * p.s0
     a1 = check_a1(p)
     k2_value = float(k2 if k2 is not None else default_k2(p))
     slopes = _slope_range(f, eq, p.s0, grid_n, exclusion)
@@ -374,4 +377,4 @@ def certify(p: ModelParams, f: IncidenceFunction, eq: State,
         a1_pass=a1.passed, a1_margin=a1.margin, a1_remark_value=a1.remark_value,
         k1=k1_value, k2=k2_value, sup_h=scan.sup_h, h_bound=scan.h_bound,
         divergence_flag=scan.divergence_flag, p_minors=p_minors, q_minors=q_minors,
-        dvdt_max=dvdt_max, grid_n=grid_n, exclusion=exclusion)
+        dvdt_max=dvdt_max, grid_n=grid_n, exclusion=slopes.exclusion)

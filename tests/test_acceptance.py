@@ -186,7 +186,7 @@ def test_criterion_5_property_suites():
     eq = find_endemic(p, f_high).endemic[0][0]
     for k1 in (7.0, find_k1(p, f_high, eq)):
         assert check_a2(p, f_high, eq, k1).passed
-        assert dvdt_scan(p, f_high, eq, k1, 2.5, grid_n=21, ball=1e-3 * p.s0) < 0.0
+        assert dvdt_scan(p, f_high, eq, k1, 2.5, grid_n=21) < 0.0
 
     # integrator convergence orders
     f_zero = from_callables(lambda S, I: 0.0 * S * I, f1=lambda S, I: 0.0 * S)

@@ -199,19 +199,6 @@ def test_simulate_from_dfe_constant(capsys, high_config, tmp_path):
     assert np.max(np.abs(rows[:, 1:] - np.array([50.0, 0.0, 0.0]))) < 1e-9
 
 
-def test_simulate_outside_omega_exits_1(capsys, high_config, tmp_path):
-    code, _, err = run_cli(capsys, "simulate", high_config,
-                           "--initial", "60,0,0", "--out", tmp_path / "x.csv")
-    assert code == 1
-    assert "Lambda/mu" in err
-
-
-def test_simulate_negative_initial_exits_1(capsys, high_config, tmp_path):
-    code, _, _ = run_cli(capsys, "simulate", high_config,
-                         "--initial", "30,-1,5", "--out", tmp_path / "x.csv")
-    assert code == 1
-
-
 def test_sweep_lattice_2(capsys, low_config, high_config, tmp_path):
     for cfg, sub in ((low_config, "low"), (high_config, "high")):
         out_dir = tmp_path / sub
@@ -233,10 +220,25 @@ def test_sweep_insufficient_time_exits_2(capsys, high_config, tmp_path):
     assert json.loads(out)["converged_fraction"] < 1.0
 
 
-def test_sweep_lattice_too_small_exits_1(capsys, high_config, tmp_path):
-    code, _, _ = run_cli(capsys, "sweep", high_config, "--lattice", 1,
-                         "--out", tmp_path / "tiny")
+# Each bad value is rejected by the function that uses it; the CLI only
+# turns the ValueError into one "error:" line and exit code 1.
+@pytest.mark.parametrize("command, flags, named", [
+    ("analyze", ["--grid-n", 0], "got 0"),
+    ("analyze", ["--grid-n", 1], "got 1"),
+    ("sweep", ["--lattice", 1], "got 1"),
+    ("simulate", ["--initial", "60,0,0"], "sums to 60 > Lambda/mu"),
+    ("simulate", ["--initial", "30,-1,5"], "got -1.0"),
+    ("simulate", ["--initial", "1,2"], "got '1,2'"),
+], ids=["analyze-grid-0", "analyze-grid-1", "sweep-lattice-1",
+        "simulate-outside-omega", "simulate-negative", "simulate-two-values"])
+def test_invalid_input_exits_1(capsys, high_config, tmp_path, command, flags, named):
+    out_flag = [] if command == "analyze" else ["--out", tmp_path / "out"]
+    code, out, err = run_cli(capsys, command, high_config, *flags, *out_flag)
     assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and named in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_reproduce(capsys, tmp_path):

@@ -1,0 +1,154 @@
+import json
+
+import pytest
+
+from sirskit.config import ScanSettings, SolverSettings, load_config, parse_config
+from sirskit.errors import ConfigError
+
+from conftest import REF
+
+
+def make_doc(**sections):
+    doc = {"params": dict(REF),
+           "incidence": {"family": "power", "coefficients": {"k": 0.0008, "q": 2}}}
+    doc.update(sections)
+    return doc
+
+
+def rejects(doc, *named):
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc, source="model.json")
+    message = str(err.value)
+    assert message.startswith("model.json: ")
+    for text in named:
+        assert text in message
+    return message
+
+
+def test_minimal_document_takes_defaults():
+    cfg = parse_config(make_doc())
+    assert cfg.params.as_dict() == REF
+    assert cfg.family == "power"
+    assert cfg.coefficients == {"k": 0.0008, "q": 2.0}
+    assert cfg.solver == SolverSettings()
+    assert cfg.scan == ScanSettings()
+
+
+def test_full_document_round_trips(tmp_path):
+    doc = make_doc(solver={"method": "rk4_fixed", "step_or_tol": 0.01, "t_end": 50},
+                   scan={"grid_n": 101, "exclusion": 0.5, "n_brackets": 64})
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    cfg = load_config(path)
+    assert cfg.solver == SolverSettings(method="rk4_fixed", step_or_tol=0.01, t_end=50.0)
+    assert cfg.scan == ScanSettings(grid_n=101, exclusion=0.5, n_brackets=64)
+    assert isinstance(cfg.scan.grid_n, int) and isinstance(cfg.scan.n_brackets, int)
+
+
+def test_null_exclusion_keeps_the_default():
+    cfg = parse_config(make_doc(scan={"exclusion": None}))
+    assert cfg.scan.exclusion is None
+
+
+def test_top_level_must_be_an_object():
+    rejects([make_doc()], "top level must be a JSON object")
+
+
+@pytest.mark.parametrize("section", ["params", "incidence"])
+def test_missing_section(section):
+    doc = make_doc()
+    del doc[section]
+    rejects(doc, f"missing required object '{section}'")
+
+
+@pytest.mark.parametrize("key", ["Lambda", "mu", "delta"])
+def test_missing_param(key):
+    doc = make_doc()
+    del doc["params"][key]
+    rejects(doc, f"params missing required key '{key}'")
+
+
+def test_missing_family():
+    rejects(make_doc(incidence={"coefficients": {"beta": 0.5}}),
+            "incidence.family must be a string")
+
+
+@pytest.mark.parametrize("where", [None, "params", "incidence", "solver", "scan"])
+def test_unknown_key_in_each_section(where):
+    doc = make_doc(solver={}, scan={})
+    (doc if where is None else doc[where])["colour"] = 1
+    rejects(doc, "unknown key(s) ['colour']",
+            "top level" if where is None else f"in {where};")
+
+
+def test_unknown_coefficient():
+    rejects(make_doc(incidence={"family": "bilinear",
+                                "coefficients": {"beta": 0.5, "gamma": 1}}),
+            "invalid incidence")
+
+
+@pytest.mark.parametrize("section, key", [
+    ("params", "mu"),
+    ("coefficients", "k"),
+    ("solver", "t_end"),
+    ("solver", "step_or_tol"),
+    ("scan", "grid_n"),
+    ("scan", "exclusion"),
+    ("scan", "n_brackets"),
+])
+def test_bool_is_not_a_number(section, key):
+    doc = make_doc(solver={}, scan={})
+    target = doc["incidence"]["coefficients"] if section == "coefficients" else doc[section]
+    target[key] = True
+    rejects(doc, f".{key} must be a number, got True")
+
+
+def test_string_is_not_a_number():
+    doc = make_doc()
+    doc["params"]["mu"] = "0.2"
+    rejects(doc, "params.mu must be a number, got '0.2'")
+
+
+def test_invalid_param_value():
+    doc = make_doc()
+    doc["params"]["mu"] = 0
+    rejects(doc, "invalid params", "mu must be positive")
+
+
+def test_unknown_method():
+    rejects(make_doc(solver={"method": "euler"}),
+            "solver.method must be one of ['rk4_fixed', 'rk45_adaptive']", "'euler'")
+
+
+@pytest.mark.parametrize("key", ["t_end", "step_or_tol"])
+@pytest.mark.parametrize("value", [0, -1.5])
+def test_non_positive_solver_setting(key, value):
+    rejects(make_doc(solver={key: value}), "must be positive")
+
+
+@pytest.mark.parametrize("key, value, minimum", [
+    ("grid_n", 2.9, 2),
+    ("grid_n", 1, 2),
+    ("grid_n", -3, 2),
+    ("n_brackets", 16.9, 16),
+    ("n_brackets", 15, 16),
+])
+def test_scan_sizes_must_be_integers_at_least_minimum(key, value, minimum):
+    rejects(make_doc(scan={key: value}),
+            f"scan.{key} must be an integer >= {minimum}, got {value!r}")
+
+
+def test_integral_float_scan_size_is_accepted():
+    cfg = parse_config(make_doc(scan={"grid_n": 41.0, "n_brackets": 16}))
+    assert cfg.scan.grid_n == 41 and isinstance(cfg.scan.grid_n, int)
+    assert cfg.scan.n_brackets == 16
+
+
+@pytest.mark.parametrize("section", ["solver", "scan"])
+def test_optional_section_must_be_an_object(section):
+    rejects(make_doc(**{section: [1]}), f"{section} must be an object")
+
+
+def test_unreadable_file(tmp_path):
+    with pytest.raises(ConfigError, match="cannot read config"):
+        load_config(tmp_path / "absent.json")

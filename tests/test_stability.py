@@ -324,7 +324,7 @@ def test_dvdt_negative_whenever_a2_passes(ref_p, f_high, eq_high):
     cases.append((p_sis, f_bil, eq_sis, find_k1(p_sis, f_bil, eq_sis), 2.0))
     for p, f, eq, k1, k2 in cases:
         assert check_a2(p, f, eq, k1).passed
-        assert dvdt_scan(p, f, eq, k1, k2, grid_n=21, ball=1e-3 * p.s0) < 0.0
+        assert dvdt_scan(p, f, eq, k1, k2, grid_n=21) < 0.0
 
 
 def test_dfe_lyapunov_bound(ref_p, f_high):
@@ -415,3 +415,24 @@ def test_non_finite_scan_names_sample(ref_p, eq_high, scan):
         scan(ref_p, f, eq_high)
     s, i = map(float, re.search(_SAMPLE, str(err.value)).groups())
     assert s < 10.0 and i > 5.0
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("scan", [
+    lambda p, f, eq, n: dvdt_scan(p, f, eq, 7.0, 2.5, grid_n=n),
+    lambda p, f, eq, n: dfe_lyapunov_bound(p, f, grid_n=n),
+    lambda p, f, eq, n: certify(p, f, eq, dvdt_grid_n=n),
+    lambda p, f, eq, n: certify(p, f, eq, grid_n=n),
+    lambda p, f, eq, n: check_a2(p, f, eq, 7.0, grid_n=n),
+    lambda p, f, eq, n: find_k1(p, f, eq, grid_n=n),
+], ids=["dvdt_scan", "dfe_lyapunov_bound", "certify_dvdt_grid", "certify_grid",
+        "check_a2", "find_k1"])
+def test_grid_below_two_points_is_rejected(ref_p, f_high, eq_high, scan, n):
+    with pytest.raises(ValueError, match=rf"at least 2\b.*, got {n}$"):
+        scan(ref_p, f_high, eq_high, n)
+
+
+@pytest.mark.parametrize("exclusion", [0.0, -1.0, float("nan"), 1e3])
+def test_exclusion_must_leave_a_strip_and_samples(ref_p, f_high, eq_high, exclusion):
+    with pytest.raises(ValueError, match=rf"exclusion must be positive.*, got {exclusion}$"):
+        certify(ref_p, f_high, eq_high, exclusion=exclusion)
