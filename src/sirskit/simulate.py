@@ -7,11 +7,19 @@ Every step enforces the model's invariants numerically: components are
 clamped to zero only for round-off (within 1e-12 below zero), and a
 state that leaves the feasible simplex by more than 1e-6 aborts the run,
 since the model guarantees non-negativity and forward invariance.
+
+``sweep`` steps all its initial states as one batch, one array row each
+with its own step size.  ``integrate`` stays scalar: a batch of one pays
+NumPy's per-call cost on every stage, 80 ms against 3.5 ms for the scalar
+loop from (30, 10, 5) to t = 500 on the reference model (2-core x86-64
+VM, Python 3.11, NumPy 2.4); the batch breaks even near 16 rows.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -26,6 +34,8 @@ _MAX_STORED = 10_000
 _MAX_STEPS = 5_000_000
 _CLAMP = 1e-12
 _OMEGA_SLACK = 1e-6
+_UNDERFLOW = "step size underflow at t = {:g}"
+_EXHAUSTED = "step budget exhausted; integration is not progressing"
 
 # Explicit Runge-Kutta tableaux in first-same-as-last (FSAL) form: row m
 # weights stages 0..m into the input of stage m+1, and the last row is the
@@ -94,10 +104,13 @@ def write_csv(path, header: str, *columns) -> None:
 
 @dataclass(frozen=True)
 class SweepRun:
+    """One sweep run; a failed one has ``error`` "<type>: <message>"."""
+
     initial: State
     final: State | None
     distance: float
     trajectory: Trajectory | None
+    error: str | None = None
 
 
 @dataclass(frozen=True)
@@ -120,6 +133,7 @@ class SweepReport:
                     "final": run.final.as_dict() if run.final is not None else None,
                     "distance": run.distance if math.isfinite(run.distance) else None,
                     "converged": run.distance < self.conv_tol,
+                    "error": run.error,
                 }
                 for run in self.runs
             ],
@@ -143,8 +157,17 @@ def _postprocess(y, p: ModelParams, t: float):
     return (s, i, r)
 
 
+def _failure(y, p: ModelParams, t: float) -> SirsKitError:
+    """The error ``_postprocess`` raises for a state it rejects."""
+    try:
+        _postprocess(y, p, t)
+    except SirsKitError as exc:
+        return exc
+
+
 def _combine(y, h, row, ks):
-    """y + h * sum(a * k) over the nonzero weights a of ``row``."""
+    """y + h * sum(a * k) over the nonzero weights a of ``row``.  The
+    components are floats in the scalar loop and arrays in the batch."""
     ds = di = dr = 0.0
     for a, (k_s, k_i, k_r) in zip(row, ks):
         if a:
@@ -154,18 +177,32 @@ def _combine(y, h, row, ks):
     return (y[0] + h * ds, y[1] + h * di, y[2] + h * dr)
 
 
+def _step_range(t_end: float):
+    """Initial, smallest and largest step of the adaptive method."""
+    return t_end / 1000.0, 1e-10, t_end / 10.0
+
+
+def _next_step(h, err_norm, h_min, h_max, smaller=min, larger=max):
+    """h scaled by 0.9*err_norm**(-1/5) clipped to [0.2, 5], kept in [h_min,
+    h_max] (Hairer, Norsett & Wanner, Solving ODEs I, II.4).  A zero norm
+    counts as the least positive float.  The batch passes ``np.minimum``
+    and ``np.maximum`` for ``smaller`` and ``larger``."""
+    factor = smaller(5.0, larger(0.2, 0.9 * larger(err_norm, 5e-324) ** -0.2))
+    return smaller(h_max, larger(h_min, h * factor))
+
+
 def _run(rhs, y0, t_end, step_or_tol, p, tableau):
     rows, error = tableau
     if error:
-        tol, h_min, h_max = step_or_tol, 1e-10, t_end / 10.0
-        h = min(t_end / 1000.0, h_max)
+        tol = step_or_tol
+        h, h_min, h_max = _step_range(t_end)
     else:
         # times come from k*step, not accumulation, so the grid stays uniform
         # to the ulp and no spurious sliver step appears at t_end
         step = step_or_tol
         n_steps = max(1, math.ceil(t_end / step - 1e-12))
     t, y, k1 = 0.0, y0, rhs(*y0)
-    times, states = [0.0], [y0]
+    history = array("d", (0.0, *y0))  # flat (t, S, I, R) rows
     steps = rejected = 0
     max_error = 0.0
     while t_end - t > 1e-14 * t_end if error else steps < n_steps:
@@ -180,37 +217,138 @@ def _run(rhs, y0, t_end, step_or_tol, p, tableau):
             ks.append(rhs(*y_new))
         if error:
             err = _combine((0.0, 0.0, 0.0), h, error, ks)
-            err_norm = max(abs(e) / (tol + tol * max(abs(a), abs(b)))
-                           for e, a, b in zip(err, y, y_new))
-            factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
+            # a non-finite trial step is rejected as if its error were infinite
+            if all(map(math.isfinite, err + y_new)):
+                err_norm = max(abs(e) / (tol + tol * max(abs(a), abs(b)))
+                               for e, a, b in zip(err, y, y_new))
+            else:
+                err_norm = math.inf
         if not error or err_norm <= 1.0:
             t = t + h if error or steps < n_steps - 1 else t_end
             y = _postprocess(y_new, p, t)
             k1 = ks[-1] if y == y_new else rhs(*y)
-            times.append(t)
-            states.append(y)
+            history.extend((t, *y))
             steps += 1
             if error:
                 max_error = max(max_error, *map(abs, err))
         else:
             rejected += 1
         if error:
-            h = min(h_max, max(h_min, h * factor))
+            h = _next_step(h, err_norm, h_min, h_max)
             if h <= h_min and err_norm > 1.0:
-                raise BlowUpError(f"step size underflow at t = {t:g}")
+                raise BlowUpError(_UNDERFLOW.format(t))
         if steps + rejected > _MAX_STEPS:
-            raise BlowUpError("step budget exhausted; integration is not progressing")
-    return times, states, StepStats(steps=steps, rejected=rejected, max_error=max_error)
+            raise BlowUpError(_EXHAUSTED)
+    return history, StepStats(steps=steps, rejected=rejected, max_error=max_error)
 
 
-def _downsample(times, states):
-    if len(times) <= _MAX_STORED:
-        return np.asarray(times, dtype=float), np.asarray(states, dtype=float)
-    t_arr = np.asarray(times, dtype=float)
-    targets = np.linspace(t_arr[0], t_arr[-1], _MAX_STORED)
-    idx = np.unique(np.clip(np.searchsorted(t_arr, targets), 0, len(t_arr) - 1))
-    idx[0], idx[-1] = 0, len(t_arr) - 1
-    return t_arr[idx], np.asarray(states, dtype=float)[idx]
+def _run_batch(rhs, y0: np.ndarray, t_end: float, tol: float, p: ModelParams,
+               out=None):
+    """Dormand-Prince from every row of the (m, 3) array ``y0`` at once.
+
+    Each row takes the steps ``_run`` takes from it alone, with its own
+    time, step size, error norm, accept decision and step budget.  A row
+    leaves the batch when it reaches ``t_end`` or fails.  Returns the
+    accepted steps of each row and, per row, its StepStats or the
+    SirsKitError that ended it.  With ``out = (buffer, first)`` row j's
+    history goes to buffer[first[j]:], one (t, S, I, R) row per stored state.
+    """
+    rows, error = METHODS["rk45_adaptive"]
+    h0, h_min, h_max = _step_range(t_end)
+    m = len(y0)
+    outcomes, accepted = [None] * m, np.zeros(m, dtype=int)
+    idx, t, h = np.arange(m), np.zeros(m), np.full(m, h0)
+    steps, rejected, max_error = np.zeros(m, dtype=int), np.zeros(m, dtype=int), np.zeros(m)
+    y = tuple(y0.T.copy())
+    if out is not None:
+        buffer, first = out
+        buffer[first] = np.column_stack((t, *y))
+    # A row whose state turns non-finite must not stop the others.
+    with np.errstate(all="ignore"):
+        k1 = rhs(*y)
+        while idx.size:
+            h = np.minimum(h, t_end - t)
+            ks = [k1]
+            for row in rows:
+                y_new = _combine(y, h, row, ks)
+                ks.append(rhs(*y_new))
+            err = _combine((0.0, 0.0, 0.0), h, error, ks)
+            err_norm = np.maximum.reduce([np.abs(e) / (tol + tol * np.maximum(np.abs(a), np.abs(b)))
+                                          for e, a, b in zip(err, y, y_new)])
+            err_norm[~np.logical_and.reduce([np.isfinite(v) for v in err + y_new])] = np.inf
+            accept = err_norm <= 1.0
+            # _postprocess on arrays: clamp round-off below zero, then check Omega
+            s, i, r = clamped = tuple(np.where((v < 0.0) & (v >= -_CLAMP), 0.0, v) for v in y_new)
+            bad = accept & ~((s >= -_OMEGA_SLACK) & (i >= -_OMEGA_SLACK) & (r >= -_OMEGA_SLACK)
+                             & (s + i + r <= p.s0 + _OMEGA_SLACK))
+            good = accept & ~bad
+            t = np.where(accept, t + h, t)
+            y = tuple(np.where(good, c, v) for c, v in zip(clamped, y))
+            k1 = tuple(np.where(good, k, v) for k, v in zip(ks[-1], k1))
+            moved = good & ((s != y_new[0]) | (i != y_new[1]) | (r != y_new[2]))
+            if moved.any():
+                for k, k_new in zip(k1, rhs(*(v[moved] for v in y))):
+                    k[moved] = k_new
+            steps += accept
+            rejected += ~accept
+            if out is not None:
+                buffer[first[idx[good]] + steps[good]] = np.column_stack([v[good] for v in (t, *y)])
+            max_error = np.where(accept, np.maximum(max_error, np.maximum.reduce(np.abs(err))),
+                                 max_error)
+            h = _next_step(h, err_norm, h_min, h_max, np.minimum, np.maximum)
+            underflow = (h <= h_min) & (err_norm > 1.0)
+            exhausted = steps + rejected > _MAX_STEPS
+            leave = bad | underflow | exhausted | (t_end - t <= 1e-14 * t_end)
+            if not leave.any():
+                continue
+            accepted[idx[leave]] = steps[leave]
+            for j in np.flatnonzero(leave).tolist():
+                if bad[j]:
+                    outcomes[idx[j]] = _failure(tuple(v[j] for v in y_new), p, float(t[j]))
+                elif underflow[j]:
+                    outcomes[idx[j]] = BlowUpError(_UNDERFLOW.format(float(t[j])))
+                elif exhausted[j]:
+                    outcomes[idx[j]] = BlowUpError(_EXHAUSTED)
+                else:
+                    outcomes[idx[j]] = StepStats(int(steps[j]), int(rejected[j]),
+                                                 float(max_error[j]))
+            stay = ~leave
+            idx, t, h, steps, rejected, max_error = (
+                v[stay] for v in (idx, t, h, steps, rejected, max_error))
+            y, k1 = tuple(v[stay] for v in y), tuple(v[stay] for v in k1)
+    return accepted, outcomes
+
+
+def _downsample(history):
+    """Times and states of a history, a buffer of float (t, S, I, R) rows,
+    at most ``_MAX_STORED`` rows picked uniformly in time.  Both are views
+    of one (n, 4) array, the history itself when nothing is dropped."""
+    data = np.frombuffer(history, dtype=float).reshape(-1, 4)
+    if len(data) > _MAX_STORED:
+        t_arr = data[:, 0]
+        targets = np.linspace(t_arr[0], t_arr[-1], _MAX_STORED)
+        idx = np.unique(np.clip(np.searchsorted(t_arr, targets), 0, len(t_arr) - 1))
+        idx[0], idx[-1] = 0, len(t_arr) - 1
+        data = data[idx]
+    return data[:, 0], data[:, 1:]
+
+
+def _trajectory(p: ModelParams, f: IncidenceFunction, history, stats: StepStats) -> Trajectory:
+    times, states = _downsample(history)
+    params_id = (f"{f.label}|Lambda={p.Lambda:g},mu={p.mu:g},gamma1={p.gamma1:g},"
+                 f"gamma2={p.gamma2:g},alpha={p.alpha:g},delta={p.delta:g}")
+    return Trajectory(times=times, states=states, params_id=params_id, step_stats=stats)
+
+
+def _check_run(p: ModelParams, initials, t_end: float, step_or_tol: float) -> None:
+    if not (t_end > 0):
+        raise ValueError(f"t_end must be positive, got {t_end}")
+    if not (step_or_tol > 0):
+        raise ValueError(f"step_or_tol must be positive, got {step_or_tol}")
+    for x0 in initials:
+        if x0.S + x0.I + x0.R > p.s0:
+            raise ValueError(
+                f"initial state sums to {x0.S + x0.I + x0.R:g} > Lambda/mu = {p.s0:g}")
 
 
 def integrate(p: ModelParams, f: IncidenceFunction, x0: State, t_end: float,
@@ -222,21 +360,12 @@ def integrate(p: ModelParams, f: IncidenceFunction, x0: State, t_end: float,
     error tolerance; the initial step is t_end/1000 and steps stay in
     [1e-10, t_end/10]).  The initial state must lie exactly in Omega.
     """
-    if not (t_end > 0):
-        raise ValueError(f"t_end must be positive, got {t_end}")
-    if not (step_or_tol > 0):
-        raise ValueError(f"step_or_tol must be positive, got {step_or_tol}")
-    if x0.S + x0.I + x0.R > p.s0:
-        raise ValueError(
-            f"initial state sums to {x0.S + x0.I + x0.R:g} > Lambda/mu = {p.s0:g}")
+    _check_run(p, [x0], t_end, step_or_tol)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {list(METHODS)}")
-    times, states, stats = _run(make_rhs(p, f), (x0.S, x0.I, x0.R), t_end,
-                                step_or_tol, p, METHODS[method])
-    t_arr, y_arr = _downsample(times, states)
-    params_id = (f"{f.label}|Lambda={p.Lambda:g},mu={p.mu:g},gamma1={p.gamma1:g},"
-                 f"gamma2={p.gamma2:g},alpha={p.alpha:g},delta={p.delta:g}")
-    return Trajectory(times=t_arr, states=y_arr, params_id=params_id, step_stats=stats)
+    history, stats = _run(make_rhs(p, f), (x0.S, x0.I, x0.R), t_end,
+                          step_or_tol, p, METHODS[method])
+    return _trajectory(p, f, history, stats)
 
 
 def attractor(p: ModelParams, f: IncidenceFunction) -> State:
@@ -253,20 +382,40 @@ def sweep(p: ModelParams, f: IncidenceFunction, initials: Sequence[State],
           t_end: float, conv_tol: float) -> SweepReport:
     """Integrate every initial condition and measure distance to the attractor.
 
-    Runs use the adaptive method at tolerance 1e-8.  A run that fails
-    with a toolkit error is recorded with infinite distance instead of
-    aborting the others; distances are max-norm at t_end.
+    Runs use the adaptive method at tolerance 1e-8, with all initial
+    states stepped as one batch; each run takes the steps ``integrate``
+    takes from its initial state.  A run that fails with a toolkit error
+    is recorded with infinite distance and its error instead of aborting
+    the others; distances are max-norm at t_end.
     """
+    tol = 1e-8
+    _check_run(p, initials, t_end, tol)
     target = attractor(p, f)
     target_arr = target.as_array()
+    rhs = make_rhs(p, f)
+    y0 = np.array([(x0.S, x0.I, x0.R) for x0 in initials], dtype=float).reshape(-1, 3)
+    # The first pass counts each run's accepted steps; the second stores
+    # its states in one buffer of exactly that size.  Both take the same
+    # steps, since the arithmetic is the same.
+    accepted, _ = _run_batch(rhs, y0, t_end, tol, p)
+    sizes = accepted + 1
+    first = np.cumsum(sizes) - sizes
+    # An anonymous map of its own goes back to the system once no trajectory
+    # views it, and leaves malloc's heap and adaptive mmap threshold alone:
+    # np.empty here raised the basin sweep's peak RSS by about 1.5 MB.  It
+    # has one spare row, since a map cannot be empty.
+    buffer = np.frombuffer(mmap.mmap(-1, 32 * (int(sizes.sum()) + 1)), dtype=float)
+    buffer = buffer.reshape(-1, 4)
+    again, outcomes = _run_batch(rhs, y0, t_end, tol, p, (buffer, first))
+    if not np.array_equal(again, accepted):
+        raise RuntimeError("the two passes of the batched sweep took different steps")
     runs = []
-    for x0 in initials:
-        try:
-            traj = integrate(p, f, x0, t_end, "rk45_adaptive", 1e-8)
-        except SirsKitError:
-            runs.append(SweepRun(initial=x0, final=None,
-                                 distance=math.inf, trajectory=None))
+    for x0, outcome, start, size in zip(initials, outcomes, first.tolist(), sizes.tolist()):
+        if isinstance(outcome, SirsKitError):
+            runs.append(SweepRun(initial=x0, final=None, distance=math.inf, trajectory=None,
+                                 error=f"{type(outcome).__name__}: {outcome}"))
             continue
+        traj = _trajectory(p, f, buffer[start:start + size], outcome)
         distance = float(np.max(np.abs(traj.states[-1] - target_arr)))
         runs.append(SweepRun(initial=x0, final=traj.final_state,
                              distance=distance, trajectory=traj))

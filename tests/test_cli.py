@@ -213,6 +213,21 @@ def test_sweep_lattice_2(capsys, low_config, high_config, tmp_path):
             assert (out_dir / run["csv"]).exists()
 
 
+def test_sweep_deterministic(capsys, high_config, tmp_path):
+    outputs = []
+    for sub in ("first", "second"):
+        code, out, _ = run_cli(capsys, "sweep", high_config, "--lattice", 4,
+                               "--out", tmp_path / sub)
+        assert code == 0
+        csvs = sorted((tmp_path / sub).glob("run_*.csv"))
+        outputs.append((out, [path.name for path in csvs],
+                        [path.read_bytes() for path in csvs]))
+    assert outputs[0] == outputs[1]
+    runs = json.loads(outputs[0][0])["runs"]
+    assert len(runs) == len(outputs[0][1]) == 10
+    assert all(run["error"] is None for run in runs)
+
+
 def test_sweep_insufficient_time_exits_2(capsys, high_config, tmp_path):
     code, out, _ = run_cli(capsys, "sweep", high_config, "--lattice", 2,
                            "--t-end", 0.001, "--out", tmp_path / "short")

@@ -1,12 +1,13 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 import sirskit.simulate as simulate_mod
 from sirskit import (
+    BlowUpError,
     ModelParams,
-    SirsKitError,
     State,
     attractor,
     conservation_check,
@@ -216,23 +217,62 @@ def test_sweep_insufficient_time(ref_params, high_incidence):
     assert report.converged_fraction < 1.0
 
 
-def test_sweep_records_failures_without_aborting(ref_params, high_incidence,
-                                                 monkeypatch):
-    real_integrate = simulate_mod.integrate
+def nan_patch_incidence(in_patch):
+    """k*I*S**2 that is NaN where ``in_patch(S, I)``; f1 stays clean, so R0
+    and the endemic equilibrium come out as for the reference model."""
+    return from_callables(
+        lambda S, I: np.where(in_patch(S, I), np.nan, 0.0008 * I * S ** 2),
+        f1=lambda S, I: 0.0008 * S ** 2 + 0.0 * I, label="nan-patch")
 
-    def flaky(p, f, x0, t_end, method="rk45_adaptive", step_or_tol=1e-8):
-        if x0.S == 5.0:
-            raise SirsKitError("injected failure")
-        return real_integrate(p, f, x0, t_end, method, step_or_tol)
 
-    monkeypatch.setattr(simulate_mod, "integrate", flaky)
-    report = simulate_mod.sweep(ref_params, high_incidence,
-                                [State(5.0, 10.0, 5.0), State(30.0, 10.0, 5.0)],
-                                500.0, 1e-2)
+def test_non_finite_incidence_fails_fast(ref_params):
+    # A NaN stage used to be rejected forever: NaN > 1.0 is False, so the
+    # step-size underflow check never fired and the run spun to _MAX_STEPS.
+    f = nan_patch_incidence(lambda S, I: S < 29.7)
+    start = time.perf_counter()
+    with pytest.raises(BlowUpError, match="step size underflow at t = 0.5"):
+        integrate(ref_params, f, State(30.0, 10.0, 5.0), 500.0, "rk45_adaptive", 1e-8)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_sweep_records_failures_without_aborting(ref_params):
+    # (30, 10, 5) crosses the patch near t = 0.56; (30, 5, 5) never enters it.
+    f = nan_patch_incidence(lambda S, I: (S < 29.7) & (I > 9.9))
+    failing, converging = State(30.0, 10.0, 5.0), State(30.0, 5.0, 5.0)
+    with pytest.raises(BlowUpError) as scalar:
+        integrate(ref_params, f, failing, 500.0, "rk45_adaptive", 1e-8)
+    report = sweep(ref_params, f, [failing, converging], 500.0, 1e-2)
     assert math.isinf(report.runs[0].distance)
-    assert report.runs[0].final is None
+    assert report.runs[0].final is None and report.runs[0].trajectory is None
+    assert report.runs[0].error == f"BlowUpError: {scalar.value}"
+    assert report.runs[1].error is None
     assert report.runs[1].distance < 1e-2
     assert report.converged_fraction == 0.5
+    runs = report.as_dict()["runs"]
+    assert [run["error"] for run in runs] == [report.runs[0].error, None]
+    assert [run["distance"] for run in runs] == [None, report.runs[1].distance]
+
+
+@pytest.mark.parametrize("k, initials", [
+    (0.0002, "lattice"), (0.0008, "lattice"), (0.0008, "target"),
+    (0.0008, [State(30.0, 10.0, 5.0)]), (0.0008, []),
+], ids=["lattice6-subcritical", "lattice6-supercritical", "target", "single", "empty"])
+def test_batched_sweep_matches_integrate(ref_params, k, initials):
+    f = make_builtin("power", {"k": k, "q": 2.0})
+    target = attractor(ref_params, f)
+    if initials == "lattice":
+        initials = omega_lattice(ref_params, 6, include_i_zero=(target.I == 0.0))
+    elif initials == "target":
+        initials = [target]
+    report = sweep(ref_params, f, initials, 500.0, 1e-2)
+    assert [run.initial for run in report.runs] == initials
+    for run in report.runs:
+        alone = integrate(ref_params, f, run.initial, 500.0, "rk45_adaptive", 1e-8)
+        assert run.error is None
+        assert run.trajectory.step_stats[:2] == alone.step_stats[:2]
+        assert len(run.trajectory.times) == len(alone.times)
+        assert run.trajectory.times[-1] == 500.0
+        assert np.max(np.abs(run.trajectory.states[-1] - alone.states[-1])) <= 1e-7
 
 
 def test_omega_lattice(ref_params):
