@@ -307,7 +307,8 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except SirsKitError as exc:
+    except (SirsKitError, OverflowError) as exc:
+        # an incidence value beyond the float range is a solver failure too
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_SOLVER
 

@@ -8,17 +8,19 @@ clamped to zero only for round-off (within 1e-12 below zero), and a
 state that leaves the feasible simplex by more than 1e-6 aborts the run,
 since the model guarantees non-negativity and forward invariance.
 
-``sweep`` steps all its initial states as one batch, one array row each
-with its own step size.  ``integrate`` stays scalar: a batch of one pays
-NumPy's per-call cost on every stage, 80 ms against 3.5 ms for the scalar
-loop from (30, 10, 5) to t = 500 on the reference model (2-core x86-64
-VM, Python 3.11, NumPy 2.4); the batch breaks even near 16 rows.
+Every run keeps its accepted states as one history, a flat
+``array('d')`` of (t, S, I, R) rows, which ``_trajectory`` downsamples.
+``sweep`` steps all its initial states once, as one batch, one array row
+each with its own step size, and appends that row's accepted steps to
+its history in blocks.  ``integrate`` stays scalar: a batch of one pays
+NumPy's per-call cost on every stage, 80 ms against 3.5 ms for the
+scalar loop from (30, 10, 5) to t = 500 on the reference model (2-core
+x86-64 VM, Python 3.11, NumPy 2.4); the batch breaks even near 16 rows.
 """
 
 from __future__ import annotations
 
 import math
-import mmap
 from array import array
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -34,6 +36,7 @@ _MAX_STORED = 10_000
 _MAX_STEPS = 5_000_000
 _CLAMP = 1e-12
 _OMEGA_SLACK = 1e-6
+_BATCH_ROWS = 32  # accepted states a batch row holds before they join its history
 _UNDERFLOW = "step size underflow at t = {:g}"
 _EXHAUSTED = "step budget exhausted; integration is not progressing"
 
@@ -242,27 +245,27 @@ def _run(rhs, y0, t_end, step_or_tol, p, tableau):
     return history, StepStats(steps=steps, rejected=rejected, max_error=max_error)
 
 
-def _run_batch(rhs, y0: np.ndarray, t_end: float, tol: float, p: ModelParams,
-               out=None):
+def _run_batch(rhs, y0: np.ndarray, t_end: float, tol: float, p: ModelParams):
     """Dormand-Prince from every row of the (m, 3) array ``y0`` at once.
 
     Each row takes the steps ``_run`` takes from it alone, with its own
     time, step size, error norm, accept decision and step budget.  A row
-    leaves the batch when it reaches ``t_end`` or fails.  Returns the
-    accepted steps of each row and, per row, its StepStats or the
-    SirsKitError that ended it.  With ``out = (buffer, first)`` row j's
-    history goes to buffer[first[j]:], one (t, S, I, R) row per stored state.
+    leaves the batch when it reaches ``t_end`` or fails.  Returns, per
+    row, its history in ``_run``'s format and its StepStats or the
+    SirsKitError that ended it.
     """
     rows, error = METHODS["rk45_adaptive"]
     h0, h_min, h_max = _step_range(t_end)
     m = len(y0)
-    outcomes, accepted = [None] * m, np.zeros(m, dtype=int)
+    histories = [array("d", (0.0, *x0)) for x0 in y0.tolist()]
+    outcomes = [None] * m
+    # Accepted states wait in ``pending`` and join their history a block at
+    # a time: one append per accepted step, a Python call each, took a third
+    # of a lattice-16 sweep and regrew every history 4 floats at a time.
+    pending, held = np.empty((m, _BATCH_ROWS, 4)), np.zeros(m, dtype=int)
     idx, t, h = np.arange(m), np.zeros(m), np.full(m, h0)
     steps, rejected, max_error = np.zeros(m, dtype=int), np.zeros(m, dtype=int), np.zeros(m)
     y = tuple(y0.T.copy())
-    if out is not None:
-        buffer, first = out
-        buffer[first] = np.column_stack((t, *y))
     # A row whose state turns non-finite must not stop the others.
     with np.errstate(all="ignore"):
         k1 = rhs(*y)
@@ -291,8 +294,12 @@ def _run_batch(rhs, y0: np.ndarray, t_end: float, tol: float, p: ModelParams,
                     k[moved] = k_new
             steps += accept
             rejected += ~accept
-            if out is not None:
-                buffer[first[idx[good]] + steps[good]] = np.column_stack([v[good] for v in (t, *y)])
+            stored = idx[good]
+            pending[stored, held[stored]] = np.column_stack([v[good] for v in (t, *y)])
+            held[stored] += 1
+            for j in stored[held[stored] == _BATCH_ROWS].tolist():
+                histories[j].frombytes(pending[j].tobytes())
+                held[j] = 0
             max_error = np.where(accept, np.maximum(max_error, np.maximum.reduce(np.abs(err))),
                                  max_error)
             h = _next_step(h, err_norm, h_min, h_max, np.minimum, np.maximum)
@@ -301,8 +308,8 @@ def _run_batch(rhs, y0: np.ndarray, t_end: float, tol: float, p: ModelParams,
             leave = bad | underflow | exhausted | (t_end - t <= 1e-14 * t_end)
             if not leave.any():
                 continue
-            accepted[idx[leave]] = steps[leave]
             for j in np.flatnonzero(leave).tolist():
+                histories[idx[j]].frombytes(pending[idx[j], :held[idx[j]]].tobytes())
                 if bad[j]:
                     outcomes[idx[j]] = _failure(tuple(v[j] for v in y_new), p, float(t[j]))
                 elif underflow[j]:
@@ -316,7 +323,7 @@ def _run_batch(rhs, y0: np.ndarray, t_end: float, tol: float, p: ModelParams,
             idx, t, h, steps, rejected, max_error = (
                 v[stay] for v in (idx, t, h, steps, rejected, max_error))
             y, k1 = tuple(v[stay] for v in y), tuple(v[stay] for v in k1)
-    return accepted, outcomes
+    return histories, outcomes
 
 
 def _downsample(history):
@@ -383,10 +390,11 @@ def sweep(p: ModelParams, f: IncidenceFunction, initials: Sequence[State],
     """Integrate every initial condition and measure distance to the attractor.
 
     Runs use the adaptive method at tolerance 1e-8, with all initial
-    states stepped as one batch; each run takes the steps ``integrate``
-    takes from its initial state.  A run that fails with a toolkit error
-    is recorded with infinite distance and its error instead of aborting
-    the others; distances are max-norm at t_end.
+    states stepped once, as one batch; each run takes the steps
+    ``integrate`` takes from its initial state and builds its trajectory
+    from a history in the same format.  A run that fails with a toolkit
+    error is recorded with infinite distance and its error instead of
+    aborting the others; distances are max-norm at t_end.
     """
     tol = 1e-8
     _check_run(p, initials, t_end, tol)
@@ -394,28 +402,14 @@ def sweep(p: ModelParams, f: IncidenceFunction, initials: Sequence[State],
     target_arr = target.as_array()
     rhs = make_rhs(p, f)
     y0 = np.array([(x0.S, x0.I, x0.R) for x0 in initials], dtype=float).reshape(-1, 3)
-    # The first pass counts each run's accepted steps; the second stores
-    # its states in one buffer of exactly that size.  Both take the same
-    # steps, since the arithmetic is the same.
-    accepted, _ = _run_batch(rhs, y0, t_end, tol, p)
-    sizes = accepted + 1
-    first = np.cumsum(sizes) - sizes
-    # An anonymous map of its own goes back to the system once no trajectory
-    # views it, and leaves malloc's heap and adaptive mmap threshold alone:
-    # np.empty here raised the basin sweep's peak RSS by about 1.5 MB.  It
-    # has one spare row, since a map cannot be empty.
-    buffer = np.frombuffer(mmap.mmap(-1, 32 * (int(sizes.sum()) + 1)), dtype=float)
-    buffer = buffer.reshape(-1, 4)
-    again, outcomes = _run_batch(rhs, y0, t_end, tol, p, (buffer, first))
-    if not np.array_equal(again, accepted):
-        raise RuntimeError("the two passes of the batched sweep took different steps")
+    histories, outcomes = _run_batch(rhs, y0, t_end, tol, p)
     runs = []
-    for x0, outcome, start, size in zip(initials, outcomes, first.tolist(), sizes.tolist()):
+    for x0, history, outcome in zip(initials, histories, outcomes):
         if isinstance(outcome, SirsKitError):
             runs.append(SweepRun(initial=x0, final=None, distance=math.inf, trajectory=None,
                                  error=f"{type(outcome).__name__}: {outcome}"))
             continue
-        traj = _trajectory(p, f, buffer[start:start + size], outcome)
+        traj = _trajectory(p, f, history, outcome)
         distance = float(np.max(np.abs(traj.states[-1] - target_arr)))
         runs.append(SweepRun(initial=x0, final=traj.final_state,
                              distance=distance, trajectory=traj))

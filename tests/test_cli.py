@@ -256,6 +256,21 @@ def test_invalid_input_exits_1(capsys, high_config, tmp_path, command, flags, na
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("simulate", ["--initial", "45,1,1", "--t-end", 10]),
+    ("sweep", ["--lattice", 2]),
+])
+def test_overflowing_incidence_exits_3(capsys, tmp_path, command, flags):
+    # 50**200 overflows a float
+    cfg = write_config(tmp_path, incidence={"family": "power",
+                                            "coefficients": {"k": 1e-300, "q": 200}})
+    code, out, err = run_cli(capsys, command, cfg, *flags, "--out", tmp_path / "out")
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: OverflowError: ")
+
+
 def test_reproduce(capsys, tmp_path):
     out_dir = tmp_path / "repro"
     code, out, _ = run_cli(capsys, "reproduce", "--out", out_dir)

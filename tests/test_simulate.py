@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -268,11 +269,32 @@ def test_batched_sweep_matches_integrate(ref_params, k, initials):
     assert [run.initial for run in report.runs] == initials
     for run in report.runs:
         alone = integrate(ref_params, f, run.initial, 500.0, "rk45_adaptive", 1e-8)
+        traj = run.trajectory
         assert run.error is None
-        assert run.trajectory.step_stats[:2] == alone.step_stats[:2]
-        assert len(run.trajectory.times) == len(alone.times)
-        assert run.trajectory.times[-1] == 500.0
-        assert np.max(np.abs(run.trajectory.states[-1] - alone.states[-1])) <= 1e-7
+        assert traj.step_stats[:2] == alone.step_stats[:2]
+        assert len(traj.times) == len(alone.times)
+        assert traj.times[0] == 0.0 and traj.times[-1] == 500.0
+        assert tuple(traj.states[0]) == (run.initial.S, run.initial.I, run.initial.R)
+        assert np.max(np.abs(traj.states - alone.states)) <= 1e-7
+        assert np.max(np.abs(traj.times - alone.times)) <= 1e-6 * 500.0
+
+
+@pytest.mark.parametrize("k", [0.0002, 0.0008], ids=["subcritical", "supercritical"])
+def test_sweep_integrates_once(ref_params, k):
+    f = make_builtin("power", {"k": k, "q": 2.0})
+    initials = omega_lattice(ref_params, 6, include_i_zero=(attractor(ref_params, f).I == 0.0))
+    points = [0]
+
+    def counted(S, I):
+        points[0] += max(np.size(S), np.size(I))
+        return f.eval_f(S, I)
+
+    report = sweep(ref_params, dataclasses.replace(f, eval_f=counted), initials, 500.0, 1e-2)
+    # one stage evaluation to start each run and six per attempted step,
+    # plus the attractor's residual check
+    once = sum(6 * (run.trajectory.step_stats.steps + run.trajectory.step_stats.rejected) + 1
+               for run in report.runs)
+    assert points[0] <= once + 1
 
 
 def test_omega_lattice(ref_params):
