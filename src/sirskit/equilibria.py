@@ -12,9 +12,9 @@ Endemic equilibria are therefore roots of
     g(I) = f1(equilibrium_line(I), I) - infected_outflow
 
 on (0, I0), where I0 is the line's I-axis intercept.  The solver scans
-uniform subintervals for sign changes and bisects each, then verifies
-every candidate as a root of the vector field.  It reports a list and
-does not assume uniqueness.
+uniform subintervals for sign changes and bisects each to adjacent
+doubles, then verifies every candidate as a root of the vector field.
+It reports a list and does not assume uniqueness.
 """
 
 from __future__ import annotations
@@ -86,12 +86,11 @@ def verify_equilibrium(p: ModelParams, f: IncidenceFunction, x: State) -> float:
 _BISECT_MAX_ITER = 2_200
 
 
-def _bisect(g, lo: float, hi: float, g_lo: float, tol: float) -> float:
-    """Bisect a sign change of g down to width ``tol``, or to adjacent
-    doubles when ``tol`` is below their spacing."""
+def _bisect(g, lo: float, hi: float, g_lo: float) -> float:
+    """Bisect a sign change of g down to adjacent doubles."""
     for _ in range(_BISECT_MAX_ITER):
         mid = 0.5 * (lo + hi)
-        if hi - lo < tol or mid in (lo, hi):
+        if mid in (lo, hi):
             break
         g_mid = g(mid)
         if g_mid == 0.0:
@@ -103,13 +102,28 @@ def _bisect(g, lo: float, hi: float, g_lo: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _roots(g, grid: np.ndarray, values: np.ndarray) -> list:
+    """(root, bracket) pairs of g in grid order, given its ``values`` on
+    ``grid``: a sample where g is exactly zero is a root with bracket
+    (x, x), and a sign change between adjacent samples is bisected."""
+    grid, values = grid.tolist(), values.tolist()
+    found = []
+    for n, (x, v) in enumerate(zip(grid, values)):
+        if v == 0.0:
+            found.append((x, (x, x)))
+        elif n + 1 < len(grid) and (v < 0.0 < values[n + 1] or v > 0.0 > values[n + 1]):
+            found.append((_bisect(g, x, grid[n + 1], v), (x, grid[n + 1])))
+    return found
+
+
 def _s_star_curve(p: ModelParams, f: IncidenceFunction) -> float | None:
     """S where f1(S, 0+) reaches the infected outflow rate, if any.
 
-    Diagnostic only; evaluated at I = 1e-8 by coarse scan plus bisection
-    over (0, 10*S0], returning None when no sign change exists there.
+    Diagnostic only; evaluated at I = 2e-10*S0 by coarse scan plus
+    bisection over (0, 10*S0], returning the smallest root, or None when
+    no sign change exists there.
     """
-    i_probe = 1e-8
+    i_probe = 2e-10 * p.s0
     target = p.infected_outflow
 
     def g(s):
@@ -117,33 +131,24 @@ def _s_star_curve(p: ModelParams, f: IncidenceFunction) -> float | None:
 
     axis = np.linspace(1e-12 * p.s0, 10.0 * p.s0, 512)
     values = np.asarray(f.eval_f1(axis, i_probe + 0.0 * axis), dtype=float) - target
-    signs = np.sign(values)
-    for n in range(len(axis) - 1):
-        if values[n] == 0.0:
-            return float(axis[n])
-        if signs[n] * signs[n + 1] < 0:
-            return float(_bisect(g, float(axis[n]), float(axis[n + 1]),
-                                 float(values[n]), 1e-10 * p.s0))
-    return None
+    found = _roots(g, axis, values)
+    return found[0][0] if found else None
 
 
-def find_endemic(p: ModelParams, f: IncidenceFunction, tol: float = 1e-10,
+def find_endemic(p: ModelParams, f: IncidenceFunction,
                  n_brackets: int = 256) -> EquilibriumReport:
     """Locate endemic equilibria and verify them against the vector field.
 
     Scans ``n_brackets`` uniform subintervals of (eps, I0 - eps) with
-    eps = 1e-9*I0 for sign changes of g, bisects each bracket to an
-    I-interval below ``tol`` (or to adjacent doubles, when those are
-    farther apart), reconstructs S from the equilibrium line
+    eps = 1e-9*I0 for sign changes of g, bisects each bracket to
+    adjacent doubles, reconstructs S from the equilibrium line
     and R = gamma2*I/(mu+delta), and requires the vector-field residual
-    of every candidate to stay below 10*tol.
+    of every candidate to stay below 1e-10*Lambda.
 
     Raises BracketFailureError (carrying the g samples) when R0 > 1 but
     no sign change is found, and VerificationError when a candidate
     fails the residual check.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
     if n_brackets < 16:
         raise ValueError(f"n_brackets must be at least 16, got {n_brackets}")
 
@@ -157,45 +162,27 @@ def find_endemic(p: ModelParams, f: IncidenceFunction, tol: float = 1e-10,
     eps = 1e-9 * i0
     grid = np.linspace(eps, i0 - eps, n_brackets + 1)
     g_values = np.asarray(f.eval_f1(equilibrium_line(p, grid), grid), dtype=float) - outflow
-
-    roots = []
-    brackets = []
-    for n in range(n_brackets):
-        lo, hi = float(grid[n]), float(grid[n + 1])
-        g_lo, g_hi = float(g_values[n]), float(g_values[n + 1])
-        if g_lo == 0.0:
-            roots.append(lo)
-            brackets.append((lo, lo))
-        elif g_lo * g_hi < 0:
-            brackets.append((lo, hi))
-            roots.append(_bisect(g, lo, hi, g_lo, tol))
-    if g_values[-1] == 0.0:
-        roots.append(float(grid[-1]))
-        brackets.append((float(grid[-1]), float(grid[-1])))
+    found = _roots(g, grid, g_values)
 
     # The failure guard needs R0 above 1 by more than round-off: at the
     # threshold itself the root merges with I = 0 and an empty result is
     # the correct answer, not a missed bracket.
-    if r0_value > 1 + 1e-9 and not roots:
+    if r0_value > 1 + 1e-9 and not found:
         raise BracketFailureError(
             f"R0 = {r0_value:g} > 1 but no sign change in {n_brackets} brackets; "
             "raise n_brackets",
             samples=[(float(i), float(v)) for i, v in zip(grid, g_values)])
 
+    gate = 1e-10 * p.Lambda
     endemic = []
-    for i_star in sorted(roots):
+    for i_star, _ in found:
         state = State(equilibrium_line(p, i_star), i_star,
                       p.gamma2 * i_star / (p.mu + p.delta))
         residual = verify_equilibrium(p, f, state)
-        if residual >= 10.0 * tol:
+        if residual >= gate:
             raise VerificationError(
-                f"candidate at I = {i_star:.12g} has residual {residual:g} "
-                f">= {10.0 * tol:g}")
+                f"candidate at I = {i_star:.12g} has residual {residual:g} >= {gate:g}")
         endemic.append((state, residual))
-
-    # Bisection brackets are disjoint, so distinct roots cannot collide.
-    for a, b in zip(endemic, endemic[1:]):
-        assert b[0].I - a[0].I >= 10.0 * tol, "reported roots closer than 10*tol"
 
     return EquilibriumReport(
         dfe=dfe(p),
@@ -203,5 +190,5 @@ def find_endemic(p: ModelParams, f: IncidenceFunction, tol: float = 1e-10,
         r0=r0_value,
         i0=i0,
         s_star_curve=_s_star_curve(p, f),
-        bracket_log=brackets,
+        bracket_log=[bracket for _, bracket in found],
     )

@@ -33,8 +33,9 @@ import numpy as np
 
 from .errors import EvaluationError, HypothesisViolationError, LimitConvergenceError
 
-# Strictness threshold for sign checks; values this close to zero are
-# treated as zero to avoid floating-point false positives.
+# Strictness threshold for sign checks on f1, a per-capita rate that does
+# not change when the population is rescaled; values this close to zero
+# are treated as zero to avoid floating-point false positives.
 _ZERO_TOL = 1e-12
 
 # Relative agreement required between successive Richardson extrapolants.
@@ -291,13 +292,15 @@ def _violations(hyp: str, bad, s, i, values) -> list:
 
 
 def check_hypotheses(f: IncidenceFunction, s_max: float,
-                     grid_n: int = 64, eps: float = 1e-4) -> HypothesisReport:
+                     grid_n: int = 64) -> HypothesisReport:
     """Check (H1)-(H3) for ``f`` on a grid over [0, s_max]^2.
 
     (H1) is tested on boundary samples, (H2) sign conditions on the
     interior grid only (the boundary S = 0 is degenerate there since
     f(0, I) = 0 forces f1(0, I) = 0), and (H3) by extrapolating
-    f(S, I)/I from I in {eps, eps/2, eps/4} at every sampled S > 0.
+    f(S, I)/I from I in {eps, eps/2, eps/4} at every sampled S > 0, with
+    eps = s_max/5e5.  Values of f within 2e-14*s_max of zero and partials
+    of f1 within 5e-11/s_max count as zero (1e-12 at s_max = 50).
     Violations are listed H1 on the S axis, H1 on the I axis, H2 in S,
     H2 in I, then H3, each in grid order.  Deterministic: identical
     inputs yield identical reports.
@@ -306,25 +309,25 @@ def check_hypotheses(f: IncidenceFunction, s_max: float,
         raise ValueError(f"s_max must be positive, got {s_max}")
     if grid_n < 8:
         raise ValueError(f"grid_n must be at least 8, got {grid_n}")
-    if not (0 < eps < s_max):
-        raise ValueError(f"eps must lie in (0, s_max), got {eps}")
 
+    eps = s_max / 5e5
+    f_tol, slope_tol = 2e-14 * s_max, 5e-11 / s_max
     axis = np.linspace(0.0, s_max, grid_n)
     zero = 0.0 * axis
 
     # (H1): boundary identities.
     on_s_axis = require_finite(f.eval_f(axis, zero), "f(S, 0)", axis, 0.0)
     on_i_axis = require_finite(f.eval_f(zero, axis), "f(0, I)", 0.0, axis)
-    violations = (_violations("H1", np.abs(on_s_axis) > _ZERO_TOL, axis, 0.0, on_s_axis)
-                  + _violations("H1", np.abs(on_i_axis) > _ZERO_TOL, 0.0, axis, on_i_axis))
+    violations = (_violations("H1", np.abs(on_s_axis) > f_tol, axis, 0.0, on_s_axis)
+                  + _violations("H1", np.abs(on_i_axis) > f_tol, 0.0, axis, on_i_axis))
 
     # (H2): strict monotonicity in S, non-increase in I, interior only.
     interior = axis[1:-1]
     su, iv = np.meshgrid(interior, interior, indexing="ij")
     ds = require_finite(f.f1_ds(su, iv), "df1/dS", su, iv)
     di = require_finite(f.f1_di(su, iv), "df1/dI", su, iv)
-    violations += (_violations("H2", ds <= _ZERO_TOL, su, iv, ds)
-                   + _violations("H2", di > _ZERO_TOL, su, iv, di))
+    violations += (_violations("H2", ds <= slope_tol, su, iv, ds)
+                   + _violations("H2", di > slope_tol, su, iv, di))
 
     # (H3): positive, Cauchy-convergent small-I limit at every S > 0.
     s_pos = axis[axis > 0]
@@ -344,13 +347,12 @@ def check_hypotheses(f: IncidenceFunction, s_max: float,
     )
 
 
-def compute_beta(f: IncidenceFunction, Lambda: float, mu: float,
-                 eps: float = 1e-4) -> float:
+def compute_beta(f: IncidenceFunction, Lambda: float, mu: float) -> float:
     """Effective transmission coefficient (mu/Lambda) * df/dI at (S0, 0).
 
     S0 = Lambda/mu.  Uses the analytic continuous extension f1(S0, 0)
     when the function carries analytic partials, otherwise Richardson
-    extrapolation of f(S0, I)/I toward I = 0+.
+    extrapolation of f(S0, I)/I toward I = 0+ from I = S0/5e5.
     """
     if not (Lambda > 0 and mu > 0):
         raise ValueError("Lambda and mu must be positive")
@@ -358,7 +360,7 @@ def compute_beta(f: IncidenceFunction, Lambda: float, mu: float,
     if f.partials is not None:
         slope = float(f.eval_f1(s0, 0.0))
     else:
-        slope, converged = small_i_limit(f.eval_f, s0, eps)
+        slope, converged = small_i_limit(f.eval_f, s0, s0 / 5e5)
         if slope <= _ZERO_TOL:
             raise HypothesisViolationError(
                 f"limit of f(S0, I)/I at S0 = {s0:g} is {slope:g}, not positive; (H3) fails")
@@ -377,8 +379,8 @@ def check_incidence_bound(f: IncidenceFunction, Lambda: float, mu: float,
 
     Returns (passed, min_slack) where slack is the pointwise margin
     (Lambda/mu)*beta*I - f(S, I); the bound passes when the minimum
-    slack is above -1e-12.  For f1 independent of I the bound is tight
-    along S = S0.
+    slack is at least -1e-13*Lambda, a rate at the scale of the model.
+    For f1 independent of I the bound is tight along S = S0.
     """
     beta = compute_beta(f, Lambda, mu)
     s0 = Lambda / mu
@@ -386,4 +388,4 @@ def check_incidence_bound(f: IncidenceFunction, Lambda: float, mu: float,
     su, iv = np.meshgrid(axis, axis, indexing="ij")
     fv = require_finite(f.eval_f(su, iv), "f(S, I)", su, iv)
     slack = s0 * beta * iv - fv
-    return bool(slack.min() >= -1e-12), float(slack.min())
+    return bool(slack.min() >= -1e-13 * Lambda), float(slack.min())

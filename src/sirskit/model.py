@@ -14,7 +14,10 @@ gives d(S+I+R)/dt = Lambda - mu*(S+I+R) - alpha*I, so the simplex
 
     Omega = {S, I, R >= 0, S + I + R <= Lambda/mu}
 
-is positively invariant and attracts all non-negative solutions.
+is positively invariant and attracts all non-negative solutions.  The
+model fixes no population unit, so every tolerance on a population is a
+constant times S0 = Lambda/mu and every one on a population rate is a
+constant times Lambda: results are covariant under rescaling.
 """
 
 from __future__ import annotations
@@ -118,7 +121,7 @@ def dfe(p: ModelParams) -> State:
     return State(p.s0, 0.0, 0.0)
 
 
-def r0(p: ModelParams, f: IncidenceFunction, eps: float = 1e-4) -> float:
+def r0(p: ModelParams, f: IncidenceFunction) -> float:
     """Basic reproduction number Lambda*beta / (mu * infected outflow).
 
     The next-generation construction degenerates to scalars here: the
@@ -126,19 +129,8 @@ def r0(p: ModelParams, f: IncidenceFunction, eps: float = 1e-4) -> float:
     (Lambda/mu)*beta and the transition block is the infected outflow
     rate, so their ratio is the spectral radius.
     """
-    beta = compute_beta(f, p.Lambda, p.mu, eps)
+    beta = compute_beta(f, p.Lambda, p.mu)
     return p.Lambda * beta / (p.mu * p.infected_outflow)
-
-
-def in_omega(p: ModelParams, x: State, tol: float = 1e-9) -> bool:
-    """Membership in the feasible simplex, up to ``tol`` slack.
-
-    True iff all components are >= -tol and S+I+R <= Lambda/mu + tol.
-    The tolerance absorbs integrator round-off; pass 0 for exact checks.
-    """
-    if x.S < -tol or x.I < -tol or x.R < -tol:
-        return False
-    return x.S + x.I + x.R <= p.s0 + tol
 
 
 def omega_grid(p: ModelParams, n: int, dims: int = 3):

@@ -4,9 +4,10 @@ One explicit Runge-Kutta engine steps two tableaux, both written in
 first-same-as-last form: classic RK4 with a fixed step, and the embedded
 Dormand-Prince 5(4) pair with mixed absolute/relative error control.
 Every step enforces the model's invariants numerically: components are
-clamped to zero only for round-off (within 1e-12 below zero), and a
-state that leaves the feasible simplex by more than 1e-6 aborts the run,
-since the model guarantees non-negativity and forward invariance.
+clamped to zero only for round-off (within 2e-14*S0 below zero), and a
+state that leaves the feasible simplex by more than 2e-8*S0 aborts the
+run, since the model guarantees non-negativity and forward invariance.
+At S0 = 50 those bounds are 1e-12 and 1e-6.
 
 Every run keeps its accepted states as one history, a flat
 ``array('d')`` of (t, S, I, R) rows, which ``_trajectory`` downsamples.
@@ -34,8 +35,8 @@ from .model import ModelParams, State, dfe, make_rhs, omega_grid, r0
 
 _MAX_STORED = 10_000
 _MAX_STEPS = 5_000_000
-_CLAMP = 1e-12
-_OMEGA_SLACK = 1e-6
+_CLAMP = 2e-14  # times S0
+_OMEGA_SLACK = 2e-8  # times S0
 _BATCH_ROWS = 32  # accepted states a batch row holds before they join its history
 _UNDERFLOW = "step size underflow at t = {:g}"
 _EXHAUSTED = "step budget exhausted; integration is not progressing"
@@ -143,27 +144,31 @@ class SweepReport:
         }
 
 
-def _postprocess(y, p: ModelParams, t: float):
+def _bounds(p: ModelParams):
+    """(clamp, low, top) for ``_postprocess``, worked out once per run."""
+    return -_CLAMP * p.s0, -_OMEGA_SLACK * p.s0, p.s0 + _OMEGA_SLACK * p.s0
+
+
+def _postprocess(y, t: float, clamp: float, low: float, top: float):
     s, i, r = y
     if not (math.isfinite(s) and math.isfinite(i) and math.isfinite(r)):
         raise BlowUpError(f"state non-finite at t = {t:g}")
-    if -_CLAMP <= s < 0.0:
+    if clamp <= s < 0.0:
         s = 0.0
-    if -_CLAMP <= i < 0.0:
+    if clamp <= i < 0.0:
         i = 0.0
-    if -_CLAMP <= r < 0.0:
+    if clamp <= r < 0.0:
         r = 0.0
-    if (s < -_OMEGA_SLACK or i < -_OMEGA_SLACK or r < -_OMEGA_SLACK
-            or s + i + r > p.s0 + _OMEGA_SLACK):
+    if s < low or i < low or r < low or s + i + r > top:
         raise InvarianceViolationError(
             f"state ({s:g}, {i:g}, {r:g}) left Omega at t = {t:g}")
     return (s, i, r)
 
 
-def _failure(y, p: ModelParams, t: float) -> SirsKitError:
+def _failure(y, t: float, bounds) -> SirsKitError:
     """The error ``_postprocess`` raises for a state it rejects."""
     try:
-        _postprocess(y, p, t)
+        _postprocess(y, t, *bounds)
     except SirsKitError as exc:
         return exc
 
@@ -204,6 +209,7 @@ def _run(rhs, y0, t_end, step_or_tol, p, tableau):
         # to the ulp and no spurious sliver step appears at t_end
         step = step_or_tol
         n_steps = max(1, math.ceil(t_end / step - 1e-12))
+    clamp, low, top = _bounds(p)
     t, y, k1 = 0.0, y0, rhs(*y0)
     history = array("d", (0.0, *y0))  # flat (t, S, I, R) rows
     steps = rejected = 0
@@ -228,7 +234,7 @@ def _run(rhs, y0, t_end, step_or_tol, p, tableau):
                 err_norm = math.inf
         if not error or err_norm <= 1.0:
             t = t + h if error or steps < n_steps - 1 else t_end
-            y = _postprocess(y_new, p, t)
+            y = _postprocess(y_new, t, clamp, low, top)
             k1 = ks[-1] if y == y_new else rhs(*y)
             history.extend((t, *y))
             steps += 1
@@ -256,6 +262,7 @@ def _run_batch(rhs, y0: np.ndarray, t_end: float, tol: float, p: ModelParams):
     """
     rows, error = METHODS["rk45_adaptive"]
     h0, h_min, h_max = _step_range(t_end)
+    bounds = clamp, low, top = _bounds(p)
     m = len(y0)
     histories = [array("d", (0.0, *x0)) for x0 in y0.tolist()]
     outcomes = [None] * m
@@ -281,9 +288,8 @@ def _run_batch(rhs, y0: np.ndarray, t_end: float, tol: float, p: ModelParams):
             err_norm[~np.logical_and.reduce([np.isfinite(v) for v in err + y_new])] = np.inf
             accept = err_norm <= 1.0
             # _postprocess on arrays: clamp round-off below zero, then check Omega
-            s, i, r = clamped = tuple(np.where((v < 0.0) & (v >= -_CLAMP), 0.0, v) for v in y_new)
-            bad = accept & ~((s >= -_OMEGA_SLACK) & (i >= -_OMEGA_SLACK) & (r >= -_OMEGA_SLACK)
-                             & (s + i + r <= p.s0 + _OMEGA_SLACK))
+            s, i, r = clamped = tuple(np.where((v < 0.0) & (v >= clamp), 0.0, v) for v in y_new)
+            bad = accept & ~((s >= low) & (i >= low) & (r >= low) & (s + i + r <= top))
             good = accept & ~bad
             t = np.where(accept, t + h, t)
             y = tuple(np.where(good, c, v) for c, v in zip(clamped, y))
@@ -311,7 +317,7 @@ def _run_batch(rhs, y0: np.ndarray, t_end: float, tol: float, p: ModelParams):
             for j in np.flatnonzero(leave).tolist():
                 histories[idx[j]].frombytes(pending[idx[j], :held[idx[j]]].tobytes())
                 if bad[j]:
-                    outcomes[idx[j]] = _failure(tuple(v[j] for v in y_new), p, float(t[j]))
+                    outcomes[idx[j]] = _failure(tuple(v[j] for v in y_new), float(t[j]), bounds)
                 elif underflow[j]:
                     outcomes[idx[j]] = BlowUpError(_UNDERFLOW.format(float(t[j])))
                 elif exhausted[j]:

@@ -57,8 +57,6 @@ from .errors import DegenerateParameterError, SingularPointError
 from .incidence import IncidenceFunction, require_finite
 from .model import ModelParams, State, make_rhs, omega_grid, r0
 
-_SINGULAR_TOL = 1e-12
-
 
 class A1Check(NamedTuple):
     passed: bool
@@ -85,7 +83,8 @@ class CertificateReport:
     determinant); ``q_minors`` is evaluated at the sample where h is
     largest.  ``dvdt_max`` is the largest sampled derivative of V
     outside a ball around the equilibrium and is negative whenever the
-    certificate is sound.
+    certificate is sound; ``dvdt_points`` is the number of lattice points
+    it was taken over.
     """
 
     a1_pass: bool
@@ -99,6 +98,7 @@ class CertificateReport:
     p_minors: tuple[float, float] | None
     q_minors: tuple[float, float] | None
     dvdt_max: float | None
+    dvdt_points: int
     grid_n: int
     exclusion: float
 
@@ -121,6 +121,7 @@ class CertificateReport:
             "p_minors": list(self.p_minors) if self.p_minors is not None else None,
             "q_minors": list(self.q_minors) if self.q_minors is not None else None,
             "dvdt_max": self.dvdt_max,
+            "dvdt_points": self.dvdt_points,
             "grid_n": self.grid_n,
             "exclusion": self.exclusion,
         }
@@ -145,10 +146,10 @@ def secant_slope(f: IncidenceFunction, eq: State, u, v):
 
     Accepts scalars (returning a float) or broadcastable arrays.  v = 0
     uses the continuous extension of f1.  Raises SingularPointError when
-    any u is within 1e-12 of S*.
+    any u is within 3.4e-14*S* of S* (1.0e-12 at the reference S* = 29.58).
     """
     offset = np.asarray(u, dtype=float) - eq.S
-    if np.any(np.abs(offset) < _SINGULAR_TOL):
+    if np.any(np.abs(offset) <= 3.4e-14 * eq.S):
         raise SingularPointError(f"secant slope undefined at u = S* = {eq.S:g}")
     f1_star = float(f.eval_f1(eq.S, eq.I))
     g = (np.asarray(f.eval_f1(u, v), dtype=float) - f1_star) / offset
@@ -193,9 +194,10 @@ def _slope_range(f: IncidenceFunction, eq: State, s0: float,
     g = require_finite(secant_slope(f, eq, u_all, v_all), "secant slope", u_all, v_all)
 
     # Along each spoke removable singularities keep |G| bounded, genuine
-    # ones grow ~1/offset: compare the innermost offset with the outermost.
+    # ones grow ~1/offset: compare the innermost offset with the outermost,
+    # whose |G| counts as zero below 5e-11/S0 (1e-12 at S0 = 50).
     spokes = np.abs(g[us[0].size:]).reshape(-1, len(offsets), grid_n)
-    divergence = bool(np.any(spokes[:, -1] > 10.0 * np.maximum(spokes[:, 0], _SINGULAR_TOL)))
+    divergence = bool(np.any(spokes[:, -1] > 10.0 * np.maximum(spokes[:, 0], 5e-11 / s0)))
     lo, hi = int(np.argmin(g)), int(np.argmax(g))
     return _SlopeRange(g_min=float(g[lo]), g_max=float(g[hi]),
                        at_min=(float(u_all[lo]), float(v_all[lo])),
@@ -292,6 +294,20 @@ def dvdt_at(p: ModelParams, f: IncidenceFunction, eq: State,
     return float(_dvdt(eq, k1, k2, x.S, x.I, x.R, make_rhs(p, f)(x.S, x.I, x.R)))
 
 
+def _dvdt_samples(p: ModelParams, f: IncidenceFunction, eq: State, k1: float,
+                  k2: float | None, grid_n: int) -> np.ndarray:
+    """dV/dt at every point that ``dvdt_scan`` scans, as one array."""
+    k2_value = default_k2(p) if k2 is None else k2
+    ss, ii, rr = omega_grid(p, grid_n)
+    keep = (ii > 0) & (((ss - eq.S) ** 2 + (ii - eq.I) ** 2 + (rr - eq.R) ** 2)
+                       > (1e-3 * p.s0) ** 2)
+    ss, ii, rr = ss[keep], ii[keep], rr[keep]
+
+    field = make_rhs(p, f)(ss, ii, rr)
+    require_finite(field[1], "incidence", ss, ii)
+    return _dvdt(eq, k1, k2_value, ss, ii, rr, field)
+
+
 def dvdt_scan(p: ModelParams, f: IncidenceFunction, eq: State, k1: float,
               k2: float | None = None, grid_n: int = 41) -> float:
     """Maximum of dV/dt over the ``omega_grid`` lattice of Omega with I > 0,
@@ -303,15 +319,7 @@ def dvdt_scan(p: ModelParams, f: IncidenceFunction, eq: State, k1: float,
     EvaluationError naming the first (S, I) where the incidence is
     non-finite.
     """
-    k2_value = default_k2(p) if k2 is None else k2
-    ss, ii, rr = omega_grid(p, grid_n)
-    keep = (ii > 0) & (((ss - eq.S) ** 2 + (ii - eq.I) ** 2 + (rr - eq.R) ** 2)
-                       > (1e-3 * p.s0) ** 2)
-    ss, ii, rr = ss[keep], ii[keep], rr[keep]
-
-    field = make_rhs(p, f)(ss, ii, rr)
-    require_finite(field[1], "incidence", ss, ii)
-    return float(np.max(_dvdt(eq, k1, k2_value, ss, ii, rr, field)))
+    return float(np.max(_dvdt_samples(p, f, eq, k1, k2, grid_n)))
 
 
 def pq_matrices(p: ModelParams, f: IncidenceFunction, eq: State,
@@ -338,10 +346,11 @@ def dfe_lyapunov_bound(p: ModelParams, f: IncidenceFunction, grid_n: int = 201) 
 
     Returns the max of dI/dt minus the bound over the two-dimensional
     ``omega_grid`` lattice {S + I <= S0} (R plays no part in dI/dt); the
-    inequality holds (for any R0) when the result is at most 1e-10.  The
-    gap reaches zero along S = S0 for f1 independent of I.  A non-finite
-    incidence raises EvaluationError naming the first such (S, I), and
-    grid_n < 2 raises ValueError.
+    inequality holds (for any R0) when the result is at most 1e-11*Lambda,
+    round-off at the scale of the model.  The gap reaches zero along
+    S = S0 for f1 independent of I.  A non-finite incidence raises
+    EvaluationError naming the first such (S, I), and grid_n < 2 raises
+    ValueError.
     """
     r0_value = r0(p, f)
     ss, ii = omega_grid(p, grid_n, dims=2)
@@ -369,12 +378,15 @@ def certify(p: ModelParams, f: IncidenceFunction, eq: State,
 
     scan = _a2_scan(p, slopes, 0.0 if k1_value is None else k1_value)
     p_minors = q_minors = dvdt_max = None
+    dvdt_points = 0
     if k1_value is not None:
         _, _, minors = pq_matrices(p, f, eq, k1_value, k2_value, scan.worst_point)
         p_minors, q_minors = minors[:2], minors[2:]
-        dvdt_max = dvdt_scan(p, f, eq, k1_value, k2_value, dvdt_grid_n)
+        dvdt = _dvdt_samples(p, f, eq, k1_value, k2_value, dvdt_grid_n)
+        dvdt_max, dvdt_points = float(np.max(dvdt)), dvdt.size
     return CertificateReport(
         a1_pass=a1.passed, a1_margin=a1.margin, a1_remark_value=a1.remark_value,
         k1=k1_value, k2=k2_value, sup_h=scan.sup_h, h_bound=scan.h_bound,
         divergence_flag=scan.divergence_flag, p_minors=p_minors, q_minors=q_minors,
-        dvdt_max=dvdt_max, grid_n=grid_n, exclusion=slopes.exclusion)
+        dvdt_max=dvdt_max, dvdt_points=dvdt_points, grid_n=grid_n,
+        exclusion=slopes.exclusion)

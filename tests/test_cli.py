@@ -110,6 +110,21 @@ def test_analyze_supercritical(capsys, high_config):
     assert cert["dvdt_max"] < 0
 
 
+@pytest.mark.parametrize("scale", [1e-7, 1e7])
+def test_analyze_grants_at_rescaled_population(capsys, tmp_path, scale):
+    # Lambda*s and k/s^2 rescale the population and keep R0 and S*/S0
+    params = dict(REF_PARAMS, Lambda=REF_PARAMS["Lambda"] * scale)
+    cfg = write_config(tmp_path, params=params,
+                       incidence={"family": "power",
+                                  "coefficients": {"k": 0.0008 / scale ** 2, "q": 2}})
+    code, out, _ = run_cli(capsys, "analyze", cfg)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["certificate"]["granted"]
+    state = doc["equilibria"]["endemic"][0]["state"]
+    assert state["I"] / scale == pytest.approx(9.42443127, rel=1e-9)
+
+
 def test_analyze_forced_k1(capsys, high_config):
     code, out, _ = run_cli(capsys, "analyze", high_config, "--k1", 7)
     assert code == 0

@@ -51,7 +51,7 @@ def test_line_slope_negative_for_valid_params():
 
 
 def test_find_endemic_reference_case(ref_params, high_incidence):
-    report = find_endemic(ref_params, high_incidence, tol=1e-8)
+    report = find_endemic(ref_params, high_incidence)
     assert len(report.endemic) == 1
     state, residual = report.endemic[0]
     gap = max(abs(state.S - REFERENCE_ENDEMIC[0]),
@@ -96,12 +96,11 @@ def test_verify_equilibrium(ref_params, high_incidence):
 
 
 def test_monotone_bracket_refinement(ref_params, high_incidence):
-    tol = 1e-10
-    coarse = find_endemic(ref_params, high_incidence, tol=tol, n_brackets=256)
-    fine = find_endemic(ref_params, high_incidence, tol=tol, n_brackets=512)
+    coarse = find_endemic(ref_params, high_incidence, n_brackets=256)
+    fine = find_endemic(ref_params, high_incidence, n_brackets=512)
     assert len(coarse.endemic) == len(fine.endemic)
     for (a, _), (b, _) in zip(coarse.endemic, fine.endemic):
-        assert abs(a.I - b.I) < tol
+        assert abs(a.I - b.I) < 1e-10
 
 
 @pytest.mark.parametrize("family, make_coefs", [
@@ -164,26 +163,23 @@ def test_s_star_curve(ref_params, low_incidence, high_incidence):
 
 def test_input_validation(ref_params, high_incidence):
     with pytest.raises(ValueError):
-        find_endemic(ref_params, high_incidence, tol=0.0)
-    with pytest.raises(ValueError):
         find_endemic(ref_params, high_incidence, n_brackets=8)
 
 
 def test_large_population_terminates():
-    # The reference model at population scale 1e6 (Lambda*s, k/s^2): the
-    # spacing of doubles near I* ~ 9.4e6 exceeds tol = 1e-10, and bisection
-    # must still stop.  A hang fails here by timeout.
+    # The reference model at population scale 1e6 (Lambda*s, k/s^2):
+    # bisection to adjacent doubles must stop, and the residual gate, which
+    # scales with Lambda, must accept the equilibrium.  A hang fails here by
+    # timeout.
     code = (
-        "from sirskit import ModelParams, SirsKitError, find_endemic, make_builtin\n"
+        "from sirskit import ModelParams, find_endemic, make_builtin\n"
         "p = ModelParams(Lambda=1e7, mu=0.2, gamma1=0.2, gamma2=0.2, alpha=0.1, delta=0.1)\n"
         "f = make_builtin('power', {'k': 0.0008 / 1e6 ** 2, 'q': 2.0})\n"
-        "try:\n"
-        "    find_endemic(p, f)\n"
-        "except SirsKitError:\n"
-        "    pass\n"
+        "print(repr(find_endemic(p, f).endemic[0][0].I))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {"PATH": "", "PYTHONPATH": src}
     result = subprocess.run([sys.executable, "-c", code], env=env, timeout=30,
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+    assert float(result.stdout) / 1e6 == pytest.approx(9.42443127, rel=1e-9)

@@ -138,8 +138,6 @@ def test_check_hypotheses_validates_inputs():
         check_hypotheses(f, -1.0)
     with pytest.raises(ValueError):
         check_hypotheses(f, 50.0, grid_n=4)
-    with pytest.raises(ValueError):
-        check_hypotheses(f, 50.0, eps=100.0)
 
 
 def test_non_finite_value_reports_point():

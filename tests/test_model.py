@@ -8,7 +8,6 @@ from sirskit import (
     State,
     dfe,
     from_callables,
-    in_omega,
     make_builtin,
     r0,
     vector_field,
@@ -110,17 +109,6 @@ def test_r0_monotonic_in_rates():
         bumped = dict(base)
         bumped[field] = base[field] + 0.05
         assert r0(ModelParams(**bumped), f) < r_base, field
-
-
-def test_in_omega(ref_params):
-    assert in_omega(ref_params, State(50.0, 0.0, 0.0), tol=0.0)
-    assert not in_omega(ref_params, State(50.0, 1.0, 0.0), tol=1e-9)
-    assert in_omega(ref_params, State(29.5804, 9.4244, 6.2830))
-
-
-def test_in_omega_tolerance(ref_params):
-    assert not in_omega(ref_params, State(50.0, 1e-6, 0.0), tol=1e-9)
-    assert in_omega(ref_params, State(50.0, 1e-6, 0.0), tol=1e-3)
 
 
 @pytest.mark.parametrize("dims", [2, 3])

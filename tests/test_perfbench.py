@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from sirskit import cli
+from sirskit import cli, config
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -65,3 +65,12 @@ def test_workload_cycle_passes_its_checks(monkeypatch, tmp_path, name):
         out = tmp_path / f"op-{index}"
         out.mkdir()
         workload.check(index, workload.run_op(index, out), out)
+
+
+def test_large_population_probe_certifies(monkeypatch):
+    # the benchmark's large-population probe: the certify_fine op and its
+    # check on the reference model at population scale 1e6 (Lambda = 1e7)
+    workloads = load_perfbench(monkeypatch, "workloads")
+    cfg = config.parse_config(workloads.scaled_power_doc(1e6))
+    hyp, eq, cert = workloads.certify_op(cfg, 801, 121)
+    workloads.check_certificate("power", 1e6, cfg.params, hyp, eq, cert)

@@ -395,6 +395,15 @@ def test_certify_divergent_family(ref_p):
     assert cert.dvdt_max is None
 
 
+@pytest.mark.parametrize("n, points", [(2, 1), (3, 4)])
+def test_certify_counts_dvdt_points(ref_p, f_high, eq_high, n, points):
+    # the lattice of Omega has one point with I > 0 at n = 2, (0, S0, 0),
+    # and four at n = 3; none lies in the ball around E1
+    cert = certify(ref_p, f_high, eq_high, dvdt_grid_n=n)
+    assert cert.dvdt_points == points
+    assert cert.as_dict()["dvdt_points"] == points
+
+
 # NaN on S < 10, I > 5: inside Omega, away from (S0, 0) = (50, 0) where R0
 # and the equilibrium's f1 are evaluated.
 def _nan_patch(S, I):
