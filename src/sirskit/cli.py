@@ -7,8 +7,10 @@ the bundled reference scenario and verify its expected outputs).
 
 Reports are deterministic JSON on standard output; ``--out`` redirects
 to files.  Exit codes: 0 success, 1 input error, 2 analysis-level
-failure (hypothesis, certificate or convergence), 3 internal solver
-error.
+failure (a failed hypothesis, a sweep run that does not converge or a
+failed ``reproduce`` check), 3 internal solver error.  A refused
+certificate is a result, not a failure: ``analyze`` reports it with
+``"granted": false`` and exits 0.
 """
 
 from __future__ import annotations
@@ -91,8 +93,7 @@ def _run_analysis(params: ModelParams, f, scan: ScanSettings,
     if eq_report is not None and eq_report.r0 > 1 and eq_report.endemic:
         try:
             cert = certify(params, f, eq_report.endemic[0][0], k1=k1, k2=k2,
-                           grid_n=grid_n if grid_n is not None else scan.grid_n,
-                           exclusion=scan.exclusion)
+                           grid_n=grid_n if grid_n is not None else scan.grid_n)
             doc["certificate"] = cert.as_dict()
         except SirsKitError as exc:
             errors.append({"stage": "certificate", "type": type(exc).__name__,

@@ -7,7 +7,7 @@ A configuration document has the shape
                  "gamma2": 0.2, "alpha": 0.1, "delta": 0.1},
       "incidence": {"family": "power", "coefficients": {"k": 0.0008, "q": 2}},
       "solver": {"method": "rk45_adaptive", "step_or_tol": 1e-8, "t_end": 500},
-      "scan": {"grid_n": 201, "exclusion": null, "n_brackets": 256}
+      "scan": {"grid_n": 201, "n_brackets": 256}
     }
 
 ``solver`` and ``scan`` are optional and may be given partially;
@@ -40,7 +40,6 @@ class SolverSettings:
 @dataclass(frozen=True)
 class ScanSettings:
     grid_n: int = 201
-    exclusion: float | None = None
     n_brackets: int = 256
 
 
@@ -137,15 +136,12 @@ def parse_config(doc, source: str = "<config>") -> ModelConfig:
         raw = doc["scan"]
         if not isinstance(raw, dict):
             raise ConfigError(f"{source}: scan must be an object")
-        _reject_unknown(raw, ("grid_n", "exclusion", "n_brackets"), "scan", source)
+        _reject_unknown(raw, ("grid_n", "n_brackets"), "scan", source)
         grid_n = (_integer(raw, "grid_n", "scan", source, 2)
                   if "grid_n" in raw else scan.grid_n)
-        exclusion = scan.exclusion
-        if "exclusion" in raw and raw["exclusion"] is not None:
-            exclusion = _number(raw, "exclusion", "scan", source)
         n_brackets = (_integer(raw, "n_brackets", "scan", source, 16)
                       if "n_brackets" in raw else scan.n_brackets)
-        scan = ScanSettings(grid_n=grid_n, exclusion=exclusion, n_brackets=n_brackets)
+        scan = ScanSettings(grid_n=grid_n, n_brackets=n_brackets)
 
     return ModelConfig(params=params, family=family, coefficients=coefficients,
                        solver=solver, scan=scan)

@@ -37,6 +37,7 @@ _MAX_STORED = 10_000
 _MAX_STEPS = 5_000_000
 _CLAMP = 2e-14  # times S0
 _OMEGA_SLACK = 2e-8  # times S0
+_ATOL = 2e-2  # absolute error tolerance, times S0 and the relative tolerance
 _BATCH_ROWS = 32  # accepted states a batch row holds before they join its history
 _UNDERFLOW = "step size underflow at t = {:g}"
 _EXHAUSTED = "step budget exhausted; integration is not progressing"
@@ -80,7 +81,6 @@ class Trajectory:
 
     times: np.ndarray
     states: np.ndarray
-    params_id: str
     step_stats: StepStats
 
     def state_at(self, index: int) -> State:
@@ -203,6 +203,7 @@ def _run(rhs, y0, t_end, step_or_tol, p, tableau):
     rows, error = tableau
     if error:
         tol = step_or_tol
+        atol = tol * (_ATOL * p.s0)
         h, h_min, h_max = _step_range(t_end)
     else:
         # times come from k*step, not accumulation, so the grid stays uniform
@@ -228,7 +229,7 @@ def _run(rhs, y0, t_end, step_or_tol, p, tableau):
             err = _combine((0.0, 0.0, 0.0), h, error, ks)
             # a non-finite trial step is rejected as if its error were infinite
             if all(map(math.isfinite, err + y_new)):
-                err_norm = max(abs(e) / (tol + tol * max(abs(a), abs(b)))
+                err_norm = max(abs(e) / (atol + tol * max(abs(a), abs(b)))
                                for e, a, b in zip(err, y, y_new))
             else:
                 err_norm = math.inf
@@ -262,6 +263,7 @@ def _run_batch(rhs, y0: np.ndarray, t_end: float, tol: float, p: ModelParams):
     """
     rows, error = METHODS["rk45_adaptive"]
     h0, h_min, h_max = _step_range(t_end)
+    atol = tol * (_ATOL * p.s0)
     bounds = clamp, low, top = _bounds(p)
     m = len(y0)
     histories = [array("d", (0.0, *x0)) for x0 in y0.tolist()]
@@ -283,7 +285,7 @@ def _run_batch(rhs, y0: np.ndarray, t_end: float, tol: float, p: ModelParams):
                 y_new = _combine(y, h, row, ks)
                 ks.append(rhs(*y_new))
             err = _combine((0.0, 0.0, 0.0), h, error, ks)
-            err_norm = np.maximum.reduce([np.abs(e) / (tol + tol * np.maximum(np.abs(a), np.abs(b)))
+            err_norm = np.maximum.reduce([np.abs(e) / (atol + tol * np.maximum(np.abs(a), np.abs(b)))
                                           for e, a, b in zip(err, y, y_new)])
             err_norm[~np.logical_and.reduce([np.isfinite(v) for v in err + y_new])] = np.inf
             accept = err_norm <= 1.0
@@ -346,11 +348,9 @@ def _downsample(history):
     return data[:, 0], data[:, 1:]
 
 
-def _trajectory(p: ModelParams, f: IncidenceFunction, history, stats: StepStats) -> Trajectory:
+def _trajectory(history, stats: StepStats) -> Trajectory:
     times, states = _downsample(history)
-    params_id = (f"{f.label}|Lambda={p.Lambda:g},mu={p.mu:g},gamma1={p.gamma1:g},"
-                 f"gamma2={p.gamma2:g},alpha={p.alpha:g},delta={p.delta:g}")
-    return Trajectory(times=times, states=states, params_id=params_id, step_stats=stats)
+    return Trajectory(times=times, states=states, step_stats=stats)
 
 
 def _check_run(p: ModelParams, initials, t_end: float, step_or_tol: float) -> None:
@@ -369,16 +369,18 @@ def integrate(p: ModelParams, f: IncidenceFunction, x0: State, t_end: float,
     """Integrate the model from ``x0`` up to ``t_end``.
 
     ``method`` is ``rk4_fixed`` (``step_or_tol`` is the step) or
-    ``rk45_adaptive`` (``step_or_tol`` is both the absolute and relative
-    error tolerance; the initial step is t_end/1000 and steps stay in
-    [1e-10, t_end/10]).  The initial state must lie exactly in Omega.
+    ``rk45_adaptive`` (``step_or_tol`` is the relative error tolerance
+    and step_or_tol*2e-2*S0 the absolute one, so both scale with the
+    population and agree at S0 = 50; the initial step is t_end/1000 and
+    steps stay in [1e-10, t_end/10]).  The initial state must lie
+    exactly in Omega.
     """
     _check_run(p, [x0], t_end, step_or_tol)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {list(METHODS)}")
     history, stats = _run(make_rhs(p, f), (x0.S, x0.I, x0.R), t_end,
                           step_or_tol, p, METHODS[method])
-    return _trajectory(p, f, history, stats)
+    return _trajectory(history, stats)
 
 
 def attractor(p: ModelParams, f: IncidenceFunction) -> State:
@@ -395,12 +397,13 @@ def sweep(p: ModelParams, f: IncidenceFunction, initials: Sequence[State],
           t_end: float, conv_tol: float) -> SweepReport:
     """Integrate every initial condition and measure distance to the attractor.
 
-    Runs use the adaptive method at tolerance 1e-8, with all initial
-    states stepped once, as one batch; each run takes the steps
-    ``integrate`` takes from its initial state and builds its trajectory
-    from a history in the same format.  A run that fails with a toolkit
-    error is recorded with infinite distance and its error instead of
-    aborting the others; distances are max-norm at t_end.
+    Runs use the adaptive method at relative tolerance 1e-8 (absolute
+    2e-10*S0, as in ``integrate``), with all initial states stepped
+    once, as one batch; each run takes the steps ``integrate`` takes
+    from its initial state and builds its trajectory from a history in
+    the same format.  A run that fails with a toolkit error is recorded
+    with infinite distance and its error instead of aborting the others;
+    distances are max-norm at t_end.
     """
     tol = 1e-8
     _check_run(p, initials, t_end, tol)
@@ -415,7 +418,7 @@ def sweep(p: ModelParams, f: IncidenceFunction, initials: Sequence[State],
             runs.append(SweepRun(initial=x0, final=None, distance=math.inf, trajectory=None,
                                  error=f"{type(outcome).__name__}: {outcome}"))
             continue
-        traj = _trajectory(p, f, history, outcome)
+        traj = _trajectory(history, outcome)
         distance = float(np.max(np.abs(traj.states[-1] - target_arr)))
         runs.append(SweepRun(initial=x0, final=traj.final_state,
                              distance=distance, trajectory=traj))

@@ -39,10 +39,11 @@ minimising sup h is 2c/(Gmin + Gmax), where sup h = c^2 *
 Gmin + Gmax <= 0.
 
 Certificates here are grid-based confirmation, not interval proofs: the
-slope range is taken over a grid plus refinement toward u = S*, and a
-pass means "verified at the reported grid resolution".  When f1
-genuinely depends on I the slope G blows up near u = S* and no k1 can
-exist; the refinement surfaces that through ``divergence_flag``.
+slope range is taken over a grid that leaves out a thin strip around
+u = S*, and a pass means "verified at the reported grid resolution".
+G is unbounded near u = S*, and no k1 can exist, exactly when
+f1(S*, v) != f1(S*, I*) for some v; ``divergence_flag`` reports that,
+decided from f1(S*, .) on the grid's v axis.
 """
 
 from __future__ import annotations
@@ -156,6 +157,10 @@ def secant_slope(f: IncidenceFunction, eq: State, u, v):
     return float(g) if g.ndim == 0 else g
 
 
+# Half-width of the strip |u - S*| < _STRIP * S0 that the slope grid leaves out.
+_STRIP = 1e-4
+
+
 class _SlopeRange(NamedTuple):
     """Extremes of G over the scan samples and the (u, v) reaching each."""
 
@@ -164,45 +169,30 @@ class _SlopeRange(NamedTuple):
     at_min: tuple[float, float]
     at_max: tuple[float, float]
     divergence_flag: bool
-    exclusion: float
 
 
-def _slope_range(f: IncidenceFunction, eq: State, s0: float,
-                 grid_n: int, exclusion: float | None) -> _SlopeRange:
+def _slope_range(f: IncidenceFunction, eq: State, s0: float, grid_n: int) -> _SlopeRange:
     """G over a grid_n x grid_n grid on [0, S0]^2 minus the strip
-    |u - S*| < exclusion (default 1e-4*S0), plus spokes at offsets
-    exclusion/{1, 4, 16}.  Raises ValueError when grid_n < 2 or when the
-    strip is empty or covers the whole grid."""
+    |u - S*| < 1e-4*S0, and whether G is unbounded near u = S*.
+
+    G is unbounded there exactly when f1(S*, v) differs from f1(S*, I*)
+    for some v; that is decided on the grid's v axis, with differences
+    within 1e-12*f1(S*, I*) counted as round-off (at E1 that is the
+    infected outflow rate, a per-capita rate that rescaling leaves alone).  Raises ValueError when
+    grid_n < 2."""
     if grid_n < 2:
         raise ValueError(f"grid_n must be at least 2, got {grid_n}")
-    if exclusion is None:
-        exclusion = 1e-4 * s0
     axis = np.linspace(0.0, s0, grid_n)
-    uu, vv = np.meshgrid(axis, axis, indexing="ij")
-    keep = np.abs(uu - eq.S) >= exclusion
-    if not (exclusion > 0 and keep.any()):
-        raise ValueError(f"exclusion must be positive and leave grid samples, "
-                         f"got {exclusion}")
-    us, vs = [uu[keep]], [vv[keep]]
-    offsets = (exclusion, exclusion / 4.0, exclusion / 16.0)
-    for side in (1.0, -1.0):
-        spoke = [eq.S + side * off for off in offsets]
-        if all(0.0 <= u_val <= s0 for u_val in spoke):
-            us += [u_val + 0.0 * axis for u_val in spoke]
-            vs += [axis] * len(offsets)
-    u_all, v_all = np.concatenate(us), np.concatenate(vs)
-    g = require_finite(secant_slope(f, eq, u_all, v_all), "secant slope", u_all, v_all)
-
-    # Along each spoke removable singularities keep |G| bounded, genuine
-    # ones grow ~1/offset: compare the innermost offset with the outermost,
-    # whose |G| counts as zero below 5e-11/S0 (1e-12 at S0 = 50).
-    spokes = np.abs(g[us[0].size:]).reshape(-1, len(offsets), grid_n)
-    divergence = bool(np.any(spokes[:, -1] > 10.0 * np.maximum(spokes[:, 0], 5e-11 / s0)))
+    uu, vv = np.meshgrid(axis[np.abs(axis - eq.S) >= _STRIP * s0], axis, indexing="ij")
+    g = require_finite(secant_slope(f, eq, uu, vv), "secant slope", uu, vv).ravel()
+    f1_star = float(f.eval_f1(eq.S, eq.I))
+    f1_column = require_finite(f.eval_f1(eq.S, axis), "incidence factor", eq.S, axis)
+    divergence = bool(np.any(np.abs(f1_column - f1_star) > 1e-12 * abs(f1_star)))
     lo, hi = int(np.argmin(g)), int(np.argmax(g))
     return _SlopeRange(g_min=float(g[lo]), g_max=float(g[hi]),
-                       at_min=(float(u_all[lo]), float(v_all[lo])),
-                       at_max=(float(u_all[hi]), float(v_all[hi])),
-                       divergence_flag=divergence, exclusion=exclusion)
+                       at_min=(float(uu.flat[lo]), float(vv.flat[lo])),
+                       at_max=(float(uu.flat[hi]), float(vv.flat[hi])),
+                       divergence_flag=divergence)
 
 
 def _a2_scan(p: ModelParams, slopes: _SlopeRange, k1: float) -> A2Scan:
@@ -232,30 +222,30 @@ def _optimal_k1(p: ModelParams, slopes: _SlopeRange) -> float | None:
 
 
 def check_a2(p: ModelParams, f: IncidenceFunction, eq: State, k1: float,
-             grid_n: int = 201, exclusion: float | None = None) -> A2Scan:
+             grid_n: int = 201) -> A2Scan:
     """Scan h(u, v) = (2mu + alpha - k1*G(u, v))^2 against 2mu*(mu+alpha).
 
     Takes the range of G on a grid_n x grid_n grid over [0, Lambda/mu]^2
-    with the strip |u - S*| < exclusion removed, plus refinement spokes
-    at offsets exclusion/{1, 4, 16} from S*; sup h is reached at one of
-    its ends.  Passes when the supremum stays below the bound and |G|
-    shows no divergent growth toward S*.  Raises ValueError when k1 < 0,
-    grid_n < 2 or the exclusion is not positive or leaves no grid sample.
+    with the strip |u - S*| < 1e-4*Lambda/mu removed; sup h is reached
+    at one of its ends.  Passes when the supremum stays below the bound
+    and f1(S*, .) is constant on the grid's v axis, so that G stays
+    bounded near S*.  Raises ValueError when k1 < 0 or grid_n < 2.
     """
-    return _a2_scan(p, _slope_range(f, eq, p.s0, grid_n, exclusion), k1)
+    return _a2_scan(p, _slope_range(f, eq, p.s0, grid_n), k1)
 
 
 def find_k1(p: ModelParams, f: IncidenceFunction, eq: State,
-            grid_n: int = 201, exclusion: float | None = None) -> float | None:
+            grid_n: int = 201) -> float | None:
     """The k1 minimising sup h over the scan samples, or None.
 
     That is k1 = 2(2mu+alpha)/(Gmin + Gmax), where both parabolas
     (2mu + alpha - k1*G)^2 at the slope extremes take equal values.  It
     is None when Gmin + Gmax <= 0 (no positive k1 lowers h below
-    (2mu+alpha)^2), or when even this k1 fails condition (a2).  Absence
-    of a valid k1 is a value, not an error.
+    (2mu+alpha)^2), or when even this k1 fails condition (a2), which
+    includes every f1 that varies with I at S*.  Absence of a valid k1
+    is a value, not an error.
     """
-    return _optimal_k1(p, _slope_range(f, eq, p.s0, grid_n, exclusion))
+    return _optimal_k1(p, _slope_range(f, eq, p.s0, grid_n))
 
 
 def default_k2(p: ModelParams) -> float:
@@ -362,18 +352,19 @@ def dfe_lyapunov_bound(p: ModelParams, f: IncidenceFunction, grid_n: int = 201) 
 
 def certify(p: ModelParams, f: IncidenceFunction, eq: State,
             k1: float | None = None, k2: float | None = None,
-            grid_n: int = 201, exclusion: float | None = None,
-            dvdt_grid_n: int = 41) -> CertificateReport:
+            grid_n: int = 201, dvdt_grid_n: int = 41) -> CertificateReport:
     """Run the full endemic-certificate pipeline and assemble a report.
 
     ``k1`` and ``k2`` override the closed-form k1 and the default
     cancellation choice respectively.  With gamma2 = 0 an explicit k2 is
-    required.  The slope range is computed once and serves both the k1
-    choice and the (a2) scan.
+    required.  The slope range and the divergence decision are computed
+    once and serve both the k1 choice and the (a2) scan; the report's
+    ``exclusion`` is the half-width 1e-4*Lambda/mu of the strip around
+    u = S* that the slope grid leaves out.
     """
     a1 = check_a1(p)
     k2_value = float(k2 if k2 is not None else default_k2(p))
-    slopes = _slope_range(f, eq, p.s0, grid_n, exclusion)
+    slopes = _slope_range(f, eq, p.s0, grid_n)
     k1_value = _optimal_k1(p, slopes) if k1 is None else float(k1)
 
     scan = _a2_scan(p, slopes, 0.0 if k1_value is None else k1_value)
@@ -389,4 +380,4 @@ def certify(p: ModelParams, f: IncidenceFunction, eq: State,
         k1=k1_value, k2=k2_value, sup_h=scan.sup_h, h_bound=scan.h_bound,
         divergence_flag=scan.divergence_flag, p_minors=p_minors, q_minors=q_minors,
         dvdt_max=dvdt_max, dvdt_points=dvdt_points, grid_n=grid_n,
-        exclusion=slopes.exclusion)
+        exclusion=_STRIP * p.s0)

@@ -134,6 +134,21 @@ def test_analyze_forced_k1(capsys, high_config):
     assert abs(cert["sup_h"] - 0.1117898) < 1e-5
 
 
+def test_analyze_refused_certificate_exits_0(capsys, tmp_path):
+    # f1 = beta*S/(1 + a*I) depends on I, so G is unbounded near S*; the
+    # refusal is a result of the analysis, not a failure
+    cfg = write_config(tmp_path, "saturated.json",
+                       incidence={"family": "saturated_in_I",
+                                  "coefficients": {"beta": 0.04, "a": 0.1}})
+    code, out, _ = run_cli(capsys, "analyze", cfg)
+    assert code == 0
+    cert = json.loads(out)["certificate"]
+    assert cert["granted"] is False
+    assert cert["divergence_flag"] is True
+    assert cert["k1"] is None
+    assert cert["exclusion"] == 0.005
+
+
 def test_analyze_ruan_hypotheses_fail(capsys, tmp_path):
     cfg = write_config(tmp_path, "ruan.json",
                        incidence={"family": "ruan",

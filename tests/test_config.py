@@ -36,18 +36,13 @@ def test_minimal_document_takes_defaults():
 
 def test_full_document_round_trips(tmp_path):
     doc = make_doc(solver={"method": "rk4_fixed", "step_or_tol": 0.01, "t_end": 50},
-                   scan={"grid_n": 101, "exclusion": 0.5, "n_brackets": 64})
+                   scan={"grid_n": 101, "n_brackets": 64})
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
     cfg = load_config(path)
     assert cfg.solver == SolverSettings(method="rk4_fixed", step_or_tol=0.01, t_end=50.0)
-    assert cfg.scan == ScanSettings(grid_n=101, exclusion=0.5, n_brackets=64)
+    assert cfg.scan == ScanSettings(grid_n=101, n_brackets=64)
     assert isinstance(cfg.scan.grid_n, int) and isinstance(cfg.scan.n_brackets, int)
-
-
-def test_null_exclusion_keeps_the_default():
-    cfg = parse_config(make_doc(scan={"exclusion": None}))
-    assert cfg.scan.exclusion is None
 
 
 def test_top_level_must_be_an_object():
@@ -73,11 +68,15 @@ def test_missing_family():
             "incidence.family must be a string")
 
 
-@pytest.mark.parametrize("where", [None, "params", "incidence", "solver", "scan"])
-def test_unknown_key_in_each_section(where):
+# scan.exclusion, the strip width of the slope grid, is fixed at 1e-4*S0
+@pytest.mark.parametrize("where, key", [
+    (None, "colour"), ("params", "colour"), ("incidence", "colour"),
+    ("solver", "colour"), ("scan", "colour"), ("scan", "exclusion"),
+], ids=["None", "params", "incidence", "solver", "scan", "scan-exclusion"])
+def test_unknown_key_in_each_section(where, key):
     doc = make_doc(solver={}, scan={})
-    (doc if where is None else doc[where])["colour"] = 1
-    rejects(doc, "unknown key(s) ['colour']",
+    (doc if where is None else doc[where])[key] = 1
+    rejects(doc, f"unknown key(s) ['{key}']",
             "top level" if where is None else f"in {where};")
 
 
@@ -93,7 +92,6 @@ def test_unknown_coefficient():
     ("solver", "t_end"),
     ("solver", "step_or_tol"),
     ("scan", "grid_n"),
-    ("scan", "exclusion"),
     ("scan", "n_brackets"),
 ])
 def test_bool_is_not_a_number(section, key):

@@ -9,10 +9,12 @@ the certificate's verdict must not depend on s.
 import math
 import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sirskit import ModelParams, certify, check_hypotheses, find_endemic, make_builtin
+from sirskit import (ModelParams, certify, check_hypotheses, find_endemic, make_builtin,
+                     omega_lattice, sweep)
 
 from conftest import REF
 
@@ -28,12 +30,16 @@ SCALED = {
 }
 
 
+def scaled_model(label: str, s: float):
+    family, coefficients = SCALED[label]
+    p = ModelParams(**{**REF, "Lambda": REF["Lambda"] * s})
+    return p, make_builtin(family, coefficients(s))
+
+
 def analysis(label: str, s: float):
     """(exact, scaled, seconds): the scale-free verdicts, the ratios that
     must agree to rounding, and the time the pipeline took."""
-    family, coefficients = SCALED[label]
-    p = ModelParams(**{**REF, "Lambda": REF["Lambda"] * s})
-    f = make_builtin(family, coefficients(s))
+    p, f = scaled_model(label, s)
     start = time.perf_counter()
     hyp = check_hypotheses(f, p.s0)
     exact, scaled = [hyp.h1_pass, hyp.h2_pass, hyp.h3_pass], []
@@ -58,3 +64,41 @@ def test_results_covariant_under_rescaling(label, log_s):
     for value, reference in zip(scaled, scaled_1):
         assert math.isclose(value, reference, rel_tol=1e-9)
     assert seconds < 1.0
+
+
+# 0, or a value in [1e-9, 1] in the units of the population at s = 1
+_COEFFICIENT = st.one_of(st.just(0.0), st.floats(-9.0, 0.0).map(lambda e: 10.0 ** e))
+
+
+@given(label=st.sampled_from(sorted(set(SCALED) - {"ruan"})), log_s=st.floats(-8.0, 9.0),
+       a=_COEFFICIENT, b=_COEFFICIENT)
+@settings(max_examples=60, deadline=None)
+def test_divergence_flag_iff_f1_depends_on_i(label, log_s, a, b):
+    # G is unbounded near S* exactly when f1(S*, .) varies, that is when
+    # the built-in has a > 0 or b > 0 (ruan has no endemic equilibrium)
+    s = 10.0 ** log_s
+    family, coefficients = SCALED[label]
+    c = coefficients(s)
+    if "a" in c:
+        c["a"] = a / s
+    if "b" in c:
+        c["b"] = b / s ** 2
+    p = ModelParams(**{**REF, "Lambda": REF["Lambda"] * s})
+    f = make_builtin(family, c)
+    cert = certify(p, f, find_endemic(p, f).endemic[0][0])
+    assert cert.divergence_flag == (c.get("a", 0.0) > 0 or c.get("b", 0.0) > 0)
+    if cert.divergence_flag:
+        assert cert.k1 is None and not cert.granted
+
+
+@pytest.mark.parametrize("s", [1e-8, 1e-7, 1e-6])
+def test_sweep_covariant_at_small_populations(s):
+    # the Dormand-Prince error floor scales with S0, so every run reaches
+    # E1 as closely, relative to s, as at s = 1
+    distances = []
+    for scale in (1.0, s):
+        p, f = scaled_model("power", scale)
+        report = sweep(p, f, omega_lattice(p, 4, include_i_zero=False), 500.0, 1e-2 * scale)
+        assert report.converged_fraction == 1.0
+        distances.append(max(run.distance for run in report.runs) / scale)
+    assert math.isclose(distances[1], distances[0], rel_tol=1e-4)
