@@ -6,7 +6,9 @@ CSV), ``sweep`` (lattice of initial conditions) and ``reproduce`` (run
 the bundled reference scenario and verify its expected outputs).
 
 Reports are deterministic JSON on standard output; ``--out`` redirects
-to files.  Exit codes: 0 success, 1 input error, 2 analysis-level
+to files.  ``analyze`` and ``reproduce`` run ``find_endemic`` and
+``certify`` at their library defaults.  Exit codes: 0 success, 1 input
+error (a bad config, command line or flag value), 2 analysis-level
 failure (a failed hypothesis, a sweep run that does not converge or a
 failed ``reproduce`` check), 3 internal solver error.  A refused
 certificate is a result, not a failure: ``analyze`` reports it with
@@ -22,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import jsonio
-from .config import ScanSettings, load_config
+from .config import load_config
 from .equilibria import find_endemic
 from .errors import ConfigError, SirsKitError
 from .incidence import check_hypotheses, compute_beta, make_builtin
@@ -58,8 +60,7 @@ def _write_output(text: str, out: Path | None) -> None:
         Path(out).write_text(text)
 
 
-def _run_analysis(params: ModelParams, f, scan: ScanSettings,
-                  k1=None, k2=None, grid_n=None):
+def _run_analysis(params: ModelParams, f, k1=None, k2=None):
     """Shared pipeline behind ``analyze`` and ``reproduce``.
 
     Returns (document, hypotheses_ok, equilibrium_report, errors).
@@ -84,7 +85,7 @@ def _run_analysis(params: ModelParams, f, scan: ScanSettings,
     eq_report = None
     try:
         doc["beta"] = compute_beta(f, params.Lambda, params.mu)
-        eq_report = find_endemic(params, f, n_brackets=scan.n_brackets)
+        eq_report = find_endemic(params, f)
         doc["r0"] = eq_report.r0
         doc["equilibria"] = eq_report.as_dict()
     except SirsKitError as exc:
@@ -92,8 +93,7 @@ def _run_analysis(params: ModelParams, f, scan: ScanSettings,
                        "message": str(exc)})
     if eq_report is not None and eq_report.r0 > 1 and eq_report.endemic:
         try:
-            cert = certify(params, f, eq_report.endemic[0][0], k1=k1, k2=k2,
-                           grid_n=grid_n if grid_n is not None else scan.grid_n)
+            cert = certify(params, f, eq_report.endemic[0][0], k1=k1, k2=k2)
             doc["certificate"] = cert.as_dict()
         except SirsKitError as exc:
             errors.append({"stage": "certificate", "type": type(exc).__name__,
@@ -111,9 +111,8 @@ def cmd_check(args) -> int:
 
 def cmd_analyze(args) -> int:
     cfg = load_config(args.config)
-    doc, hyp_ok, _, errors = _run_analysis(
-        cfg.params, cfg.incidence(), cfg.scan,
-        k1=args.k1, k2=args.k2, grid_n=args.grid_n)
+    doc, hyp_ok, _, errors = _run_analysis(cfg.params, cfg.incidence(),
+                                           k1=args.k1, k2=args.k2)
     _write_output(jsonio.dumps(doc), args.out)
     if not hyp_ok:
         return EXIT_ANALYSIS
@@ -157,7 +156,8 @@ def cmd_sweep(args) -> int:
     initials = omega_lattice(params, args.lattice,
                              include_i_zero=(target.I == 0.0))
     t_end = args.t_end if args.t_end is not None else cfg.solver.t_end
-    report = sweep(params, f, initials, t_end, args.conv_tol)
+    conv_tol = args.conv_tol if args.conv_tol is not None else 2e-4 * params.s0
+    report = sweep(params, f, initials, t_end, conv_tol)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -185,7 +185,7 @@ def cmd_reproduce(args) -> int:
     reports = {}
     for name, k in _REFERENCE_CASES.items():
         f = make_builtin("power", {"k": k, "q": 2.0})
-        doc, hyp_ok, eq_report, errors = _run_analysis(params, f, ScanSettings())
+        doc, hyp_ok, eq_report, errors = _run_analysis(params, f)
         (out_dir / f"analysis_{name}.json").write_text(jsonio.dumps(doc))
         if not hyp_ok or errors or eq_report is None:
             print(f"error: reference analysis '{name}' failed", file=sys.stderr)
@@ -251,8 +251,16 @@ def cmd_reproduce(args) -> int:
     return EXIT_ANALYSIS if failures else EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a ValueError, so that ``main`` turns
+    it into one ``error:`` line and exit code 1 like any other input error."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sirskit",
         description="SIRS model analysis: R0, equilibria, stability "
                     "certificates and simulation.")
@@ -270,8 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="force this k1 instead of the closed form")
     analyze.add_argument("--k2", type=float, default=None,
                          help="override the default k2 = (2mu+alpha)/gamma2")
-    analyze.add_argument("--grid-n", dest="grid_n", type=int, default=None,
-                         help="certificate scan resolution per axis")
     analyze.add_argument("--out", type=Path, default=None)
     analyze.set_defaults(func=cmd_analyze)
 
@@ -288,7 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd.add_argument("--lattice", type=int, default=2,
                            help="lattice points per axis (candidates kept inside Omega)")
     sweep_cmd.add_argument("--t-end", dest="t_end", type=float, default=None)
-    sweep_cmd.add_argument("--conv-tol", dest="conv_tol", type=float, default=1e-2)
+    sweep_cmd.add_argument("--conv-tol", dest="conv_tol", type=float, default=None,
+                           help="largest max-norm distance to the attractor that "
+                                "counts as converged (default 2e-4*S0)")
     sweep_cmd.add_argument("--out", type=Path, required=True, help="output directory")
     sweep_cmd.set_defaults(func=cmd_sweep)
 
@@ -302,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,14 +6,11 @@ A configuration document has the shape
       "params": {"Lambda": 10, "mu": 0.2, "gamma1": 0.2,
                  "gamma2": 0.2, "alpha": 0.1, "delta": 0.1},
       "incidence": {"family": "power", "coefficients": {"k": 0.0008, "q": 2}},
-      "solver": {"method": "rk45_adaptive", "step_or_tol": 1e-8, "t_end": 500},
-      "scan": {"grid_n": 201, "n_brackets": 256}
+      "solver": {"method": "rk45_adaptive", "step_or_tol": 1e-8, "t_end": 500}
     }
 
-``solver`` and ``scan`` are optional and may be given partially;
-unknown keys anywhere are rejected, and missing required keys are
-reported by name.  ``scan.grid_n`` and ``scan.n_brackets`` must be
-integers of at least 2 and 16.
+``solver`` is optional and may be given partially; unknown keys
+anywhere are rejected, and missing required keys are reported by name.
 """
 
 from __future__ import annotations
@@ -38,18 +35,11 @@ class SolverSettings:
 
 
 @dataclass(frozen=True)
-class ScanSettings:
-    grid_n: int = 201
-    n_brackets: int = 256
-
-
-@dataclass(frozen=True)
 class ModelConfig:
     params: ModelParams
     family: str
     coefficients: dict
     solver: SolverSettings
-    scan: ScanSettings
 
     def incidence(self) -> IncidenceFunction:
         return make_builtin(self.family, self.coefficients)
@@ -69,19 +59,11 @@ def _number(mapping: dict, key: str, where: str, source: str) -> float:
     return float(value)
 
 
-def _integer(mapping: dict, key: str, where: str, source: str, minimum: int) -> int:
-    value = _number(mapping, key, where, source)
-    if not (value.is_integer() and value >= minimum):
-        raise ConfigError(f"{source}: {where}.{key} must be an integer >= {minimum}, "
-                          f"got {mapping[key]!r}")
-    return int(value)
-
-
 def parse_config(doc, source: str = "<config>") -> ModelConfig:
     """Validate a parsed JSON document into a ModelConfig."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{source}: top level must be a JSON object")
-    _reject_unknown(doc, ("params", "incidence", "solver", "scan"), "top level", source)
+    _reject_unknown(doc, ("params", "incidence", "solver"), "top level", source)
 
     if "params" not in doc or not isinstance(doc["params"], dict):
         raise ConfigError(f"{source}: missing required object 'params'")
@@ -131,20 +113,8 @@ def parse_config(doc, source: str = "<config>") -> ModelConfig:
                               "must be positive")
         solver = SolverSettings(method=method, step_or_tol=step_or_tol, t_end=t_end)
 
-    scan = ScanSettings()
-    if "scan" in doc:
-        raw = doc["scan"]
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{source}: scan must be an object")
-        _reject_unknown(raw, ("grid_n", "n_brackets"), "scan", source)
-        grid_n = (_integer(raw, "grid_n", "scan", source, 2)
-                  if "grid_n" in raw else scan.grid_n)
-        n_brackets = (_integer(raw, "n_brackets", "scan", source, 16)
-                      if "n_brackets" in raw else scan.n_brackets)
-        scan = ScanSettings(grid_n=grid_n, n_brackets=n_brackets)
-
     return ModelConfig(params=params, family=family, coefficients=coefficients,
-                       solver=solver, scan=scan)
+                       solver=solver)
 
 
 def load_config(path) -> ModelConfig:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from sirskit.config import ScanSettings, SolverSettings, load_config, parse_config
+from sirskit.config import SolverSettings, load_config, parse_config
 from sirskit.errors import ConfigError
 
 from conftest import REF
@@ -31,18 +31,14 @@ def test_minimal_document_takes_defaults():
     assert cfg.family == "power"
     assert cfg.coefficients == {"k": 0.0008, "q": 2.0}
     assert cfg.solver == SolverSettings()
-    assert cfg.scan == ScanSettings()
 
 
 def test_full_document_round_trips(tmp_path):
-    doc = make_doc(solver={"method": "rk4_fixed", "step_or_tol": 0.01, "t_end": 50},
-                   scan={"grid_n": 101, "n_brackets": 64})
+    doc = make_doc(solver={"method": "rk4_fixed", "step_or_tol": 0.01, "t_end": 50})
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc))
     cfg = load_config(path)
     assert cfg.solver == SolverSettings(method="rk4_fixed", step_or_tol=0.01, t_end=50.0)
-    assert cfg.scan == ScanSettings(grid_n=101, n_brackets=64)
-    assert isinstance(cfg.scan.grid_n, int) and isinstance(cfg.scan.n_brackets, int)
 
 
 def test_top_level_must_be_an_object():
@@ -68,13 +64,14 @@ def test_missing_family():
             "incidence.family must be a string")
 
 
-# scan.exclusion, the strip width of the slope grid, is fixed at 1e-4*S0
+# the certificate scans run at the library's fixed resolution, so a
+# "scan" section is rejected like any other unknown key
 @pytest.mark.parametrize("where, key", [
     (None, "colour"), ("params", "colour"), ("incidence", "colour"),
-    ("solver", "colour"), ("scan", "colour"), ("scan", "exclusion"),
-], ids=["None", "params", "incidence", "solver", "scan", "scan-exclusion"])
+    ("solver", "colour"), (None, "scan"),
+], ids=["None", "params", "incidence", "solver", "scan"])
 def test_unknown_key_in_each_section(where, key):
-    doc = make_doc(solver={}, scan={})
+    doc = make_doc(solver={})
     (doc if where is None else doc[where])[key] = 1
     rejects(doc, f"unknown key(s) ['{key}']",
             "top level" if where is None else f"in {where};")
@@ -91,11 +88,9 @@ def test_unknown_coefficient():
     ("coefficients", "k"),
     ("solver", "t_end"),
     ("solver", "step_or_tol"),
-    ("scan", "grid_n"),
-    ("scan", "n_brackets"),
 ])
 def test_bool_is_not_a_number(section, key):
-    doc = make_doc(solver={}, scan={})
+    doc = make_doc(solver={})
     target = doc["incidence"]["coefficients"] if section == "coefficients" else doc[section]
     target[key] = True
     rejects(doc, f".{key} must be a number, got True")
@@ -124,25 +119,7 @@ def test_non_positive_solver_setting(key, value):
     rejects(make_doc(solver={key: value}), "must be positive")
 
 
-@pytest.mark.parametrize("key, value, minimum", [
-    ("grid_n", 2.9, 2),
-    ("grid_n", 1, 2),
-    ("grid_n", -3, 2),
-    ("n_brackets", 16.9, 16),
-    ("n_brackets", 15, 16),
-])
-def test_scan_sizes_must_be_integers_at_least_minimum(key, value, minimum):
-    rejects(make_doc(scan={key: value}),
-            f"scan.{key} must be an integer >= {minimum}, got {value!r}")
-
-
-def test_integral_float_scan_size_is_accepted():
-    cfg = parse_config(make_doc(scan={"grid_n": 41.0, "n_brackets": 16}))
-    assert cfg.scan.grid_n == 41 and isinstance(cfg.scan.grid_n, int)
-    assert cfg.scan.n_brackets == 16
-
-
-@pytest.mark.parametrize("section", ["solver", "scan"])
+@pytest.mark.parametrize("section", ["solver"])
 def test_optional_section_must_be_an_object(section):
     rejects(make_doc(**{section: [1]}), f"{section} must be an object")
 

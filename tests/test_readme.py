@@ -1,0 +1,30 @@
+"""README.md's examples stay valid input: every ```json block is a
+config that parses, and every ``sirskit ...`` line of a code block is a
+command line the parser accepts."""
+
+import json
+import re
+import shlex
+from pathlib import Path
+
+from sirskit.cli import build_parser
+from sirskit.config import parse_config
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```", README, flags=re.M | re.S)
+
+
+def test_readme_json_blocks_are_valid_configs():
+    configs = [body for lang, body in BLOCKS if lang == "json"]
+    assert configs
+    for body in configs:
+        parse_config(json.loads(body), source="README.md")
+
+
+def test_readme_command_lines_parse():
+    commands = [line.split("#")[0] for _, body in BLOCKS for line in body.splitlines()
+                if line.startswith("sirskit ")]
+    assert commands
+    for line in commands:
+        args = build_parser().parse_args(shlex.split(line)[1:])
+        assert callable(args.func), line

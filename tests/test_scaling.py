@@ -6,15 +6,22 @@ per-capita rate alone: R0, S*/S0, I*/S0, k1/s, the hypothesis flags and
 the certificate's verdict must not depend on s.
 """
 
+import functools
+import io
+import json
 import math
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sirskit import (ModelParams, certify, check_hypotheses, find_endemic, make_builtin,
                      omega_lattice, sweep)
+from sirskit.cli import main
 
 from conftest import REF
 
@@ -85,10 +92,26 @@ def test_divergence_flag_iff_f1_depends_on_i(label, log_s, a, b):
         c["b"] = b / s ** 2
     p = ModelParams(**{**REF, "Lambda": REF["Lambda"] * s})
     f = make_builtin(family, c)
-    cert = certify(p, f, find_endemic(p, f).endemic[0][0])
+    report = find_endemic(p, f)
+    star = report.endemic[0][0]
+    cert = certify(p, f, star)
     assert cert.divergence_flag == (c.get("a", 0.0) > 0 or c.get("b", 0.0) > 0)
     if cert.divergence_flag:
         assert cert.k1 is None and not cert.granted
+    # the scan sizes change only round-off: under (H2) there is one root
+    # to bracket, and when f1 does not depend on I the slope range is
+    # reached at u = 0 and u = S0, which every grid contains (otherwise
+    # the certificate is refused at any size)
+    coarse = find_endemic(p, f, n_brackets=16)
+    assert len(coarse.endemic) == len(report.endemic)
+    for (state, _), (state_16, _) in zip(report.endemic, coarse.endemic):
+        for value, value_16 in zip(state.as_array(), state_16.as_array()):
+            assert math.isclose(value_16, value, rel_tol=1e-14)
+    cert_2 = certify(p, f, star, grid_n=2)
+    assert (cert_2.granted, cert_2.divergence_flag) == (cert.granted, cert.divergence_flag)
+    assert (cert_2.k1 is None) == (cert.k1 is None)
+    if cert.k1 is not None:
+        assert math.isclose(cert_2.k1, cert.k1, rel_tol=1e-11)
 
 
 @pytest.mark.parametrize("s", [1e-8, 1e-7, 1e-6])
@@ -102,3 +125,66 @@ def test_sweep_covariant_at_small_populations(s):
         assert report.converged_fraction == 1.0
         distances.append(max(run.distance for run in report.runs) / scale)
     assert math.isclose(distances[1], distances[0], rel_tol=1e-4)
+
+
+# JSON fields that hold a population, or lists of them; each divided by s
+# must not depend on s
+POPULATION_KEYS = {"S", "I", "R", "distance", "conv_tol", "i0", "s_star_curve",
+                   "exclusion", "s_max", "eps", "axis", "bracket_log"}
+FLAG_KEYS = {"granted", "converged", "h1_pass", "h2_pass", "h3_pass"}
+S0_AT_1 = REF["Lambda"] / REF["mu"]
+
+
+def json_leaves(doc, path=()):
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from json_leaves(value, path + (key,))
+    elif isinstance(doc, list):
+        for index, value in enumerate(doc):
+            yield from json_leaves(value, path + (index,))
+    else:
+        yield path, doc
+
+
+@functools.lru_cache(maxsize=None)
+def cli_results(k: float, s: float):
+    """(exit code, {path: leaf} of the stdout JSON) of each command on
+    the reference model with power-law coefficient k, rescaled by s."""
+    doc = {"params": {**REF, "Lambda": REF["Lambda"] * s},
+           "incidence": {"family": "power", "coefficients": {"k": k / s ** 2, "q": 2}}}
+    results = []
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "model.json"
+        config.write_text(json.dumps(doc))
+        for argv in (["check", config], ["analyze", config],
+                     ["simulate", config, "--initial", f"{30 * s},{10 * s},{5 * s}",
+                      "--out", Path(tmp) / "traj.csv"],
+                     ["sweep", config, "--lattice", 3, "--out", Path(tmp) / "sweep"]):
+            out = io.StringIO()
+            with redirect_stdout(out), redirect_stderr(io.StringIO()):
+                code = main([str(arg) for arg in argv])
+            results.append((code, dict(json_leaves(json.loads(out.getvalue())))))
+    return results
+
+
+@given(k=st.sampled_from([0.0002, 0.0008]), log_s=st.floats(-8.0, 9.0))
+@example(k=0.0008, log_s=6.0)
+@settings(max_examples=8, deadline=None)
+def test_cli_covariant_under_rescaling(k, log_s):
+    s = 10.0 ** log_s
+    for (code, leaves), (code_1, leaves_1) in zip(cli_results(k, s), cli_results(k, 1.0)):
+        assert code == code_1
+        assert leaves.keys() == leaves_1.keys()
+        for path, value in leaves.items():
+            key = next(part for part in reversed(path) if isinstance(part, str))
+            if key in POPULATION_KEYS:
+                # Near the DFE I/s is round-off, about 6e-33.  A distance is a
+                # difference that Dormand-Prince controls only to its relative
+                # tolerance 1e-8: started at the DFE, where Lambda - mu*S0 is
+                # 0 at s = 1 but one ulp off at most s, the steps grow until
+                # that ulp has grown to about 1.5e-9*S0.
+                abs_tol = 1e-8 * S0_AT_1 if key == "distance" else 1e-9
+                assert math.isclose(value / s, leaves_1[path], rel_tol=1e-6,
+                                    abs_tol=abs_tol), path
+            elif key in FLAG_KEYS:
+                assert value == leaves_1[path], path
