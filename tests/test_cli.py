@@ -269,15 +269,17 @@ def test_sweep_insufficient_time_exits_2(capsys, high_config, tmp_path):
 # command line by the parser; the CLI turns either into one "error:" line
 # and exit code 1.
 @pytest.mark.parametrize("command, flags, named", [
-    ("analyze", ["--grid-n", 201], "unrecognized arguments: --grid-n 201"),
+    ("analyze", ["--grid-n", 0], "unrecognized arguments: --grid-n 0"),
+    ("analyze", ["--grid-n", 1], "unrecognized arguments: --grid-n 1"),
     ("sweep", ["--lattice", 1], "got 1"),
     ("sweep", ["--lattice", "abc"], "invalid int value: 'abc'"),
     ("simulate", [], "the following arguments are required: --initial"),
     ("simulate", ["--initial", "60,0,0"], "sums to 60 > Lambda/mu"),
     ("simulate", ["--initial", "30,-1,5"], "got -1.0"),
     ("simulate", ["--initial", "1,2"], "got '1,2'"),
-], ids=["analyze-grid-n", "sweep-lattice-1", "sweep-lattice-abc", "simulate-no-initial",
-        "simulate-outside-omega", "simulate-negative", "simulate-two-values"])
+], ids=["analyze-grid-0", "analyze-grid-1", "sweep-lattice-1", "sweep-lattice-abc",
+        "simulate-no-initial", "simulate-outside-omega", "simulate-negative",
+        "simulate-two-values"])
 def test_invalid_input_exits_1(capsys, high_config, tmp_path, command, flags, named):
     out_flag = [] if command == "analyze" else ["--out", tmp_path / "out"]
     code, out, err = run_cli(capsys, command, high_config, *flags, *out_flag)
