@@ -288,8 +288,11 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--out", type=Path, required=True, help="output CSV path")
     simulate.set_defaults(func=cmd_simulate)
 
-    sweep_cmd = sub.add_parser("sweep",
-                               help="convergence sweep over a lattice of initials")
+    sweep_cmd = sub.add_parser(
+        "sweep", help="convergence sweep over a lattice of initials",
+        description="Of the config's solver section, sweep reads only t_end: every run "
+                    "steps Dormand-Prince at relative tolerance 1e-8, whatever "
+                    "solver.method and solver.step_or_tol say.")
     sweep_cmd.add_argument("config", type=Path)
     sweep_cmd.add_argument("--lattice", type=int, default=2,
                            help="lattice points per axis (candidates kept inside Omega)")

@@ -14,8 +14,10 @@ and checks three structural hypotheses on them:
 
 f1 at I = 0 always means the continuous extension, which coincides with
 the partial derivative of f with respect to I along the S axis.  The
-built-in families implement that extension analytically; user-supplied
-functions fall back on Richardson extrapolation of f(S, I)/I.
+built-in families implement that extension analytically; an f1 derived
+from a user-supplied f uses Richardson extrapolation of f(S, I)/I.  (H2)
+is checked on f1's own values, by difference quotients between
+neighbouring grid samples, so no family carries derivatives of f1.
 
 Evaluation callables are expected to accept either Python floats or
 numpy arrays (all built-ins do); grid scans rely on this.  So does the
@@ -41,34 +43,21 @@ _ZERO_TOL = 1e-12
 # Relative agreement required between successive Richardson extrapolants.
 _LIMIT_RTOL = 1e-6
 
-_FD_STEP = 1e-5
-
 
 @dataclass(frozen=True)
 class IncidenceFunction:
     """An incidence rate f(S, I) together with its factor f1 = f / I.
 
-    ``partials``, when present, holds analytic callables for df1/dS and
-    df1/dI; otherwise central finite differences (step 1e-5) are used.
-    Instances are immutable and safe to share between threads.
+    ``f1_derived`` is true when ``eval_f1`` was derived from ``eval_f`` as
+    f(S, I)/I, so that its value at I = 0 is an extrapolation rather than
+    a closed form.  Instances are immutable and safe to share between
+    threads.
     """
 
     eval_f: Callable
     eval_f1: Callable
-    partials: tuple[Callable, Callable] | None
     label: str
-
-    def f1_ds(self, S, I):
-        """Partial derivative of f1 with respect to S."""
-        if self.partials is not None:
-            return self.partials[0](S, I)
-        return (self.eval_f1(S + _FD_STEP, I) - self.eval_f1(S - _FD_STEP, I)) / (2 * _FD_STEP)
-
-    def f1_di(self, S, I):
-        """Partial derivative of f1 with respect to I."""
-        if self.partials is not None:
-            return self.partials[1](S, I)
-        return (self.eval_f1(S, I + _FD_STEP) - self.eval_f1(S, I - _FD_STEP)) / (2 * _FD_STEP)
+    f1_derived: bool = False
 
 
 @dataclass(frozen=True)
@@ -77,8 +66,12 @@ class HypothesisReport:
 
     ``violations`` holds one entry per failing sample as a tuple of
     (hypothesis id, sample point, observed value); it is empty exactly
-    when all three pass flags are true.  ``h3_limit_at`` records the
-    extrapolated small-I limit of f/I at every sampled S > 0.
+    when all three pass flags are true.  An H1 or H3 entry gives the
+    failing sample and the value of f or of the small-I limit there.  An
+    H2 entry gives the lower sample of a pair of grid neighbours, in S or
+    in I, and the difference quotient of f1 between them.
+    ``h3_limit_at`` records the extrapolated small-I limit of f/I at
+    every sampled S > 0.
     """
 
     h1_pass: bool
@@ -111,7 +104,6 @@ def _builtin_bilinear(c):
     return IncidenceFunction(
         eval_f=lambda S, I: beta * S * I,
         eval_f1=lambda S, I: beta * S + 0.0 * I,
-        partials=(lambda S, I: beta + 0.0 * S + 0.0 * I, lambda S, I: 0.0 * S + 0.0 * I),
         label=f"bilinear(beta={beta:g})",
     )
 
@@ -121,7 +113,6 @@ def _builtin_power(c):
     return IncidenceFunction(
         eval_f=lambda S, I: k * I * S ** q,
         eval_f1=lambda S, I: k * S ** q + 0.0 * I,
-        partials=(lambda S, I: k * q * S ** (q - 1.0) + 0.0 * I, lambda S, I: 0.0 * S + 0.0 * I),
         label=f"power(k={k:g}, q={q:g})",
     )
 
@@ -131,10 +122,6 @@ def _builtin_saturated_in_i(c):
     return IncidenceFunction(
         eval_f=lambda S, I: beta * S * I / (1.0 + a * I),
         eval_f1=lambda S, I: beta * S / (1.0 + a * I),
-        partials=(
-            lambda S, I: beta / (1.0 + a * I) + 0.0 * S,
-            lambda S, I: -a * beta * S / (1.0 + a * I) ** 2,
-        ),
         label=f"saturated_in_I(beta={beta:g}, a={a:g})",
     )
 
@@ -148,10 +135,6 @@ def _builtin_psi_ratio(c):
     return IncidenceFunction(
         eval_f=lambda S, I: beta * S * I / psi(I),
         eval_f1=lambda S, I: beta * S / psi(I),
-        partials=(
-            lambda S, I: beta / psi(I) + 0.0 * S,
-            lambda S, I: -beta * S * (a + 2.0 * b * I) / psi(I) ** 2,
-        ),
         label=f"psi_ratio(beta={beta:g}, a={a:g}, b={b:g})",
     )
 
@@ -161,10 +144,6 @@ def _builtin_ruan(c):
     return IncidenceFunction(
         eval_f=lambda S, I: beta * S * I * I / (1.0 + rho * I * I),
         eval_f1=lambda S, I: beta * S * I / (1.0 + rho * I * I),
-        partials=(
-            lambda S, I: beta * I / (1.0 + rho * I * I),
-            lambda S, I: beta * S * (1.0 - rho * I * I) / (1.0 + rho * I * I) ** 2,
-        ),
         label=f"ruan(beta={beta:g}, rho={rho:g})",
     )
 
@@ -194,8 +173,8 @@ def make_builtin(family: str, coefficients: Mapping[str, float]) -> IncidenceFun
     ruan            beta*S*I**2 / (1 + rho*I**2)        beta > 0, rho >= 0
     ==============  =================================  =========================
 
-    Non-negative coefficients may be omitted and default to 0.  All
-    built-ins carry exact analytic partials of f1.
+    Non-negative coefficients may be omitted and default to 0.  Every
+    built-in gives f1 in closed form, at I = 0 as well.
     """
     if family not in _FAMILIES:
         raise ValueError(f"unknown incidence family {family!r}; "
@@ -223,15 +202,14 @@ def make_builtin(family: str, coefficients: Mapping[str, float]) -> IncidenceFun
 
 
 def from_callables(f: Callable, f1: Callable | None = None,
-                   partials: tuple[Callable, Callable] | None = None,
                    label: str = "user") -> IncidenceFunction:
     """Wrap user-supplied callables as an IncidenceFunction.
 
     When ``f1`` is omitted it is derived as f(S, I)/I, with the value at
     I = 0 filled in by the extrapolated small-I limit.
     """
-    return IncidenceFunction(eval_f=f, eval_f1=f1 if f1 is not None else _ratio_f1(f),
-                             partials=partials, label=label)
+    return IncidenceFunction(eval_f=f, eval_f1=_ratio_f1(f) if f1 is None else f1,
+                             label=label, f1_derived=f1 is None)
 
 
 def _ratio_f1(f):
@@ -241,16 +219,23 @@ def _ratio_f1(f):
         positive = i > 0.0
         out[positive] = f(s[positive], i[positive]) / i[positive]
         if not positive.all():
-            out[~positive] = small_i_limit(f, s[~positive])[0]
+            # step |S|/5e5 per sample, which is compute_beta's S0/5e5 at
+            # S = S0 and keeps f1 a function of (S, I) alone; at S = 0,
+            # where (H1) makes the limit 0 at any step, it is 2e-6
+            s_zero = np.abs(s[~positive])
+            eps = np.where(s_zero > 0, s_zero, 1.0) / 5e5
+            out[~positive] = small_i_limit(f, s[~positive], eps)[0]
         return float(out) if out.ndim == 0 else out
 
     return f1
 
 
-def small_i_limit(f_eval: Callable, S, eps: float = 1e-4):
+def small_i_limit(f_eval: Callable, S, eps):
     """Richardson-extrapolated limit of f(S, I)/I as I -> 0+.
 
     Evaluates the ratio at eps, eps/2 and eps/4 and extrapolates twice.
+    Callers derive eps from the population scale, such as S0/5e5; an
+    array ``S`` may come with an array ``eps`` of the same shape.
     Returns (limit, converged) where ``converged`` means the two
     first-level extrapolants agree to 1e-6 relative.  A float ``S`` gives
     a float and a bool; an array ``S`` gives an array of limits and one of
@@ -295,15 +280,17 @@ def check_hypotheses(f: IncidenceFunction, s_max: float,
                      grid_n: int = 64) -> HypothesisReport:
     """Check (H1)-(H3) for ``f`` on a grid over [0, s_max]^2.
 
-    (H1) is tested on boundary samples, (H2) sign conditions on the
-    interior grid only (the boundary S = 0 is degenerate there since
-    f(0, I) = 0 forces f1(0, I) = 0), and (H3) by extrapolating
-    f(S, I)/I from I in {eps, eps/2, eps/4} at every sampled S > 0, with
-    eps = s_max/5e5.  Values of f within 2e-14*s_max of zero and partials
-    of f1 within 5e-11/s_max count as zero (1e-12 at s_max = 50).
-    Violations are listed H1 on the S axis, H1 on the I axis, H2 in S,
-    H2 in I, then H3, each in grid order.  Deterministic: identical
-    inputs yield identical reports.
+    (H1) is tested on boundary samples.  (H2) is tested on f1's values
+    on the full grid, boundaries included: the difference quotient
+    between each pair of neighbouring samples, divided by the grid step,
+    must be positive in S and non-positive in I.  (H3) is tested by
+    extrapolating f(S, I)/I from I in {eps, eps/2, eps/4} at every
+    sampled S > 0, with eps = s_max/5e5.  Values of f within
+    2e-14*s_max of zero and difference quotients of f1 within
+    5e-11/s_max count as zero (1e-12 at s_max = 50).  Violations are
+    listed H1 on the S axis, H1 on the I axis, H2 in S, H2 in I, then H3,
+    each in grid order.  Deterministic: identical inputs yield identical
+    reports.
     """
     if not (s_max > 0):
         raise ValueError(f"s_max must be positive, got {s_max}")
@@ -321,13 +308,14 @@ def check_hypotheses(f: IncidenceFunction, s_max: float,
     violations = (_violations("H1", np.abs(on_s_axis) > f_tol, axis, 0.0, on_s_axis)
                   + _violations("H1", np.abs(on_i_axis) > f_tol, 0.0, axis, on_i_axis))
 
-    # (H2): strict monotonicity in S, non-increase in I, interior only.
-    interior = axis[1:-1]
-    su, iv = np.meshgrid(interior, interior, indexing="ij")
-    ds = require_finite(f.f1_ds(su, iv), "df1/dS", su, iv)
-    di = require_finite(f.f1_di(su, iv), "df1/dI", su, iv)
-    violations += (_violations("H2", ds <= slope_tol, su, iv, ds)
-                   + _violations("H2", di > slope_tol, su, iv, di))
+    # (H2): strict increase in S, non-increase in I, between neighbours;
+    # each quotient is reported at the lower sample of its pair.
+    su, iv = np.meshgrid(axis, axis, indexing="ij")
+    f1 = require_finite(f.eval_f1(su, iv), "f1(S, I)", su, iv)
+    step = axis[1]
+    ds, di = np.diff(f1, axis=0) / step, np.diff(f1, axis=1) / step
+    violations += (_violations("H2", ds <= slope_tol, su[:-1], iv[:-1], ds)
+                   + _violations("H2", di > slope_tol, su[:, :-1], iv[:, :-1], di))
 
     # (H3): positive, Cauchy-convergent small-I limit at every S > 0.
     s_pos = axis[axis > 0]
@@ -350,14 +338,14 @@ def check_hypotheses(f: IncidenceFunction, s_max: float,
 def compute_beta(f: IncidenceFunction, Lambda: float, mu: float) -> float:
     """Effective transmission coefficient (mu/Lambda) * df/dI at (S0, 0).
 
-    S0 = Lambda/mu.  Uses the analytic continuous extension f1(S0, 0)
-    when the function carries analytic partials, otherwise Richardson
-    extrapolation of f(S0, I)/I toward I = 0+ from I = S0/5e5.
+    S0 = Lambda/mu.  Uses f1(S0, 0) when f1 is given in closed form (a
+    built-in or a user-supplied f1), otherwise Richardson extrapolation
+    of f(S0, I)/I toward I = 0+ from I = S0/5e5.
     """
     if not (Lambda > 0 and mu > 0):
         raise ValueError("Lambda and mu must be positive")
     s0 = Lambda / mu
-    if f.partials is not None:
+    if not f.f1_derived:
         slope = float(f.eval_f1(s0, 0.0))
     else:
         slope, converged = small_i_limit(f.eval_f, s0, s0 / 5e5)

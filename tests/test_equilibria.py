@@ -146,7 +146,6 @@ def test_inconsistent_f1_fails_verification(ref_params):
     f_bad = IncidenceFunction(
         eval_f=lambda S, I: 0.9 * f_true.eval_f(S, I),
         eval_f1=f_true.eval_f1,
-        partials=f_true.partials,
         label="inconsistent")
     with pytest.raises(VerificationError):
         find_endemic(ref_params, f_bad)

@@ -40,20 +40,6 @@ def test_boundary_zeros_exact(family):
         assert f.eval_f(v, 0.0) == 0.0
 
 
-@pytest.mark.parametrize("family", sorted(FAMILY_INSTANCES))
-def test_analytic_partials_match_finite_differences(family):
-    f = make_builtin(family, FAMILY_INSTANCES[family])
-    h = 1e-5
-    for s, i in [(5.0, 3.0), (20.0, 1.0), (40.0, 12.0)]:
-        fd_s = (f.eval_f1(s + h, i) - f.eval_f1(s - h, i)) / (2 * h)
-        fd_i = (f.eval_f1(s, i + h) - f.eval_f1(s, i - h)) / (2 * h)
-        an_s = f.f1_ds(s, i)
-        an_i = f.f1_di(s, i)
-        # abs floor covers difference-quotient roundoff, ~ulp(f1)/(2h)
-        assert fd_s == pytest.approx(an_s, rel=1e-5, abs=1e-9)
-        assert fd_i == pytest.approx(an_i, rel=1e-5, abs=1e-9)
-
-
 def test_saturated_f1_value():
     f = make_builtin("saturated_in_I", {"beta": 0.5, "a": 1.0})
     assert f.eval_f1(2.0, 3.0) == pytest.approx(0.25, abs=1e-15)
@@ -120,6 +106,16 @@ def test_bilinear_h3_limit_at_s_max():
     assert limit == pytest.approx(1.0, abs=1e-9)
 
 
+def test_ruan_h2_fails_within_first_grid_cell():
+    # f1 = beta*S*I/(1 + rho*I^2) rises in I up to I = 1/sqrt(rho) = 0.5,
+    # inside the first cell of the 64-grid (step 0.79); no interior
+    # sample sees the rise, the quotient from the I = 0 row does
+    report = check_hypotheses(make_builtin("ruan", {"beta": 0.01, "rho": 4.0}), 50.0)
+    assert not report.h2_pass
+    rising = [point for hyp, point, value in report.violations if hyp == "H2" and value > 0]
+    assert rising and all(i == 0.0 for _, i in rising)
+
+
 def test_violations_empty_iff_all_pass():
     good = check_hypotheses(make_builtin("power", {"k": 0.0008, "q": 2.0}), 50.0)
     bad = check_hypotheses(make_builtin("ruan", {"beta": 0.5, "rho": 1.0}), 50.0)
@@ -142,9 +138,7 @@ def test_check_hypotheses_validates_inputs():
 
 def test_non_finite_value_reports_point():
     f = from_callables(lambda S, I: np.where(S > 25.0, np.nan, S * I),
-                       f1=lambda S, I: np.where(S > 25.0, np.nan, S + 0.0 * I),
-                       partials=(lambda S, I: 1.0 + 0.0 * S + 0.0 * I,
-                                 lambda S, I: 0.0 * S + 0.0 * I))
+                       f1=lambda S, I: np.where(S > 25.0, np.nan, S + 0.0 * I))
     with pytest.raises(EvaluationError, match=r"\("):
         check_hypotheses(f, 50.0)
 
@@ -152,18 +146,21 @@ def test_non_finite_value_reports_point():
 def brute_force_violations(f, s_max, grid_n=64, eps=1e-4):
     """check_hypotheses' violation list, one sample at a time."""
     axis = np.linspace(0.0, s_max, grid_n)
-    interior = axis[1:-1]
+    step = axis[1]
     found = []
     for point in [(s, 0.0) for s in axis] + [(0.0, i) for i in axis]:
         value = float(f.eval_f(*point))
         if abs(value) > 1e-12:
             found.append(("H1", point, value))
-    for partial, bad in ((f.f1_ds, lambda v: v <= 1e-12), (f.f1_di, lambda v: v > 1e-12)):
-        for s in interior:
-            for i in interior:
-                value = float(partial(s, i))
+    # neighbour quotients of f1, in S then in I, at the lower sample
+    for di, dj, bad in ((1, 0, lambda v: v <= 1e-12), (0, 1, lambda v: v > 1e-12)):
+        for j in range(grid_n - di):
+            for k in range(grid_n - dj):
+                s, i = float(axis[j]), float(axis[k])
+                upper = float(f.eval_f1(float(axis[j + di]), float(axis[k + dj])))
+                value = (upper - float(f.eval_f1(s, i))) / step
                 if bad(value):
-                    found.append(("H2", (float(s), float(i)), value))
+                    found.append(("H2", (s, i), value))
     for s in axis[1:]:
         limit, converged = small_i_limit(f.eval_f, float(s), eps)
         if not (converged and limit > 1e-12):
@@ -226,7 +223,7 @@ def test_compute_beta_nonconvergent_limit():
 
 def test_small_i_limit_flags():
     f = make_builtin("saturated_in_I", {"beta": 0.1, "a": 2.0})
-    limit, converged = small_i_limit(f.eval_f, 30.0)
+    limit, converged = small_i_limit(f.eval_f, 30.0, 30.0 / 5e5)
     assert converged
     assert limit == pytest.approx(0.1 * 30.0, rel=1e-9)
 
@@ -235,6 +232,8 @@ def test_derived_f1_matches_ratio_and_limit():
     f = from_callables(lambda S, I: 0.0008 * I * S ** 2)
     assert f.eval_f1(10.0, 2.0) == pytest.approx(0.0008 * 100.0, rel=1e-12)
     assert f.eval_f1(10.0, 0.0) == pytest.approx(0.08, rel=1e-6)
+    # the small-I step follows |S|; S = 0 gives no scale and still a value
+    assert f.eval_f1(0.0, 0.0) == 0.0
 
 
 def test_incidence_bound_power_tight_at_s0():

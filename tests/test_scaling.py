@@ -19,8 +19,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sirskit import (ModelParams, certify, check_hypotheses, find_endemic, make_builtin,
-                     omega_lattice, sweep)
+from sirskit import (ModelParams, certify, check_hypotheses, find_endemic, from_callables,
+                     make_builtin, omega_lattice, sweep)
 from sirskit.cli import main
 
 from conftest import REF
@@ -112,6 +112,30 @@ def test_divergence_flag_iff_f1_depends_on_i(label, log_s, a, b):
     assert (cert_2.k1 is None) == (cert.k1 is None)
     if cert.k1 is not None:
         assert math.isclose(cert_2.k1, cert.k1, rel_tol=1e-11)
+
+
+@given(label=st.sampled_from(["power", "saturated_in_I"]), log_s=st.floats(-8.0, 9.0))
+@example(label="power", log_s=0.0)
+@example(label="saturated_in_I", log_s=0.0)
+@settings(max_examples=12, deadline=None)
+def test_derived_f1_matches_builtin_at_every_scale(label, log_s):
+    # f1 derived as f/I, with its I = 0 row extrapolated, passes the
+    # hypotheses and gives the built-in's results at every scale
+    p, builtin = scaled_model(label, 10.0 ** log_s)
+    derived = from_callables(builtin.eval_f)
+    hyp = check_hypotheses(derived, p.s0)
+    assert (hyp.h1_pass, hyp.h2_pass, hyp.h3_pass) == (True, True, True)
+    results = []
+    for f in (builtin, derived):
+        report = find_endemic(p, f)
+        star = report.endemic[0][0]
+        cert = certify(p, f, star)
+        results.append(([report.r0, star.S / p.s0, star.I / p.s0],
+                        (cert.granted, cert.divergence_flag)))
+    (scaled_b, exact_b), (scaled_d, exact_d) = results
+    assert exact_d == exact_b
+    for value, reference in zip(scaled_d, scaled_b):
+        assert math.isclose(value, reference, rel_tol=1e-10)
 
 
 @pytest.mark.parametrize("s", [1e-8, 1e-7, 1e-6])
