@@ -60,7 +60,7 @@ def _write_output(text: str, out: Path | None) -> None:
         Path(out).write_text(text)
 
 
-def _run_analysis(params: ModelParams, f, k1=None, k2=None):
+def _run_analysis(params: ModelParams, f, k1=None):
     """Shared pipeline behind ``analyze`` and ``reproduce``.
 
     Returns (document, hypotheses_ok, equilibrium_report, errors).
@@ -93,7 +93,7 @@ def _run_analysis(params: ModelParams, f, k1=None, k2=None):
                        "message": str(exc)})
     if eq_report is not None and eq_report.r0 > 1 and eq_report.endemic:
         try:
-            cert = certify(params, f, eq_report.endemic[0][0], k1=k1, k2=k2)
+            cert = certify(params, f, eq_report.endemic[0][0], k1=k1)
             doc["certificate"] = cert.as_dict()
         except SirsKitError as exc:
             errors.append({"stage": "certificate", "type": type(exc).__name__,
@@ -111,8 +111,7 @@ def cmd_check(args) -> int:
 
 def cmd_analyze(args) -> int:
     cfg = load_config(args.config)
-    doc, hyp_ok, _, errors = _run_analysis(cfg.params, cfg.incidence(),
-                                           k1=args.k1, k2=args.k2)
+    doc, hyp_ok, _, errors = _run_analysis(cfg.params, cfg.incidence(), k1=args.k1)
     _write_output(jsonio.dumps(doc), args.out)
     if not hyp_ok:
         return EXIT_ANALYSIS
@@ -276,8 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("config", type=Path)
     analyze.add_argument("--k1", type=float, default=None,
                          help="force this k1 instead of the closed form")
-    analyze.add_argument("--k2", type=float, default=None,
-                         help="override the default k2 = (2mu+alpha)/gamma2")
     analyze.add_argument("--out", type=Path, default=None)
     analyze.set_defaults(func=cmd_analyze)
 

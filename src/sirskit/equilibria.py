@@ -33,17 +33,15 @@ class EquilibriumReport:
     """Disease-free and endemic equilibria with diagnostics.
 
     ``endemic`` holds (State, residual max-norm) pairs sorted by I.
-    ``i0`` is the I-axis intercept of the equilibrium line and
-    ``s_star_curve`` the S value where f1(S, 0+) meets the infected
-    outflow rate, when such a value exists below 10*S0.  ``bracket_log``
-    lists the (I_lo, I_hi) subintervals where a sign change was found.
+    ``i0`` is the I-axis intercept of the equilibrium line.
+    ``bracket_log`` lists the (I_lo, I_hi) subintervals where a sign
+    change was found.
     """
 
     dfe: State
     endemic: list = field(default_factory=list)
     r0: float = 0.0
     i0: float = 0.0
-    s_star_curve: float | None = None
     bracket_log: list = field(default_factory=list)
 
     def as_dict(self) -> dict:
@@ -51,7 +49,6 @@ class EquilibriumReport:
             "dfe": self.dfe.as_dict(),
             "r0": self.r0,
             "i0": self.i0,
-            "s_star_curve": self.s_star_curve,
             "endemic": [{"state": s.as_dict(), "residual": res} for s, res in self.endemic],
             "bracket_log": [[lo, hi] for lo, hi in self.bracket_log],
         }
@@ -80,6 +77,9 @@ def verify_equilibrium(p: ModelParams, f: IncidenceFunction, x: State) -> float:
     """Max-norm of the vector field at ``x``."""
     return float(np.max(np.abs(vector_field(p, f, x))))
 
+
+# Uniform subintervals of (eps, I0 - eps) scanned for sign changes of g.
+_N_BRACKETS = 256
 
 # Halving reaches adjacent doubles within about 2,100 steps even across the
 # whole exponent range, so the cap only guards against a runaway loop.
@@ -116,42 +116,19 @@ def _roots(g, grid: np.ndarray, values: np.ndarray) -> list:
     return found
 
 
-def _s_star_curve(p: ModelParams, f: IncidenceFunction) -> float | None:
-    """S where f1(S, 0+) reaches the infected outflow rate, if any.
-
-    Diagnostic only; evaluated at I = 2e-10*S0 by coarse scan plus
-    bisection over (0, 10*S0], returning the smallest root, or None when
-    no sign change exists there.
-    """
-    i_probe = 2e-10 * p.s0
-    target = p.infected_outflow
-
-    def g(s):
-        return float(f.eval_f1(s, i_probe)) - target
-
-    axis = np.linspace(1e-12 * p.s0, 10.0 * p.s0, 512)
-    values = np.asarray(f.eval_f1(axis, i_probe + 0.0 * axis), dtype=float) - target
-    found = _roots(g, axis, values)
-    return found[0][0] if found else None
-
-
-def find_endemic(p: ModelParams, f: IncidenceFunction,
-                 n_brackets: int = 256) -> EquilibriumReport:
+def find_endemic(p: ModelParams, f: IncidenceFunction) -> EquilibriumReport:
     """Locate endemic equilibria and verify them against the vector field.
 
-    Scans ``n_brackets`` uniform subintervals of (eps, I0 - eps) with
+    Scans 256 uniform subintervals of (eps, I0 - eps) with
     eps = 1e-9*I0 for sign changes of g, bisects each bracket to
     adjacent doubles, reconstructs S from the equilibrium line
     and R = gamma2*I/(mu+delta), and requires the vector-field residual
     of every candidate to stay below 1e-10*Lambda.
 
-    Raises BracketFailureError (carrying the g samples) when R0 > 1 but
-    no sign change is found, and VerificationError when a candidate
+    Raises BracketFailureError (carrying the 257 g samples) when R0 > 1
+    but no sign change is found, and VerificationError when a candidate
     fails the residual check.
     """
-    if n_brackets < 16:
-        raise ValueError(f"n_brackets must be at least 16, got {n_brackets}")
-
     r0_value = r0(p, f)
     i0 = i_axis_intercept(p)
     outflow = p.infected_outflow
@@ -160,7 +137,7 @@ def find_endemic(p: ModelParams, f: IncidenceFunction,
         return float(f.eval_f1(equilibrium_line(p, i), i)) - outflow
 
     eps = 1e-9 * i0
-    grid = np.linspace(eps, i0 - eps, n_brackets + 1)
+    grid = np.linspace(eps, i0 - eps, _N_BRACKETS + 1)
     g_values = np.asarray(f.eval_f1(equilibrium_line(p, grid), grid), dtype=float) - outflow
     found = _roots(g, grid, g_values)
 
@@ -169,8 +146,7 @@ def find_endemic(p: ModelParams, f: IncidenceFunction,
     # the correct answer, not a missed bracket.
     if r0_value > 1 + 1e-9 and not found:
         raise BracketFailureError(
-            f"R0 = {r0_value:g} > 1 but no sign change in {n_brackets} brackets; "
-            "raise n_brackets",
+            f"R0 = {r0_value:g} > 1 but no sign change in {_N_BRACKETS} brackets",
             samples=[(float(i), float(v)) for i, v in zip(grid, g_values)])
 
     gate = 1e-10 * p.Lambda
@@ -189,6 +165,5 @@ def find_endemic(p: ModelParams, f: IncidenceFunction,
         endemic=endemic,
         r0=r0_value,
         i0=i0,
-        s_star_curve=_s_star_curve(p, f),
         bracket_log=[bracket for _, bracket in found],
     )

@@ -403,10 +403,13 @@ def sweep(p: ModelParams, f: IncidenceFunction, initials: Sequence[State],
     from its initial state and builds its trajectory from a history in
     the same format.  A run that fails with a toolkit error is recorded
     with infinite distance and its error instead of aborting the others;
-    distances are max-norm at t_end.
+    distances are max-norm at t_end.  Raises ValueError unless conv_tol
+    is positive and finite.
     """
     tol = 1e-8
     _check_run(p, initials, t_end, tol)
+    if not 0.0 < conv_tol < math.inf:
+        raise ValueError(f"conv_tol must be positive and finite, got {conv_tol}")
     target = attractor(p, f)
     target_arr = target.as_array()
     rhs = make_rhs(p, f)

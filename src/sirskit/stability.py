@@ -28,8 +28,10 @@ conditions hold:
     (a2)  some k1 > 0 keeps h(u, v) = (2mu + alpha - k1*G(u, v))^2
           below 2mu*(mu + alpha) for all u != S* in [0, Lambda/mu].
 
-k2 = (2mu + alpha)/gamma2 cancels the (I - I*)(R - R*) cross term and is
-the default whenever gamma2 > 0.
+k2 = (2mu + alpha)/gamma2 is the only k2 that cancels the (I - I*)(R - R*)
+cross term, so ``certify`` always uses it, and gamma2 = 0 gets no
+certificate.  ``lyapunov_v``, ``dvdt_at``, ``dvdt_scan`` and
+``pq_matrices`` evaluate V for any given k2.
 
 With c = 2mu + alpha, h = (c - k1*G)^2 is convex in G, so over any set
 of samples its supremum sits at the smallest or largest slope, Gmin or
@@ -85,14 +87,14 @@ class CertificateReport:
     largest.  ``dvdt_max`` is the largest sampled derivative of V
     outside a ball around the equilibrium and is negative whenever the
     certificate is sound; ``dvdt_points`` is the number of lattice points
-    it was taken over.
+    it was taken over.  ``k2`` is always ``default_k2``.
     """
 
     a1_pass: bool
     a1_margin: float
     a1_remark_value: float
     k1: float | None
-    k2: float | None
+    k2: float
     sup_h: float
     h_bound: float
     divergence_flag: bool
@@ -196,8 +198,8 @@ def _slope_range(f: IncidenceFunction, eq: State, s0: float, grid_n: int) -> _Sl
 
 
 def _a2_scan(p: ModelParams, slopes: _SlopeRange, k1: float) -> A2Scan:
-    if k1 < 0:
-        raise ValueError(f"k1 must be non-negative, got {k1}")
+    if not 0.0 <= k1 < math.inf:
+        raise ValueError(f"k1 must be non-negative and finite, got {k1}")
     # h is convex in G and rounding is monotone, so the sampled supremum
     # of h is reached at Gmin or Gmax, bit for bit.
     h = (2.0 * p.mu + p.alpha - k1 * np.array([slopes.g_min, slopes.g_max])) ** 2
@@ -229,7 +231,8 @@ def check_a2(p: ModelParams, f: IncidenceFunction, eq: State, k1: float,
     with the strip |u - S*| < 1e-4*Lambda/mu removed; sup h is reached
     at one of its ends.  Passes when the supremum stays below the bound
     and f1(S*, .) is constant on the grid's v axis, so that G stays
-    bounded near S*.  Raises ValueError when k1 < 0 or grid_n < 2.
+    bounded near S*.  Raises ValueError unless 0 <= k1 < inf, or when
+    grid_n < 2.
     """
     return _a2_scan(p, _slope_range(f, eq, p.s0, grid_n), k1)
 
@@ -249,10 +252,11 @@ def find_k1(p: ModelParams, f: IncidenceFunction, eq: State,
 
 
 def default_k2(p: ModelParams) -> float:
-    """(2mu + alpha)/gamma2, the choice cancelling the I-R cross term."""
+    """(2mu + alpha)/gamma2, the only k2 cancelling the I-R cross term."""
     if p.gamma2 == 0:
         raise DegenerateParameterError(
-            "gamma2 = 0 leaves the default k2 undefined; pass k2 explicitly")
+            "gamma2 = 0 leaves k2 = (2mu+alpha)/gamma2 undefined, "
+            "so no endemic certificate exists")
     return (2.0 * p.mu + p.alpha) / p.gamma2
 
 
@@ -303,9 +307,11 @@ def dvdt_scan(p: ModelParams, f: IncidenceFunction, eq: State, k1: float,
     """Maximum of dV/dt over the ``omega_grid`` lattice of Omega with I > 0,
     outside the ball of radius 1e-3*S0 around eq.
 
-    The gradient of V is taken analytically; finite differences of V are
-    only a cross-check in the test suite.  A sound certificate makes the
-    returned maximum negative.  Raises ValueError when grid_n < 2, and
+    ``k2`` defaults to ``default_k2(p)``; with gamma2 = 0 it must be
+    given, or DegenerateParameterError is raised.  The gradient of V is
+    taken analytically; finite differences of V are only a cross-check
+    in the test suite.  A sound certificate makes the returned maximum
+    negative.  Raises ValueError when grid_n < 2, and
     EvaluationError naming the first (S, I) where the incidence is
     non-finite.
     """
@@ -351,19 +357,20 @@ def dfe_lyapunov_bound(p: ModelParams, f: IncidenceFunction, grid_n: int = 201) 
 
 
 def certify(p: ModelParams, f: IncidenceFunction, eq: State,
-            k1: float | None = None, k2: float | None = None,
+            k1: float | None = None,
             grid_n: int = 201, dvdt_grid_n: int = 41) -> CertificateReport:
     """Run the full endemic-certificate pipeline and assemble a report.
 
-    ``k1`` and ``k2`` override the closed-form k1 and the default
-    cancellation choice respectively.  With gamma2 = 0 an explicit k2 is
-    required.  The slope range and the divergence decision are computed
-    once and serve both the k1 choice and the (a2) scan; the report's
-    ``exclusion`` is the half-width 1e-4*Lambda/mu of the strip around
-    u = S* that the slope grid leaves out.
+    ``k1`` overrides the closed-form k1.  k2 is always ``default_k2(p)``,
+    the only value for which dV/dt splits into the P and Q forms, so
+    gamma2 = 0 raises DegenerateParameterError.  The slope range and the
+    divergence decision are computed once and serve both the k1 choice
+    and the (a2) scan; the report's ``exclusion`` is the half-width
+    1e-4*Lambda/mu of the strip around u = S* that the slope grid leaves
+    out.
     """
     a1 = check_a1(p)
-    k2_value = float(k2 if k2 is not None else default_k2(p))
+    k2 = default_k2(p)
     slopes = _slope_range(f, eq, p.s0, grid_n)
     k1_value = _optimal_k1(p, slopes) if k1 is None else float(k1)
 
@@ -371,13 +378,13 @@ def certify(p: ModelParams, f: IncidenceFunction, eq: State,
     p_minors = q_minors = dvdt_max = None
     dvdt_points = 0
     if k1_value is not None:
-        _, _, minors = pq_matrices(p, f, eq, k1_value, k2_value, scan.worst_point)
+        _, _, minors = pq_matrices(p, f, eq, k1_value, k2, scan.worst_point)
         p_minors, q_minors = minors[:2], minors[2:]
-        dvdt = _dvdt_samples(p, f, eq, k1_value, k2_value, dvdt_grid_n)
+        dvdt = _dvdt_samples(p, f, eq, k1_value, k2, dvdt_grid_n)
         dvdt_max, dvdt_points = float(np.max(dvdt)), dvdt.size
     return CertificateReport(
         a1_pass=a1.passed, a1_margin=a1.margin, a1_remark_value=a1.remark_value,
-        k1=k1_value, k2=k2_value, sup_h=scan.sup_h, h_bound=scan.h_bound,
+        k1=k1_value, k2=k2, sup_h=scan.sup_h, h_bound=scan.h_bound,
         divergence_flag=scan.divergence_flag, p_minors=p_minors, q_minors=q_minors,
         dvdt_max=dvdt_max, dvdt_points=dvdt_points, grid_n=grid_n,
         exclusion=_STRIP * p.s0)

@@ -160,7 +160,8 @@ def test_analyze_ruan_hypotheses_fail(capsys, tmp_path):
     assert doc["r0"] is None  # partial report
 
 
-def test_analyze_gamma2_zero_needs_explicit_k2(capsys, tmp_path):
+def test_analyze_gamma2_zero_is_degenerate(capsys, tmp_path):
+    # k2 = (2mu+alpha)/gamma2 is undefined, so no certificate is issued
     params = dict(REF_PARAMS)
     params["gamma2"] = 0.0
     cfg = write_config(tmp_path, "sis.json", params=params)
@@ -168,9 +169,7 @@ def test_analyze_gamma2_zero_needs_explicit_k2(capsys, tmp_path):
     assert code == 3
     doc = json.loads(out)
     assert doc["errors"][0]["type"] == "DegenerateParameterError"
-    code2, out2, _ = run_cli(capsys, "analyze", cfg, "--k2", 2.0)
-    assert code2 == 0
-    assert json.loads(out2)["certificate"]["k2"] == 2.0
+    assert doc["certificate"] is None
 
 
 def test_analyze_bilinear_at_threshold(capsys, tmp_path):
@@ -271,13 +270,21 @@ def test_sweep_insufficient_time_exits_2(capsys, high_config, tmp_path):
 @pytest.mark.parametrize("command, flags, named", [
     ("analyze", ["--grid-n", 0], "unrecognized arguments: --grid-n 0"),
     ("analyze", ["--grid-n", 1], "unrecognized arguments: --grid-n 1"),
+    ("analyze", ["--k2", 100], "unrecognized arguments: --k2 100"),
+    ("analyze", ["--k1", "nan"], "k1 must be non-negative and finite, got nan"),
+    ("analyze", ["--k1", "inf"], "k1 must be non-negative and finite, got inf"),
+    ("sweep", ["--conv-tol", -1], "conv_tol must be positive and finite, got -1.0"),
+    ("sweep", ["--conv-tol", 0], "conv_tol must be positive and finite, got 0.0"),
+    ("sweep", ["--conv-tol", "nan"], "conv_tol must be positive and finite, got nan"),
     ("sweep", ["--lattice", 1], "got 1"),
     ("sweep", ["--lattice", "abc"], "invalid int value: 'abc'"),
     ("simulate", [], "the following arguments are required: --initial"),
     ("simulate", ["--initial", "60,0,0"], "sums to 60 > Lambda/mu"),
     ("simulate", ["--initial", "30,-1,5"], "got -1.0"),
     ("simulate", ["--initial", "1,2"], "got '1,2'"),
-], ids=["analyze-grid-0", "analyze-grid-1", "sweep-lattice-1", "sweep-lattice-abc",
+], ids=["analyze-grid-0", "analyze-grid-1", "analyze-k2", "analyze-k1-nan",
+        "analyze-k1-inf", "sweep-conv-tol-negative", "sweep-conv-tol-0",
+        "sweep-conv-tol-nan", "sweep-lattice-1", "sweep-lattice-abc",
         "simulate-no-initial", "simulate-outside-omega", "simulate-negative",
         "simulate-two-values"])
 def test_invalid_input_exits_1(capsys, high_config, tmp_path, command, flags, named):

@@ -95,14 +95,6 @@ def test_verify_equilibrium(ref_params, high_incidence):
     assert verify_equilibrium(ref_params, high_incidence, State(1.0, 1.0, 1.0)) > 1.0
 
 
-def test_monotone_bracket_refinement(ref_params, high_incidence):
-    coarse = find_endemic(ref_params, high_incidence, n_brackets=256)
-    fine = find_endemic(ref_params, high_incidence, n_brackets=512)
-    assert len(coarse.endemic) == len(fine.endemic)
-    for (a, _), (b, _) in zip(coarse.endemic, fine.endemic):
-        assert abs(a.I - b.I) < 1e-10
-
-
 @pytest.mark.parametrize("family, make_coefs", [
     ("bilinear", lambda scale: {"beta": scale}),
     ("power", lambda scale: {"k": scale / 2500.0, "q": 2.0}),
@@ -149,20 +141,6 @@ def test_inconsistent_f1_fails_verification(ref_params):
         label="inconsistent")
     with pytest.raises(VerificationError):
         find_endemic(ref_params, f_bad)
-
-
-def test_s_star_curve(ref_params, low_incidence, high_incidence):
-    high = find_endemic(ref_params, high_incidence)
-    # the level-set intercept coincides with S* for I-independent f1
-    assert high.s_star_curve == pytest.approx(high.endemic[0][0].S, abs=1e-3)
-    low = find_endemic(ref_params, low_incidence)
-    assert low.s_star_curve == pytest.approx((0.7 / 0.0002) ** 0.5, abs=1e-3)
-    assert low.s_star_curve > ref_params.s0  # consistent with R0 < 1
-
-
-def test_input_validation(ref_params, high_incidence):
-    with pytest.raises(ValueError):
-        find_endemic(ref_params, high_incidence, n_brackets=8)
 
 
 def test_large_population_terminates():

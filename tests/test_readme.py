@@ -1,7 +1,9 @@
 """README.md's examples stay valid input: every ```json block is a
-config that parses, and every ``sirskit ...`` line of a code block is a
-command line the parser accepts."""
+config that parses, every ``sirskit ...`` line of a code block is a
+command line the parser accepts, and every ``--flag`` the text names
+exists."""
 
+import argparse
 import json
 import re
 import shlex
@@ -28,3 +30,19 @@ def test_readme_command_lines_parse():
     for line in commands:
         args = build_parser().parse_args(shlex.split(line)[1:])
         assert callable(args.func), line
+
+
+def _parser_flags(parser: argparse.ArgumentParser) -> set:
+    flags = set()
+    for action in parser._actions:
+        flags.update(action.option_strings)
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                flags |= _parser_flags(sub)
+    return flags
+
+
+def test_readme_flags_exist():
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", README))
+    assert "--out" in named
+    assert named <= _parser_flags(build_parser())

@@ -98,15 +98,9 @@ def test_divergence_flag_iff_f1_depends_on_i(label, log_s, a, b):
     assert cert.divergence_flag == (c.get("a", 0.0) > 0 or c.get("b", 0.0) > 0)
     if cert.divergence_flag:
         assert cert.k1 is None and not cert.granted
-    # the scan sizes change only round-off: under (H2) there is one root
-    # to bracket, and when f1 does not depend on I the slope range is
-    # reached at u = 0 and u = S0, which every grid contains (otherwise
-    # the certificate is refused at any size)
-    coarse = find_endemic(p, f, n_brackets=16)
-    assert len(coarse.endemic) == len(report.endemic)
-    for (state, _), (state_16, _) in zip(report.endemic, coarse.endemic):
-        for value, value_16 in zip(state.as_array(), state_16.as_array()):
-            assert math.isclose(value_16, value, rel_tol=1e-14)
+    # the slope grid size changes only round-off: when f1 does not depend
+    # on I the slope range is reached at u = 0 and u = S0, which every
+    # grid contains (otherwise the certificate is refused at any size)
     cert_2 = certify(p, f, star, grid_n=2)
     assert (cert_2.granted, cert_2.divergence_flag) == (cert.granted, cert.divergence_flag)
     assert (cert_2.k1 is None) == (cert.k1 is None)
@@ -153,8 +147,8 @@ def test_sweep_covariant_at_small_populations(s):
 
 # JSON fields that hold a population, or lists of them; each divided by s
 # must not depend on s
-POPULATION_KEYS = {"S", "I", "R", "distance", "conv_tol", "i0", "s_star_curve",
-                   "exclusion", "s_max", "eps", "axis", "bracket_log"}
+POPULATION_KEYS = {"S", "I", "R", "distance", "conv_tol", "i0", "exclusion", "s_max",
+                   "eps", "axis", "bracket_log"}
 FLAG_KEYS = {"granted", "converged", "h1_pass", "h2_pass", "h3_pass"}
 S0_AT_1 = REF["Lambda"] / REF["mu"]
 

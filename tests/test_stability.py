@@ -392,6 +392,38 @@ def test_certify_rejects_negative_k1(ref_p, f_high, eq_high):
         certify(ref_p, f_high, eq_high, k1=-1.0)
 
 
+# Built-ins whose f1 does not depend on I; the coefficient is solved from R0.
+_FLAT_IN_I = ("bilinear", "power", "saturated_in_I", "psi_ratio")
+
+
+@given(family=st.sampled_from(_FLAT_IN_I), log_s=st.floats(-6.0, 6.0),
+       lam=st.floats(0.5, 50.0), mu=st.floats(0.01, 2.0), gamma1=st.floats(0.0, 2.0),
+       gamma2=st.floats(0.01, 2.0), alpha=st.floats(0.0, 2.0), delta=st.floats(0.0, 2.0),
+       r0_value=st.floats(1.2, 5.0), q=st.floats(0.5, 4.0),
+       k1_decades=st.one_of(st.none(), st.floats(-0.5, 0.5)))
+@settings(max_examples=100, deadline=None)
+def test_granted_certificate_is_sound(family, log_s, lam, mu, gamma1, gamma2, alpha,
+                                      delta, r0_value, q, k1_decades):
+    # granted implies P and Q positive definite where they were evaluated
+    # and dV/dt < 0 on the scanned lattice; a refusal implies nothing
+    p = ModelParams(Lambda=lam * 10.0 ** log_s, mu=mu, gamma1=gamma1, gamma2=gamma2,
+                    alpha=alpha, delta=delta)
+    if family != "power":
+        q = 1.0
+    coefficient = r0_value * p.infected_outflow / p.s0 ** q
+    f = make_builtin(family, {"k": coefficient, "q": q} if family == "power"
+                     else {"beta": coefficient})
+    eq = find_endemic(p, f).endemic[0][0]
+    k1 = find_k1(p, f, eq)
+    if k1 is not None and k1_decades is not None:
+        k1 *= 10.0 ** k1_decades
+    cert = certify(p, f, eq, k1=k1)
+    if cert.granted:
+        assert cert.p_minors[1] > 0.0
+        assert cert.q_minors[1] > 0.0
+        assert cert.dvdt_max < 0.0
+
+
 @pytest.mark.parametrize("k1", [None, 7.0])
 def test_certify_scans_slopes_once(ref_p, f_high, eq_high, k1):
     # one scan evaluates f1 on at most the grid plus its v axis at u = S*
