@@ -16,6 +16,7 @@ anywhere are rejected, and missing required keys are reported by name.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from numbers import Real
 
@@ -108,9 +109,9 @@ def parse_config(doc, source: str = "<config>") -> ModelConfig:
         step_or_tol = (_number(raw, "step_or_tol", "solver", source)
                        if "step_or_tol" in raw else solver.step_or_tol)
         t_end = _number(raw, "t_end", "solver", source) if "t_end" in raw else solver.t_end
-        if step_or_tol <= 0 or t_end <= 0:
+        if not (0.0 < step_or_tol < math.inf and 0.0 < t_end < math.inf):
             raise ConfigError(f"{source}: solver.step_or_tol and solver.t_end "
-                              "must be positive")
+                              "must be positive and finite")
         solver = SolverSettings(method=method, step_or_tol=step_or_tol, t_end=t_end)
 
     return ModelConfig(params=params, family=family, coefficients=coefficients,

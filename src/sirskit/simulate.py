@@ -3,6 +3,8 @@
 One explicit Runge-Kutta engine steps two tableaux, both written in
 first-same-as-last form: classic RK4 with a fixed step, and the embedded
 Dormand-Prince 5(4) pair with mixed absolute/relative error control.
+At import each tableau compiles into one straight-line stage function,
+which the scalar loop and the batch both call.
 Every step enforces the model's invariants numerically: components are
 clamped to zero only for round-off (within 2e-14*S0 below zero), and a
 state that leaves the feasible simplex by more than 2e-8*S0 aborts the
@@ -14,9 +16,9 @@ Every run keeps its accepted states as one history, a flat
 ``sweep`` steps all its initial states once, as one batch, one array row
 each with its own step size, and appends that row's accepted steps to
 its history in blocks.  ``integrate`` stays scalar: a batch of one pays
-NumPy's per-call cost on every stage, 80 ms against 3.5 ms for the
+NumPy's per-call cost on every stage, about 45 ms against 1.6 ms for the
 scalar loop from (30, 10, 5) to t = 500 on the reference model (2-core
-x86-64 VM, Python 3.11, NumPy 2.4); the batch breaks even near 16 rows.
+x86-64 VM, Python 3.11, NumPy 2.4); the batch breaks even near 32 rows.
 """
 
 from __future__ import annotations
@@ -173,16 +175,43 @@ def _failure(y, t: float, bounds) -> SirsKitError:
         return exc
 
 
-def _combine(y, h, row, ks):
-    """y + h * sum(a * k) over the nonzero weights a of ``row``.  The
-    components are floats in the scalar loop and arrays in the batch."""
-    ds = di = dr = 0.0
-    for a, (k_s, k_i, k_r) in zip(row, ks):
-        if a:
-            ds += a * k_s
-            di += a * k_i
-            dr += a * k_r
-    return (y[0] + h * ds, y[1] + h * di, y[2] + h * dr)
+def _compile_stages(name: str, rows, error):
+    """One straight-line function that takes one step of the tableau
+    ``(rows, error)``: ``stages(rhs, y, h, k)`` returns the new solution,
+    the derivative there (the next step's first stage) and the error
+    estimate, or None for a method without an error row.  ``y`` and ``k``
+    are (S, I, R) triples of floats in the scalar loop and of arrays in
+    the batch.  A stage input is y + h*d, where d = 0.0 + a0*k0 and then
+    d += a*k for each further nonzero weight a, in stage order; the error
+    is 0.0 + h*d over the error row.  The weights enter as their ``repr``,
+    so every float rounds as in that sum, and arrays accumulate in place.
+    """
+    lines = [f"def {name}(rhs, y, h, k):", "    s, i, r = y", "    k0s, k0i, k0r = k"]
+
+    def accumulate(weights):
+        for c in "sir":
+            terms = [f"{a!r} * k{j}{c}" for j, a in enumerate(weights) if a]
+            lines.append(f"    d{c} = 0.0 + {terms[0]}")
+            lines.extend(f"    d{c} += {term}" for term in terms[1:])
+
+    for m, weights in enumerate(rows[:-1], 1):
+        accumulate(weights)
+        lines.append(f"    k{m}s, k{m}i, k{m}r = rhs(s + h * ds, i + h * di, r + h * dr)")
+    accumulate(rows[-1])
+    lines += ["    y_new = (s + h * ds, i + h * di, r + h * dr)", "    k_new = rhs(*y_new)"]
+    if error is None:
+        lines.append("    return y_new, k_new, None")
+    else:
+        lines.append(f"    k{len(rows)}s, k{len(rows)}i, k{len(rows)}r = k_new")
+        accumulate(error)
+        lines.append("    return y_new, k_new, (0.0 + h * ds, 0.0 + h * di, 0.0 + h * dr)")
+    namespace = {}
+    exec(compile("\n".join(lines), f"<{name}>", "exec"), namespace)
+    return namespace[name]
+
+
+_STAGES = {name: _compile_stages(f"_{name}_stages", *tableau)
+           for name, tableau in METHODS.items()}
 
 
 def _step_range(t_end: float):
@@ -199,9 +228,9 @@ def _next_step(h, err_norm, h_min, h_max, smaller=min, larger=max):
     return smaller(h_max, larger(h_min, h * factor))
 
 
-def _run(rhs, y0, t_end, step_or_tol, p, tableau):
-    rows, error = tableau
-    if error:
+def _run(rhs, y0, t_end, step_or_tol, p, method):
+    stages, adaptive = _STAGES[method], METHODS[method][1] is not None
+    if adaptive:
         tol = step_or_tol
         atol = tol * (_ATOL * p.s0)
         h, h_min, h_max = _step_range(t_end)
@@ -215,35 +244,36 @@ def _run(rhs, y0, t_end, step_or_tol, p, tableau):
     history = array("d", (0.0, *y0))  # flat (t, S, I, R) rows
     steps = rejected = 0
     max_error = 0.0
-    while t_end - t > 1e-14 * t_end if error else steps < n_steps:
-        if error:
+    while t_end - t > 1e-14 * t_end if adaptive else steps < n_steps:
+        if adaptive:
             h = min(h, t_end - t)
         else:
             t = steps * step
             h = min(step, t_end - t)
-        ks = [k1]
-        for row in rows:
-            y_new = _combine(y, h, row, ks)
-            ks.append(rhs(*y_new))
-        if error:
-            err = _combine((0.0, 0.0, 0.0), h, error, ks)
+        y_new, k_new, err = stages(rhs, y, h, k1)
+        if adaptive:
             # a non-finite trial step is rejected as if its error were infinite
             if all(map(math.isfinite, err + y_new)):
                 err_norm = max(abs(e) / (atol + tol * max(abs(a), abs(b)))
                                for e, a, b in zip(err, y, y_new))
             else:
                 err_norm = math.inf
-        if not error or err_norm <= 1.0:
-            t = t + h if error or steps < n_steps - 1 else t_end
-            y = _postprocess(y_new, t, clamp, low, top)
-            k1 = ks[-1] if y == y_new else rhs(*y)
+        if not adaptive or err_norm <= 1.0:
+            t = t + h if adaptive or steps < n_steps - 1 else t_end
+            s, i, r = y_new
+            # a state inside Omega is what _postprocess would return unchanged
+            if 0.0 <= s and 0.0 <= i and 0.0 <= r and s + i + r <= top:
+                y, k1 = y_new, k_new
+            else:
+                y = _postprocess(y_new, t, clamp, low, top)
+                k1 = k_new if y == y_new else rhs(*y)
             history.extend((t, *y))
             steps += 1
-            if error:
+            if adaptive:
                 max_error = max(max_error, *map(abs, err))
         else:
             rejected += 1
-        if error:
+        if adaptive:
             h = _next_step(h, err_norm, h_min, h_max)
             if h <= h_min and err_norm > 1.0:
                 raise BlowUpError(_UNDERFLOW.format(t))
@@ -261,7 +291,7 @@ def _run_batch(rhs, y0: np.ndarray, t_end: float, tol: float, p: ModelParams):
     row, its history in ``_run``'s format and its StepStats or the
     SirsKitError that ended it.
     """
-    rows, error = METHODS["rk45_adaptive"]
+    stages = _STAGES["rk45_adaptive"]
     h0, h_min, h_max = _step_range(t_end)
     atol = tol * (_ATOL * p.s0)
     bounds = clamp, low, top = _bounds(p)
@@ -280,11 +310,7 @@ def _run_batch(rhs, y0: np.ndarray, t_end: float, tol: float, p: ModelParams):
         k1 = rhs(*y)
         while idx.size:
             h = np.minimum(h, t_end - t)
-            ks = [k1]
-            for row in rows:
-                y_new = _combine(y, h, row, ks)
-                ks.append(rhs(*y_new))
-            err = _combine((0.0, 0.0, 0.0), h, error, ks)
+            y_new, k_new, err = stages(rhs, y, h, k1)
             err_norm = np.maximum.reduce([np.abs(e) / (atol + tol * np.maximum(np.abs(a), np.abs(b)))
                                           for e, a, b in zip(err, y, y_new)])
             err_norm[~np.logical_and.reduce([np.isfinite(v) for v in err + y_new])] = np.inf
@@ -295,11 +321,11 @@ def _run_batch(rhs, y0: np.ndarray, t_end: float, tol: float, p: ModelParams):
             good = accept & ~bad
             t = np.where(accept, t + h, t)
             y = tuple(np.where(good, c, v) for c, v in zip(clamped, y))
-            k1 = tuple(np.where(good, k, v) for k, v in zip(ks[-1], k1))
+            k1 = tuple(np.where(good, k, v) for k, v in zip(k_new, k1))
             moved = good & ((s != y_new[0]) | (i != y_new[1]) | (r != y_new[2]))
             if moved.any():
-                for k, k_new in zip(k1, rhs(*(v[moved] for v in y))):
-                    k[moved] = k_new
+                for k, k_moved in zip(k1, rhs(*(v[moved] for v in y))):
+                    k[moved] = k_moved
             steps += accept
             rejected += ~accept
             stored = idx[good]
@@ -354,10 +380,10 @@ def _trajectory(history, stats: StepStats) -> Trajectory:
 
 
 def _check_run(p: ModelParams, initials, t_end: float, step_or_tol: float) -> None:
-    if not (t_end > 0):
-        raise ValueError(f"t_end must be positive, got {t_end}")
-    if not (step_or_tol > 0):
-        raise ValueError(f"step_or_tol must be positive, got {step_or_tol}")
+    if not 0.0 < t_end < math.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end}")
+    if not 0.0 < step_or_tol < math.inf:
+        raise ValueError(f"step_or_tol must be positive and finite, got {step_or_tol}")
     for x0 in initials:
         if x0.S + x0.I + x0.R > p.s0:
             raise ValueError(
@@ -379,7 +405,7 @@ def integrate(p: ModelParams, f: IncidenceFunction, x0: State, t_end: float,
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {list(METHODS)}")
     history, stats = _run(make_rhs(p, f), (x0.S, x0.I, x0.R), t_end,
-                          step_or_tol, p, METHODS[method])
+                          step_or_tol, p, method)
     return _trajectory(history, stats)
 
 

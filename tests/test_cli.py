@@ -1,4 +1,9 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -266,30 +271,38 @@ def test_sweep_insufficient_time_exits_2(capsys, high_config, tmp_path):
 
 # Each bad value is rejected by the function that uses it, and a bad
 # command line by the parser; the CLI turns either into one "error:" line
-# and exit code 1.
-@pytest.mark.parametrize("command, flags, named", [
-    ("analyze", ["--grid-n", 0], "unrecognized arguments: --grid-n 0"),
-    ("analyze", ["--grid-n", 1], "unrecognized arguments: --grid-n 1"),
-    ("analyze", ["--k2", 100], "unrecognized arguments: --k2 100"),
-    ("analyze", ["--k1", "nan"], "k1 must be non-negative and finite, got nan"),
-    ("analyze", ["--k1", "inf"], "k1 must be non-negative and finite, got inf"),
-    ("sweep", ["--conv-tol", -1], "conv_tol must be positive and finite, got -1.0"),
-    ("sweep", ["--conv-tol", 0], "conv_tol must be positive and finite, got 0.0"),
-    ("sweep", ["--conv-tol", "nan"], "conv_tol must be positive and finite, got nan"),
-    ("sweep", ["--lattice", 1], "got 1"),
-    ("sweep", ["--lattice", "abc"], "invalid int value: 'abc'"),
-    ("simulate", [], "the following arguments are required: --initial"),
-    ("simulate", ["--initial", "60,0,0"], "sums to 60 > Lambda/mu"),
-    ("simulate", ["--initial", "30,-1,5"], "got -1.0"),
-    ("simulate", ["--initial", "1,2"], "got '1,2'"),
+# and exit code 1.  ``solver``, when given, replaces the config's section.
+@pytest.mark.parametrize("command, flags, solver, named", [
+    ("analyze", ["--grid-n", 0], None, "unrecognized arguments: --grid-n 0"),
+    ("analyze", ["--grid-n", 1], None, "unrecognized arguments: --grid-n 1"),
+    ("analyze", ["--k2", 100], None, "unrecognized arguments: --k2 100"),
+    ("analyze", ["--k1", "nan"], None, "k1 must be non-negative and finite, got nan"),
+    ("analyze", ["--k1", "inf"], None, "k1 must be non-negative and finite, got inf"),
+    ("sweep", ["--conv-tol", -1], None, "conv_tol must be positive and finite, got -1.0"),
+    ("sweep", ["--conv-tol", 0], None, "conv_tol must be positive and finite, got 0.0"),
+    ("sweep", ["--conv-tol", "nan"], None, "conv_tol must be positive and finite, got nan"),
+    ("sweep", ["--lattice", 1], None, "got 1"),
+    ("sweep", ["--lattice", "abc"], None, "invalid int value: 'abc'"),
+    ("sweep", ["--lattice", 2, "--t-end", "inf"], None,
+     "t_end must be positive and finite, got inf"),
+    ("simulate", [], None, "the following arguments are required: --initial"),
+    ("simulate", ["--initial", "60,0,0"], None, "sums to 60 > Lambda/mu"),
+    ("simulate", ["--initial", "30,-1,5"], None, "got -1.0"),
+    ("simulate", ["--initial", "1,2"], None, "got '1,2'"),
+    ("simulate", ["--initial", "30,10,5", "--t-end", "inf"], None,
+     "t_end must be positive and finite, got inf"),
+    ("simulate", ["--initial", "30,10,5"], {"step_or_tol": math.inf},
+     "solver.step_or_tol and solver.t_end must be positive and finite"),
 ], ids=["analyze-grid-0", "analyze-grid-1", "analyze-k2", "analyze-k1-nan",
         "analyze-k1-inf", "sweep-conv-tol-negative", "sweep-conv-tol-0",
         "sweep-conv-tol-nan", "sweep-lattice-1", "sweep-lattice-abc",
-        "simulate-no-initial", "simulate-outside-omega", "simulate-negative",
-        "simulate-two-values"])
-def test_invalid_input_exits_1(capsys, high_config, tmp_path, command, flags, named):
+        "sweep-t-end-inf", "simulate-no-initial", "simulate-outside-omega",
+        "simulate-negative", "simulate-two-values", "simulate-t-end-inf",
+        "config-step-or-tol-inf"])
+def test_invalid_input_exits_1(capsys, high_config, tmp_path, command, flags, solver, named):
+    config = high_config if solver is None else write_config(tmp_path, solver=solver)
     out_flag = [] if command == "analyze" else ["--out", tmp_path / "out"]
-    code, out, err = run_cli(capsys, command, high_config, *flags, *out_flag)
+    code, out, err = run_cli(capsys, command, config, *flags, *out_flag)
     assert code == 1
     assert out == ""
     assert len(err.splitlines()) == 1
@@ -334,6 +347,26 @@ def test_reproduce(capsys, tmp_path):
     assert u_values[0] == 0.0 and u_values[-1] == 50.0
     assert h_values.max() < 0.12
     assert summary["checks"] == json.loads((out_dir / "summary.json").read_text())["checks"]
+
+
+def test_module_entry_point(capsys, tmp_path, high_config):
+    # ``python -m sirskit`` goes through run(), which exits with main's code
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def module(*argv):
+        return subprocess.run([sys.executable, "-m", "sirskit", *map(str, argv)],
+                              capture_output=True, text=True, env=env, check=False)
+
+    out_dir = tmp_path / "repro"
+    ran = module("reproduce", "--out", out_dir)
+    assert ran.returncode == 0, ran.stderr
+    code, out, _ = run_cli(capsys, "reproduce", "--out", out_dir)
+    assert code == 0
+    assert ran.stdout == out
+    refused = module("analyze", high_config, "--k1", "nan")
+    assert refused.returncode == 1
+    assert refused.stdout == ""
+    assert refused.stderr == "error: k1 must be non-negative and finite, got nan\n"
 
 
 def test_reproduce_deterministic(capsys, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -117,6 +118,12 @@ def test_unknown_method():
 @pytest.mark.parametrize("value", [0, -1.5])
 def test_non_positive_solver_setting(key, value):
     rejects(make_doc(solver={key: value}), "must be positive")
+
+
+@pytest.mark.parametrize("key", ["t_end", "step_or_tol"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_non_finite_solver_setting(key, value):
+    rejects(make_doc(solver={key: value}), "must be positive and finite")
 
 
 @pytest.mark.parametrize("section", ["solver"])

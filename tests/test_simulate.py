@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import sirskit.simulate as simulate_mod
 from sirskit import (
@@ -19,6 +21,7 @@ from sirskit import (
     omega_lattice,
     sweep,
 )
+from sirskit.model import make_rhs
 
 from conftest import FAMILY_INSTANCES, HYPOTHESIS_FAMILIES, REF
 
@@ -94,9 +97,100 @@ def test_rk4_order_four_on_linear_decay(ref_params):
         traj = integrate(ref_params, f, State(30, 10, 5), 10.0, "rk4_fixed", step)
         exact = 10.0 * np.exp(-c * traj.times)
         errors.append(np.max(np.abs(traj.states[:, 1] - exact)))
-        assert calls[0] <= 4 * traj.step_stats.steps + 1
+        assert calls[0] == 4 * traj.step_stats.steps + 1
     ratio = errors[0] / errors[1]
     assert 12.0 <= ratio <= 20.0
+
+
+def bilinear_rhs():
+    """The reference model's right-hand side with bilinear incidence, which
+    only multiplies and adds, so floats and arrays round alike."""
+    return make_rhs(ModelParams(**REF), make_builtin("bilinear", {"beta": 0.04}))
+
+
+def looped_sum(y, h, weights, ks):
+    """y + h*(a0*k0 + a1*k1 + ...), summed from 0.0 over the nonzero
+    weights in stage order."""
+    d = (0.0, 0.0, 0.0)
+    for a, k in zip(weights, ks):
+        if a:
+            d = tuple(dc + a * kc for dc, kc in zip(d, k))
+    return tuple(yc + h * dc for yc, dc in zip(y, d))
+
+
+state_component = st.floats(0.0, 50.0)
+step_size = st.floats(1e-6, 2.0)
+
+
+@pytest.mark.parametrize("method", sorted(simulate_mod.METHODS))
+@given(y=st.tuples(state_component, state_component, state_component), h=step_size)
+@settings(max_examples=40, deadline=None)
+def test_stages_float_and_array_bit_identical(method, y, h):
+    rhs = bilinear_rhs()
+    stages = simulate_mod._STAGES[method]
+    y_new, k_new, err = stages(rhs, y, h, rhs(*y))
+    rows = tuple(np.array([v]) for v in y)
+    a_new, ak_new, a_err = stages(rhs, rows, np.array([h]), rhs(*rows))
+    floats = (*y_new, *k_new, *(err or ()))
+    arrays = (*a_new, *ak_new, *(a_err or ()))
+    assert [float(v[0]).hex() for v in arrays] == [v.hex() for v in floats]
+    assert (err is None) == (simulate_mod.METHODS[method][1] is None)
+
+
+@pytest.mark.parametrize("method", sorted(simulate_mod.METHODS))
+@given(y=st.tuples(state_component, state_component, state_component), h=step_size)
+@settings(max_examples=40, deadline=None)
+def test_stages_match_tableau(method, y, h):
+    # Every stage input, the new solution and the error estimate are
+    # y + h*A^T k over the stage's own derivatives k: equal to the sum
+    # looped over the weights in stage order, and to NumPy's sum within a
+    # few ulps of the sum of the terms' magnitudes.
+    rows, error = simulate_mod.METHODS[method]
+    rhs = bilinear_rhs()
+    inputs, outputs = [], []
+
+    def recording(s, i, r):
+        inputs.append((s, i, r))
+        outputs.append(rhs(s, i, r))
+        return outputs[-1]
+
+    k0 = rhs(*y)
+    y_new, k_new, err = simulate_mod._STAGES[method](recording, y, h, k0)
+    assert len(inputs) == len(rows)
+    assert inputs[-1] == y_new and outputs[-1] is k_new
+    ks = np.array([k0, *outputs])
+    y_arr, eps = np.array(y), np.finfo(float).eps
+    for row, stage in zip(rows, inputs):
+        assert stage == looped_sum(y, h, row, ks.tolist())
+        weights = np.array(row)
+        scale = np.abs(y_arr) + h * (np.abs(weights) @ np.abs(ks[:len(row)]))
+        expected = y_arr + h * (weights @ ks[:len(row)])
+        assert np.all(np.abs(np.array(stage) - expected) <= 16 * eps * scale)
+    if error is None:
+        assert err is None
+    else:
+        assert err == looped_sum((0.0, 0.0, 0.0), h, error, ks.tolist())
+        scale = h * (np.abs(error) @ np.abs(ks))
+        assert np.all(np.abs(np.array(err) - h * (np.array(error) @ ks)) <= 16 * eps * scale)
+
+
+S0 = ModelParams(**REF).s0
+TOP = simulate_mod._bounds(ModelParams(**REF))[2]
+near_zero = st.one_of(st.just(-0.0), st.floats(0.0, 2e-13 * S0))
+
+
+@given(y=st.tuples(near_zero, near_zero, near_zero), big=st.floats(S0 * (1 - 1e-12), TOP),
+       at=st.sampled_from([None, 0, 1, 2]))
+@settings(max_examples=200, deadline=None)
+def test_fast_accept_leaves_postprocess_nothing_to_do(y, big, at):
+    # _run accepts a trial state without _postprocess when ``fast`` holds
+    if at is not None:
+        y = y[:at] + (big,) + y[at + 1:]
+    s, i, r = y
+    fast = 0.0 <= s and 0.0 <= i and 0.0 <= r and s + i + r <= TOP
+    assume(fast)
+    kept = simulate_mod._postprocess(y, 1.0, *simulate_mod._bounds(ModelParams(**REF)))
+    assert [v.hex() for v in kept] == [v.hex() for v in y]
 
 
 @pytest.mark.parametrize("t_end, step", [(500.0, 0.01), (2.0, 1e-4), (1.0, 0.3),
