@@ -8,9 +8,10 @@ the bundled reference scenario and verify its expected outputs).
 Reports are deterministic JSON on standard output; ``--out`` redirects
 to files.  ``analyze`` and ``reproduce`` run ``find_endemic`` and
 ``certify`` at their library defaults.  Exit codes: 0 success, 1 input
-error (a bad config, command line or flag value), 2 analysis-level
-failure (a failed hypothesis, a sweep run that does not converge or a
-failed ``reproduce`` check), 3 internal solver error.  A refused
+error (a bad config, command line or flag value, or an unwritable
+output path), 2 analysis-level failure (a failed hypothesis, a sweep
+run that does not converge or a failed ``reproduce`` check), 3 internal
+solver error.  A refused
 certificate is a result, not a failure: ``analyze`` reports it with
 ``"granted": false`` and exits 0.
 """
@@ -29,7 +30,8 @@ from .equilibria import find_endemic
 from .errors import ConfigError, SirsKitError
 from .incidence import check_hypotheses, compute_beta, make_builtin
 from .model import ModelParams, State, dfe
-from .simulate import attractor, integrate, omega_lattice, sweep, write_csv
+from .simulate import (attractor, integrate, omega_lattice, sweep, write_csv,
+                       write_trajectories)
 from .stability import certify, secant_slope
 
 EXIT_OK = 0
@@ -161,13 +163,15 @@ def cmd_sweep(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     doc = report.as_dict()
+    jobs = []
     for index, run in enumerate(report.runs):
         name = f"run_{index:03d}.csv"
         if run.trajectory is not None:
-            run.trajectory.to_csv(out_dir / name)
+            jobs.append((out_dir / name, run.trajectory))
             doc["runs"][index]["csv"] = name
         else:
             doc["runs"][index]["csv"] = None
+    write_trajectories(jobs)
     text = jsonio.dumps(doc)
     (out_dir / "report.json").write_text(text)
     sys.stdout.write(text)
@@ -313,7 +317,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (SirsKitError, OverflowError) as exc:

@@ -19,11 +19,20 @@ its history in blocks.  ``integrate`` stays scalar: a batch of one pays
 NumPy's per-call cost on every stage, about 45 ms against 1.6 ms for the
 scalar loop from (30, 10, 5) to t = 500 on the reference model (2-core
 x86-64 VM, Python 3.11, NumPy 2.4); the batch breaks even near 32 rows.
+
+``sweep``'s CSVs are written by ``write_trajectories``, one forked
+process per usable CPU, with no option to set: formatting the floats,
+not integrating, is most of a large sweep's time.  Where ``os.fork`` is
+missing, or only one CPU is usable, it writes them all in-process.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import signal
+import sys
 from array import array
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -106,6 +115,71 @@ def write_csv(path, header: str, *columns) -> None:
     with open(path, "w", newline="") as handle:
         handle.write(header + "\n")
         handle.writelines(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+def write_trajectories(jobs: Sequence[tuple]) -> None:
+    """Write each ``(path, trajectory)`` of ``jobs`` with ``to_csv``.
+
+    With n = min(usable CPUs, len(jobs)) > 1, forked child w = 1..n-1
+    writes ``jobs[w::n]`` from the memory it shares with the caller, and
+    the caller writes ``jobs[0::n]``, then reaps them.  A child that
+    fails prints one line on standard error; the call then raises
+    ``OSError``.  If the caller itself raises, it kills and reaps its
+    children first, so no process outlives the call.
+    """
+    n = max(1, min(_usable_cpus(), len(jobs))) if hasattr(os, "fork") else 1
+    children = []
+    try:
+        for w in range(1, n):
+            # no signal handler may raise between the fork and the append
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _write_share_and_exit(jobs[w::n], mask)
+                children.append(pid)
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for path, trajectory in jobs[0::n]:
+            trajectory.to_csv(path)
+        failed = 0
+        while children:
+            _, status = os.waitpid(children[-1], 0)
+            children.pop()
+            failed += os.waitstatus_to_exitcode(status) != 0
+    finally:
+        for pid in children:
+            # a signal between a reap and its pop leaves a reaped pid here
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    if failed:
+        raise OSError(f"{failed} of {n - 1} CSV writer processes failed")
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _write_share_and_exit(jobs, mask) -> None:
+    """Forked child: restore the signal ``mask``, write ``jobs`` and leave
+    with ``os._exit``, which neither flushes the parent's stdio buffers nor
+    returns to the caller.  Any exception, an interrupt too, exits 1."""
+    code = 1
+    try:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for path, trajectory in jobs:
+            trajectory.to_csv(path)
+        code = 0
+    except BaseException as exc:
+        line = f"sirskit: CSV writer {os.getpid()}: {type(exc).__name__}: {exc}\n"
+        with contextlib.suppress(AttributeError, OSError):  # no stderr to write to
+            os.write(sys.__stderr__.fileno(), line.encode(errors="replace"))
+    finally:
+        os._exit(code)
 
 
 @dataclass(frozen=True)

@@ -269,39 +269,56 @@ def test_sweep_insufficient_time_exits_2(capsys, high_config, tmp_path):
     assert json.loads(out)["converged_fraction"] < 1.0
 
 
-# Each bad value is rejected by the function that uses it, and a bad
-# command line by the parser; the CLI turns either into one "error:" line
-# and exit code 1.  ``solver``, when given, replaces the config's section.
-@pytest.mark.parametrize("command, flags, solver, named", [
-    ("analyze", ["--grid-n", 0], None, "unrecognized arguments: --grid-n 0"),
-    ("analyze", ["--grid-n", 1], None, "unrecognized arguments: --grid-n 1"),
-    ("analyze", ["--k2", 100], None, "unrecognized arguments: --k2 100"),
-    ("analyze", ["--k1", "nan"], None, "k1 must be non-negative and finite, got nan"),
-    ("analyze", ["--k1", "inf"], None, "k1 must be non-negative and finite, got inf"),
-    ("sweep", ["--conv-tol", -1], None, "conv_tol must be positive and finite, got -1.0"),
-    ("sweep", ["--conv-tol", 0], None, "conv_tol must be positive and finite, got 0.0"),
-    ("sweep", ["--conv-tol", "nan"], None, "conv_tol must be positive and finite, got nan"),
-    ("sweep", ["--lattice", 1], None, "got 1"),
-    ("sweep", ["--lattice", "abc"], None, "invalid int value: 'abc'"),
+# Each bad value is rejected by the function that uses it, a bad command
+# line by the parser and an unwritable output path by the OS; the CLI
+# turns each into one "error:" line and exit code 1.  ``solver``, when
+# given, replaces the config's section.  ``out_path`` is the --out path
+# under tmp_path, "out" when None; "taken/run_001.csv" is a directory, so
+# sweep cannot write its second CSV there.
+@pytest.mark.parametrize("command, flags, solver, named, out_path", [
+    ("analyze", ["--grid-n", 0], None, "unrecognized arguments: --grid-n 0", None),
+    ("analyze", ["--grid-n", 1], None, "unrecognized arguments: --grid-n 1", None),
+    ("analyze", ["--k2", 100], None, "unrecognized arguments: --k2 100", None),
+    ("analyze", ["--k1", "nan"], None, "k1 must be non-negative and finite, got nan",
+     None),
+    ("analyze", ["--k1", "inf"], None, "k1 must be non-negative and finite, got inf",
+     None),
+    ("sweep", ["--conv-tol", -1], None, "conv_tol must be positive and finite, got -1.0",
+     None),
+    ("sweep", ["--conv-tol", 0], None, "conv_tol must be positive and finite, got 0.0",
+     None),
+    ("sweep", ["--conv-tol", "nan"], None, "conv_tol must be positive and finite, got nan",
+     None),
+    ("sweep", ["--lattice", 1], None, "got 1", None),
+    ("sweep", ["--lattice", "abc"], None, "invalid int value: 'abc'", None),
     ("sweep", ["--lattice", 2, "--t-end", "inf"], None,
-     "t_end must be positive and finite, got inf"),
-    ("simulate", [], None, "the following arguments are required: --initial"),
-    ("simulate", ["--initial", "60,0,0"], None, "sums to 60 > Lambda/mu"),
-    ("simulate", ["--initial", "30,-1,5"], None, "got -1.0"),
-    ("simulate", ["--initial", "1,2"], None, "got '1,2'"),
+     "t_end must be positive and finite, got inf", None),
+    ("simulate", [], None, "the following arguments are required: --initial", None),
+    ("simulate", ["--initial", "60,0,0"], None, "sums to 60 > Lambda/mu", None),
+    ("simulate", ["--initial", "30,-1,5"], None, "got -1.0", None),
+    ("simulate", ["--initial", "1,2"], None, "got '1,2'", None),
     ("simulate", ["--initial", "30,10,5", "--t-end", "inf"], None,
-     "t_end must be positive and finite, got inf"),
+     "t_end must be positive and finite, got inf", None),
     ("simulate", ["--initial", "30,10,5"], {"step_or_tol": math.inf},
-     "solver.step_or_tol and solver.t_end must be positive and finite"),
+     "solver.step_or_tol and solver.t_end must be positive and finite", None),
+    ("sweep", [], None, "File exists", "high.json"),
+    ("simulate", ["--initial", "30,10,5"], None, "No such file or directory",
+     "missing/traj.csv"),
+    ("sweep", ["--lattice", 3], None, "1 of 1 CSV writer processes failed", "taken"),
 ], ids=["analyze-grid-0", "analyze-grid-1", "analyze-k2", "analyze-k1-nan",
         "analyze-k1-inf", "sweep-conv-tol-negative", "sweep-conv-tol-0",
         "sweep-conv-tol-nan", "sweep-lattice-1", "sweep-lattice-abc",
         "sweep-t-end-inf", "simulate-no-initial", "simulate-outside-omega",
         "simulate-negative", "simulate-two-values", "simulate-t-end-inf",
-        "config-step-or-tol-inf"])
-def test_invalid_input_exits_1(capsys, high_config, tmp_path, command, flags, solver, named):
+        "config-step-or-tol-inf", "sweep-out-is-a-file", "simulate-out-dir-missing",
+        "sweep-csv-writer-fails"])
+def test_invalid_input_exits_1(capsys, monkeypatch, high_config, tmp_path, command, flags,
+                               solver, named, out_path):
+    # two CSV writers, so that sweep's run_001.csv falls to a forked child
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    (tmp_path / "taken" / "run_001.csv").mkdir(parents=True)
     config = high_config if solver is None else write_config(tmp_path, solver=solver)
-    out_flag = [] if command == "analyze" else ["--out", tmp_path / "out"]
+    out_flag = [] if command == "analyze" else ["--out", tmp_path / (out_path or "out")]
     code, out, err = run_cli(capsys, command, config, *flags, *out_flag)
     assert code == 1
     assert out == ""

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import os
+import signal
 import time
 
 import numpy as np
@@ -422,3 +424,86 @@ def test_trajectory_csv_format(tmp_path, ref_params, high_incidence):
     first = [float(v) for v in lines[1].split(",")]
     assert first == [0.0, 30.0, 10.0, 5.0]
     assert not lines[-1].endswith(",")
+
+
+def _csv_jobs(ref_params, high_incidence, directory, count):
+    directory.mkdir()
+    initials = omega_lattice(ref_params, 4, include_i_zero=False)[:count]
+    return [(directory / f"run_{index:03d}.csv",
+             integrate(ref_params, high_incidence, initial, 5.0, "rk45_adaptive", 1e-8))
+            for index, initial in enumerate(initials)]
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_write_trajectories_matches_serial_to_csv(tmp_path, monkeypatch, ref_params,
+                                                  high_incidence, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    jobs = _csv_jobs(ref_params, high_incidence, tmp_path / "forked", 2 * cpus + 1)
+    simulate_mod.write_trajectories(jobs)
+    _assert_no_child_left()
+    for path, traj in jobs:
+        serial = tmp_path / "serial.csv"
+        traj.to_csv(serial)
+        assert path.read_bytes() == serial.read_bytes()
+
+
+def test_write_trajectories_one_cpu_does_not_fork(tmp_path, monkeypatch, ref_params,
+                                                  high_incidence):
+    def no_fork():
+        raise AssertionError("forked with one usable CPU")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "fork", no_fork)
+    jobs = _csv_jobs(ref_params, high_incidence, tmp_path / "out", 3)
+    simulate_mod.write_trajectories(jobs)
+    assert all(path.read_text().startswith("t,S,I,R\n") for path, _ in jobs)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("failing, raised", [
+    (1, "1 of 1 CSV writer processes failed"),
+    (0, "No such file or directory"),
+], ids=["child", "parent"])
+def test_write_trajectories_failure_raises_and_reaps(tmp_path, monkeypatch, ref_params,
+                                                     high_incidence, failing, raised):
+    # With two writers, job 1 falls to the forked child and job 0 to the caller.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    jobs = _csv_jobs(ref_params, high_incidence, tmp_path / "out", 4)
+    jobs[failing] = (tmp_path / "missing" / "run.csv", jobs[failing][1])
+    with pytest.raises(OSError, match=raised):
+        simulate_mod.write_trajectories(jobs)
+    _assert_no_child_left()
+
+
+class _Interrupted(BaseException):
+    pass
+
+
+# An exception the handler raises inside os.fork's own hooks is only
+# printed; the error filter makes that fail the test.
+@pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+@pytest.mark.parametrize("delay", [1e-5, 1e-4, 1e-3, 1e-2])
+def test_write_trajectories_interrupted_reaps(tmp_path, monkeypatch, ref_params,
+                                              high_incidence, delay):
+    # a signal handler that raises, as a deadline does, at some point of the call
+    def interrupt(signum, frame):
+        raise _Interrupted()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    jobs = _csv_jobs(ref_params, high_incidence, tmp_path / "out", 9)
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, delay)
+        simulate_mod.write_trajectories(jobs)
+    except _Interrupted:
+        pass
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    _assert_no_child_left()
