@@ -11,10 +11,13 @@ Endemic equilibria are therefore roots of
 
     g(I) = f1(equilibrium_line(I), I) - infected_outflow
 
-on (0, I0), where I0 is the line's I-axis intercept.  The solver scans
-uniform subintervals for sign changes and bisects each to adjacent
-doubles, then verifies every candidate as a root of the vector field.
-It reports a list and does not assume uniqueness.
+on (0, I0), where I0 is the line's I-axis intercept.  Under (H1) and
+(H2) the root is unique (Korobeinikov & Maini, Math. Med. Biol. 22,
+2005): along the line S falls as I rises, so f1 falls, and g is
+strictly decreasing from g(0) = outflow*(R0 - 1) to g(I0) = -outflow.
+The solver therefore evaluates g at the two ends of (0, I0), bisects
+that one bracket to adjacent doubles when g changes sign across it,
+and verifies the root against the vector field.
 """
 
 from __future__ import annotations
@@ -32,10 +35,10 @@ from .model import ModelParams, State, dfe, r0, vector_field
 class EquilibriumReport:
     """Disease-free and endemic equilibria with diagnostics.
 
-    ``endemic`` holds (State, residual max-norm) pairs sorted by I.
-    ``i0`` is the I-axis intercept of the equilibrium line.
-    ``bracket_log`` lists the (I_lo, I_hi) subintervals where a sign
-    change was found.
+    ``endemic`` holds the one (State, residual max-norm) pair, or is
+    empty.  ``i0`` is the I-axis intercept of the equilibrium line.
+    ``bracket_log`` holds the (I_lo, I_hi) bracket that was bisected, or
+    is empty.
     """
 
     dfe: State
@@ -78,9 +81,6 @@ def verify_equilibrium(p: ModelParams, f: IncidenceFunction, x: State) -> float:
     return float(np.max(np.abs(vector_field(p, f, x))))
 
 
-# Uniform subintervals of (eps, I0 - eps) scanned for sign changes of g.
-_N_BRACKETS = 256
-
 # Halving reaches adjacent doubles within about 2,100 steps even across the
 # whole exponent range, so the cap only guards against a runaway loop.
 _BISECT_MAX_ITER = 2_200
@@ -102,31 +102,24 @@ def _bisect(g, lo: float, hi: float, g_lo: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _roots(g, grid: np.ndarray, values: np.ndarray) -> list:
-    """(root, bracket) pairs of g in grid order, given its ``values`` on
-    ``grid``: a sample where g is exactly zero is a root with bracket
-    (x, x), and a sign change between adjacent samples is bisected."""
-    grid, values = grid.tolist(), values.tolist()
-    found = []
-    for n, (x, v) in enumerate(zip(grid, values)):
-        if v == 0.0:
-            found.append((x, (x, x)))
-        elif n + 1 < len(grid) and (v < 0.0 < values[n + 1] or v > 0.0 > values[n + 1]):
-            found.append((_bisect(g, x, grid[n + 1], v), (x, grid[n + 1])))
-    return found
-
-
 def find_endemic(p: ModelParams, f: IncidenceFunction) -> EquilibriumReport:
-    """Locate endemic equilibria and verify them against the vector field.
+    """Locate the endemic equilibrium and verify it against the vector field.
 
-    Scans 256 uniform subintervals of (eps, I0 - eps) with
-    eps = 1e-9*I0 for sign changes of g, bisects each bracket to
-    adjacent doubles, reconstructs S from the equilibrium line
-    and R = gamma2*I/(mu+delta), and requires the vector-field residual
-    of every candidate to stay below 1e-10*Lambda.
+    Evaluates g at the ends of the bracket (eps, I0 - eps), with
+    eps = 1e-9*I0.  When g is positive at the lower end and negative at
+    the upper one, bisects that bracket to adjacent doubles,
+    reconstructs S from the equilibrium line and
+    R = gamma2*I/(mu+delta), and requires the vector-field residual to
+    stay below 1e-10*Lambda.  Otherwise there is no endemic equilibrium.
 
-    Raises BracketFailureError (carrying the 257 g samples) when R0 > 1
-    but no sign change is found, and VerificationError when a candidate
+    Precondition: f satisfies (H1) and (H2), under which the root is
+    unique.  For any other f1 the result holds at most one root, and
+    other roots may be missed.  ``attractor`` does not check the
+    hypotheses, but every built-in family that passes ``compute_beta``
+    satisfies them.
+
+    Raises BracketFailureError, giving g at both ends, when R0 > 1 but
+    the ends do not bracket a root, and VerificationError when the root
     fails the residual check.
     """
     r0_value = r0(p, f)
@@ -137,33 +130,24 @@ def find_endemic(p: ModelParams, f: IncidenceFunction) -> EquilibriumReport:
         return float(f.eval_f1(equilibrium_line(p, i), i)) - outflow
 
     eps = 1e-9 * i0
-    grid = np.linspace(eps, i0 - eps, _N_BRACKETS + 1)
-    g_values = np.asarray(f.eval_f1(equilibrium_line(p, grid), grid), dtype=float) - outflow
-    found = _roots(g, grid, g_values)
+    lo, hi = eps, i0 - eps
+    g_lo, g_hi = g(lo), g(hi)
+    if not g_lo > 0.0 > g_hi:
+        # The failure guard needs R0 above 1 by more than round-off: at the
+        # threshold itself the root merges with I = 0 and an empty result is
+        # the correct answer, not a missed bracket.
+        if r0_value > 1 + 1e-9:
+            raise BracketFailureError(
+                f"R0 = {r0_value:g} > 1 but g does not fall from positive to negative "
+                f"across the bracket: g({lo:g}) = {g_lo:g}, g({hi:g}) = {g_hi:g}")
+        return EquilibriumReport(dfe=dfe(p), r0=r0_value, i0=i0)
 
-    # The failure guard needs R0 above 1 by more than round-off: at the
-    # threshold itself the root merges with I = 0 and an empty result is
-    # the correct answer, not a missed bracket.
-    if r0_value > 1 + 1e-9 and not found:
-        raise BracketFailureError(
-            f"R0 = {r0_value:g} > 1 but no sign change in {_N_BRACKETS} brackets",
-            samples=[(float(i), float(v)) for i, v in zip(grid, g_values)])
-
+    i_star = _bisect(g, lo, hi, g_lo)
+    state = State(equilibrium_line(p, i_star), i_star, p.gamma2 * i_star / (p.mu + p.delta))
+    residual = verify_equilibrium(p, f, state)
     gate = 1e-10 * p.Lambda
-    endemic = []
-    for i_star, _ in found:
-        state = State(equilibrium_line(p, i_star), i_star,
-                      p.gamma2 * i_star / (p.mu + p.delta))
-        residual = verify_equilibrium(p, f, state)
-        if residual >= gate:
-            raise VerificationError(
-                f"candidate at I = {i_star:.12g} has residual {residual:g} >= {gate:g}")
-        endemic.append((state, residual))
-
-    return EquilibriumReport(
-        dfe=dfe(p),
-        endemic=endemic,
-        r0=r0_value,
-        i0=i0,
-        bracket_log=[bracket for _, bracket in found],
-    )
+    if residual >= gate:
+        raise VerificationError(
+            f"candidate at I = {i_star:.12g} has residual {residual:g} >= {gate:g}")
+    return EquilibriumReport(dfe=dfe(p), endemic=[(state, residual)], r0=r0_value, i0=i0,
+                             bracket_log=[(lo, hi)])

@@ -18,15 +18,8 @@ class HypothesisViolationError(SirsKitError):
 
 
 class BracketFailureError(SirsKitError):
-    """No sign change found while scanning for an endemic equilibrium.
-
-    Carries the sampled values of the scan function so the caller can
-    inspect them or retry with more brackets.
-    """
-
-    def __init__(self, message, samples):
-        super().__init__(message)
-        self.samples = samples
+    """R0 > 1, yet the equilibrium function does not change sign across
+    its bracket; the message gives its values at both ends."""
 
 
 class VerificationError(SirsKitError):

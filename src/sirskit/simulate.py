@@ -50,6 +50,7 @@ _CLAMP = 2e-14  # times S0
 _OMEGA_SLACK = 2e-8  # times S0
 _ATOL = 2e-2  # absolute error tolerance, times S0 and the relative tolerance
 _BATCH_ROWS = 32  # accepted states a batch row holds before they join its history
+_NON_FINITE = "state non-finite at t = {:g}"
 _UNDERFLOW = "step size underflow at t = {:g}"
 _EXHAUSTED = "step budget exhausted; integration is not progressing"
 
@@ -228,7 +229,7 @@ def _bounds(p: ModelParams):
 def _postprocess(y, t: float, clamp: float, low: float, top: float):
     s, i, r = y
     if not (math.isfinite(s) and math.isfinite(i) and math.isfinite(r)):
-        raise BlowUpError(f"state non-finite at t = {t:g}")
+        raise BlowUpError(_NON_FINITE.format(t))
     if clamp <= s < 0.0:
         s = 0.0
     if clamp <= i < 0.0:
@@ -324,23 +325,36 @@ def _run(rhs, y0, t_end, step_or_tol, p, method):
         else:
             t = steps * step
             h = min(step, t_end - t)
-        y_new, k_new, err = stages(rhs, y, h, k1)
-        if adaptive:
-            # a non-finite trial step is rejected as if its error were infinite
-            if all(map(math.isfinite, err + y_new)):
-                err_norm = max(abs(e) / (atol + tol * max(abs(a), abs(b)))
-                               for e, a, b in zip(err, y, y_new))
-            else:
-                err_norm = math.inf
+        # A stage far outside Omega can overflow (OverflowError from
+        # ``float ** q``) or leave the reals (a negative base to a fractional
+        # power gives a complex, which math.isfinite and ``<=`` reject with
+        # TypeError).  The adaptive method then rejects the trial step as if
+        # its error were infinite, as the batch does with inf and nan; the
+        # fixed-step method cannot, and stops with BlowUpError.
+        try:
+            y_new, k_new, err = stages(rhs, y, h, k1)
+            if adaptive:
+                if all(map(math.isfinite, err + y_new)):
+                    err_norm = max(abs(e) / (atol + tol * max(abs(a), abs(b)))
+                                   for e, a, b in zip(err, y, y_new))
+                else:
+                    err_norm = math.inf
+        except (OverflowError, TypeError):
+            if not adaptive:
+                raise BlowUpError(_NON_FINITE.format(t + h)) from None
+            err_norm = math.inf
         if not adaptive or err_norm <= 1.0:
             t = t + h if adaptive or steps < n_steps - 1 else t_end
             s, i, r = y_new
-            # a state inside Omega is what _postprocess would return unchanged
-            if 0.0 <= s and 0.0 <= i and 0.0 <= r and s + i + r <= top:
-                y, k1 = y_new, k_new
-            else:
-                y = _postprocess(y_new, t, clamp, low, top)
-                k1 = k_new if y == y_new else rhs(*y)
+            try:
+                # a state inside Omega is what _postprocess would return unchanged
+                if 0.0 <= s and 0.0 <= i and 0.0 <= r and s + i + r <= top:
+                    y, k1 = y_new, k_new
+                else:
+                    y = _postprocess(y_new, t, clamp, low, top)
+                    k1 = k_new if y == y_new else rhs(*y)
+            except TypeError:  # only a fixed step is accepted off the reals
+                raise BlowUpError(_NON_FINITE.format(t)) from None
             history.extend((t, *y))
             steps += 1
             if adaptive:

@@ -327,19 +327,32 @@ def test_invalid_input_exits_1(capsys, monkeypatch, high_config, tmp_path, comma
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command, flags", [
-    ("simulate", ["--initial", "45,1,1", "--t-end", 10]),
-    ("sweep", ["--lattice", 2]),
-])
-def test_overflowing_incidence_exits_3(capsys, tmp_path, command, flags):
-    # 50**200 overflows a float
-    cfg = write_config(tmp_path, incidence={"family": "power",
-                                            "coefficients": {"k": 1e-300, "q": 200}})
+# 50**200 overflows a float at the initial state.  Fixed steps fail later:
+# from (30, 10, 5) the first step of 10 reaches S < 0, where S**2.5 is
+# complex, and from (10, 30, 5) a stage of the first step of 100 overflows S**3.
+_OVERFLOWING = {"family": "power", "coefficients": {"k": 1e-300, "q": 200}}
+_OFF_THE_REALS = {"family": "power", "coefficients": {"k": 0.0008 / 50 ** 0.5, "q": 2.5}}
+_CUBIC = {"family": "power", "coefficients": {"k": 0.0008 / 50, "q": 3}}
+
+
+@pytest.mark.parametrize("command, flags, incidence, solver, error", [
+    ("simulate", ["--initial", "45,1,1", "--t-end", 10], _OVERFLOWING, None, "OverflowError"),
+    ("sweep", ["--lattice", 2], _OVERFLOWING, None, "OverflowError"),
+    ("simulate", ["--initial", "30,10,5", "--t-end", 500], _OFF_THE_REALS,
+     {"method": "rk4_fixed", "step_or_tol": 10}, "BlowUpError"),
+    ("simulate", ["--initial", "10,30,5", "--t-end", 500], _CUBIC,
+     {"method": "rk4_fixed", "step_or_tol": 100}, "BlowUpError"),
+], ids=["simulate-flags0", "sweep-flags1", "simulate-rk4-off-the-reals",
+        "simulate-rk4-stage-overflow"])
+def test_overflowing_incidence_exits_3(capsys, tmp_path, command, flags, incidence, solver,
+                                       error):
+    extra = {} if solver is None else {"solver": solver}
+    cfg = write_config(tmp_path, incidence=incidence, **extra)
     code, out, err = run_cli(capsys, command, cfg, *flags, "--out", tmp_path / "out")
     assert code == 3
     assert out == ""
     assert len(err.splitlines()) == 1
-    assert err.startswith("error: OverflowError: ")
+    assert err.startswith(f"error: {error}: ")
 
 
 def test_reproduce(capsys, tmp_path):

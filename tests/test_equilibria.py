@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sirskit import (
     BracketFailureError,
@@ -21,7 +23,7 @@ from sirskit import (
     verify_equilibrium,
 )
 
-from conftest import REF
+from conftest import HYPOTHESIS_FAMILIES, REF
 
 REFERENCE_ENDEMIC = (29.5804, 9.4244, 6.2830)
 
@@ -120,15 +122,44 @@ def test_no_endemic_when_r0_below_one(family, make_coefs):
         assert report.endemic == []
 
 
-def test_bracket_failure_carries_samples(ref_params):
+@given(family=st.sampled_from(HYPOTHESIS_FAMILIES), lam=st.floats(1e-3, 1e4),
+       mu=st.floats(0.01, 2.0), rates=st.tuples(*[st.floats(0.0, 2.0)] * 4),
+       target_r0=st.floats(1.2, 5.0), q=st.floats(0.5, 4.0),
+       a_s0=st.floats(0.0, 10.0), b_s0=st.floats(0.0, 10.0))
+@settings(max_examples=200, deadline=None)
+def test_one_endemic_equilibrium_from_one_bracket(family, lam, mu, rates, target_r0, q,
+                                                  a_s0, b_s0):
+    # Under (H1)-(H2) g falls from outflow*(R0 - 1) at I = 0 to -outflow at
+    # I0, so the ends of the bracket hold the one sign change.
+    p = ModelParams(lam, mu, *rates)
+    f1_s0 = target_r0 * p.infected_outflow  # f1(S0, 0), which sets R0
+    f = make_builtin(family, {
+        "bilinear": {"beta": f1_s0 / p.s0},
+        "power": {"k": f1_s0 / p.s0 ** q, "q": q},
+        "saturated_in_I": {"beta": f1_s0 / p.s0, "a": a_s0 / p.s0},
+        "psi_ratio": {"beta": f1_s0 / p.s0, "a": a_s0 / p.s0, "b": b_s0 / p.s0 ** 2},
+    }[family])
+    report = find_endemic(p, f)
+    assert report.r0 == pytest.approx(target_r0, rel=1e-9)
+    assert len(report.endemic) == 1
+    i0 = i_axis_intercept(p)
+    assert report.bracket_log == [(1e-9 * i0, i0 - 1e-9 * i0)]
+    state, residual = report.endemic[0]
+    assert 0.0 < state.I < i0
+    assert residual < 1e-10 * p.Lambda
+
+
+def test_bracket_failure_reports_g_at_both_ends(ref_params):
     # f1 constant above the outflow rate: R0 > 1 yet g never changes sign.
     c = 2.0 * ref_params.infected_outflow
     f = from_callables(lambda S, I: c * I + 0.0 * S, label="constant-f1")
     with pytest.raises(BracketFailureError) as excinfo:
         find_endemic(ref_params, f)
-    samples = excinfo.value.samples
-    assert len(samples) == 257
-    assert all(g > 0 for _, g in samples)
+    i0 = i_axis_intercept(ref_params)
+    g = f"{ref_params.infected_outflow:g}"  # g = c - outflow at every I
+    assert str(excinfo.value) == (
+        f"R0 = 2 > 1 but g does not fall from positive to negative across the bracket: "
+        f"g({1e-9 * i0:g}) = {g}, g({i0 - 1e-9 * i0:g}) = {g}")
 
 
 def test_inconsistent_f1_fails_verification(ref_params):

@@ -52,9 +52,12 @@ def test_subcritical_converges_to_dfe(ref_params, low_incidence):
 
 
 def test_supercritical_converges_to_endemic(ref_params, high_incidence):
-    traj = integrate(ref_params, high_incidence, State(30, 10, 5), 500.0,
-                     "rk45_adaptive", 1e-8)
-    assert np.max(np.abs(traj.states[-1] - REFERENCE_ENDEMIC)) < 1e-2
+    # At t_end = 2e5 the first step, t_end/1000, puts a trial stage where
+    # ``S ** q`` overflows; that step must be rejected, not abort the run.
+    for t_end in (500.0, 2e5):
+        traj = integrate(ref_params, high_incidence, State(30, 10, 5), t_end,
+                         "rk45_adaptive", 1e-8)
+        assert np.max(np.abs(traj.states[-1] - REFERENCE_ENDEMIC)) < 1e-2
 
 
 def test_dfe_initial_stays_constant(ref_params, high_incidence):
@@ -349,29 +352,35 @@ def test_sweep_records_failures_without_aborting(ref_params):
     assert [run["distance"] for run in runs] == [None, report.runs[1].distance]
 
 
-@pytest.mark.parametrize("k, initials", [
-    (0.0002, "lattice"), (0.0008, "lattice"), (0.0008, "target"),
-    (0.0008, [State(30.0, 10.0, 5.0)]), (0.0008, []),
-], ids=["lattice6-subcritical", "lattice6-supercritical", "target", "single", "empty"])
-def test_batched_sweep_matches_integrate(ref_params, k, initials):
-    f = make_builtin("power", {"k": k, "q": 2.0})
+# q = 2.5 with k = 0.0008/sqrt(50) keeps R0 at the reference value; to
+# t_end = 1e4 trial stages leave Omega, where ``S ** q`` turns complex (the
+# scalar loop) or nan (the batch), and both must reject the same steps.
+@pytest.mark.parametrize("k, q, t_end, initials", [
+    (0.0002, 2.0, 500.0, "lattice"), (0.0008, 2.0, 500.0, "lattice"),
+    (0.0008, 2.0, 500.0, "target"), (0.0008, 2.0, 500.0, [State(30.0, 10.0, 5.0)]),
+    (0.0008, 2.0, 500.0, []),
+    (0.0008 / math.sqrt(50.0), 2.5, 1e4, [State(30.0, 10.0, 5.0)]),
+], ids=["lattice6-subcritical", "lattice6-supercritical", "target", "single", "empty",
+        "off-the-reals"])
+def test_batched_sweep_matches_integrate(ref_params, k, q, t_end, initials):
+    f = make_builtin("power", {"k": k, "q": q})
     target = attractor(ref_params, f)
     if initials == "lattice":
         initials = omega_lattice(ref_params, 6, include_i_zero=(target.I == 0.0))
     elif initials == "target":
         initials = [target]
-    report = sweep(ref_params, f, initials, 500.0, 1e-2)
+    report = sweep(ref_params, f, initials, t_end, 1e-2)
     assert [run.initial for run in report.runs] == initials
     for run in report.runs:
-        alone = integrate(ref_params, f, run.initial, 500.0, "rk45_adaptive", 1e-8)
+        alone = integrate(ref_params, f, run.initial, t_end, "rk45_adaptive", 1e-8)
         traj = run.trajectory
         assert run.error is None
         assert traj.step_stats[:2] == alone.step_stats[:2]
         assert len(traj.times) == len(alone.times)
-        assert traj.times[0] == 0.0 and traj.times[-1] == 500.0
+        assert traj.times[0] == 0.0 and traj.times[-1] == t_end
         assert tuple(traj.states[0]) == (run.initial.S, run.initial.I, run.initial.R)
         assert np.max(np.abs(traj.states - alone.states)) <= 1e-7
-        assert np.max(np.abs(traj.times - alone.times)) <= 1e-6 * 500.0
+        assert np.max(np.abs(traj.times - alone.times)) <= 1e-6 * t_end
 
 
 @pytest.mark.parametrize("k", [0.0002, 0.0008], ids=["subcritical", "supercritical"])
