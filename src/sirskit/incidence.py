@@ -24,15 +24,24 @@ numpy arrays (all built-ins do); grid scans rely on this.  So does the
 f1 derived from a user-supplied f, which calls f once on the array of
 entries with I > 0 and fills the entries with I <= 0 from one
 array-valued small-I limit.
+
+Each built-in family declares f and f1 as expression text in S, I and
+its coefficients.  ``make_builtin`` compiles that text once per family
+and binds the coefficients as values, so no coefficient is ever source
+text; ``formula`` gives the f text back for the function built from it,
+which the integrator then inlines into its compiled loop.
 """
 
 from __future__ import annotations
 
+import functools
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
 
+from .codegen import define
 from .errors import EvaluationError, HypothesisViolationError, LimitConvergenceError
 
 # Strictness threshold for sign checks on f1, a per-capita rate that does
@@ -99,63 +108,39 @@ class HypothesisReport:
         }
 
 
-def _builtin_bilinear(c):
-    beta = c["beta"]
-    return IncidenceFunction(
-        eval_f=lambda S, I: beta * S * I,
-        eval_f1=lambda S, I: beta * S + 0.0 * I,
-        label=f"bilinear(beta={beta:g})",
-    )
-
-
-def _builtin_power(c):
-    k, q = c["k"], c["q"]
-    return IncidenceFunction(
-        eval_f=lambda S, I: k * I * S ** q,
-        eval_f1=lambda S, I: k * S ** q + 0.0 * I,
-        label=f"power(k={k:g}, q={q:g})",
-    )
-
-
-def _builtin_saturated_in_i(c):
-    beta, a = c["beta"], c["a"]
-    return IncidenceFunction(
-        eval_f=lambda S, I: beta * S * I / (1.0 + a * I),
-        eval_f1=lambda S, I: beta * S / (1.0 + a * I),
-        label=f"saturated_in_I(beta={beta:g}, a={a:g})",
-    )
-
-
-def _builtin_psi_ratio(c):
-    beta, a, b = c["beta"], c["a"], c["b"]
-
-    def psi(I):
-        return 1.0 + a * I + b * I * I
-
-    return IncidenceFunction(
-        eval_f=lambda S, I: beta * S * I / psi(I),
-        eval_f1=lambda S, I: beta * S / psi(I),
-        label=f"psi_ratio(beta={beta:g}, a={a:g}, b={b:g})",
-    )
-
-
-def _builtin_ruan(c):
-    beta, rho = c["beta"], c["rho"]
-    return IncidenceFunction(
-        eval_f=lambda S, I: beta * S * I * I / (1.0 + rho * I * I),
-        eval_f1=lambda S, I: beta * S * I / (1.0 + rho * I * I),
-        label=f"ruan(beta={beta:g}, rho={rho:g})",
-    )
-
-
-# family -> (constructor, positive coefficients, non-negative coefficients with default 0)
+# family -> (f, f1, positive coefficients, non-negative coefficients with
+# default 0); f and f1 are expression text in S, I and the coefficients
 _FAMILIES = {
-    "bilinear": (_builtin_bilinear, ("beta",), ()),
-    "power": (_builtin_power, ("k", "q"), ()),
-    "saturated_in_I": (_builtin_saturated_in_i, ("beta",), ("a",)),
-    "psi_ratio": (_builtin_psi_ratio, ("beta",), ("a", "b")),
-    "ruan": (_builtin_ruan, ("beta",), ("rho",)),
+    "bilinear": ("beta * S * I", "beta * S + 0.0 * I", ("beta",), ()),
+    "power": ("k * I * S ** q", "k * S ** q + 0.0 * I", ("k", "q"), ()),
+    "saturated_in_I": ("beta * S * I / (1.0 + a * I)", "beta * S / (1.0 + a * I)",
+                       ("beta",), ("a",)),
+    "psi_ratio": ("beta * S * I / (1.0 + a * I + b * I * I)",
+                  "beta * S / (1.0 + a * I + b * I * I)", ("beta",), ("a", "b")),
+    "ruan": ("beta * S * I * I / (1.0 + rho * I * I)", "beta * S * I / (1.0 + rho * I * I)",
+             ("beta",), ("rho",)),
 }
+
+# eval_f of every live make_builtin result -> (its f text, its coefficients)
+_FORMULAS = weakref.WeakKeyDictionary()
+
+
+@functools.cache
+def _evaluator(text: str, names: tuple):
+    """``factory(**coefficients)``, which returns ``lambda S, I: <text>``
+    with the coefficients ``names`` bound as values, never as source."""
+    source = f"def factory({', '.join(names)}):\n    return lambda S, I: {text}\n"
+    return define(source, "factory", f"<sirskit incidence: {text}>")
+
+
+def formula(eval_f):
+    """``(f text, coefficients)`` when ``eval_f`` is the very function
+    ``make_builtin`` built from a family's text, else None: a wrapper or
+    a replacement of it is called as it stands."""
+    try:
+        return _FORMULAS.get(eval_f)
+    except TypeError:  # not weakly referenceable, or not hashable
+        return None
 
 
 def make_builtin(family: str, coefficients: Mapping[str, float]) -> IncidenceFunction:
@@ -179,7 +164,7 @@ def make_builtin(family: str, coefficients: Mapping[str, float]) -> IncidenceFun
     if family not in _FAMILIES:
         raise ValueError(f"unknown incidence family {family!r}; "
                          f"expected one of {sorted(_FAMILIES)}")
-    ctor, positive, nonneg = _FAMILIES[family]
+    f_text, f1_text, positive, nonneg = _FAMILIES[family]
     known = set(positive) | set(nonneg)
     unknown = set(coefficients) - known
     if unknown:
@@ -198,7 +183,14 @@ def make_builtin(family: str, coefficients: Mapping[str, float]) -> IncidenceFun
         if not np.isfinite(value) or value < 0:
             raise ValueError(f"{family}: coefficient {name} must be non-negative, got {value}")
         coefs[name] = value
-    return ctor(coefs)
+    names = positive + nonneg
+    eval_f = _evaluator(f_text, names)(**coefs)
+    _FORMULAS[eval_f] = (f_text, coefs)
+    return IncidenceFunction(
+        eval_f=eval_f,
+        eval_f1=_evaluator(f1_text, names)(**coefs),
+        label=f"{family}({', '.join(f'{name}={coefs[name]:g}' for name in names)})",
+    )
 
 
 def from_callables(f: Callable, f1: Callable | None = None,

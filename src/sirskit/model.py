@@ -18,15 +18,21 @@ is positively invariant and attracts all non-negative solutions.  The
 model fixes no population unit, so every tolerance on a population is a
 constant times S0 = Lambda/mu and every one on a population rate is a
 constant times Lambda: results are covariant under rescaling.
+
+The three equations are written once, as the expression text
+``EQUATIONS``; ``make_rhs`` compiles them into a closure, and the
+integrator compiles them into its scalar loops.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .codegen import define
 from .incidence import IncidenceFunction, compute_beta, require_finite
 
 
@@ -88,24 +94,39 @@ class State:
         return {"S": self.S, "I": self.I, "R": self.R}
 
 
+# The right-hand side as expression text in the state S, I, R, the
+# incidence value fv = f(S, I) and the rates named in RATES.  ``make_rhs``
+# and the integrator's compiled loops are both built from it.
+EQUATIONS = ("lam - mu * S - fv + g1 * I + delta * R",
+             "fv - outflow * I",
+             "g2 * I - mu_delta * R")
+RATES = ("lam", "mu", "g1", "g2", "delta", "outflow", "mu_delta")
+
+
+def rates(p: ModelParams) -> dict:
+    """The value of every rate in ``RATES``, by name."""
+    return dict(zip(RATES, (p.Lambda, p.mu, p.gamma1, p.gamma2, p.delta,
+                            p.infected_outflow, p.mu + p.delta)))
+
+
+@functools.cache
+def _rhs_factory():
+    source = (f"def factory(eval_f, {', '.join(RATES)}):\n"
+              "    def rhs(S, I, R):\n"
+              "        fv = eval_f(S, I)\n"
+              f"        return ({', '.join(EQUATIONS)})\n"
+              "    return rhs\n")
+    return define(source, "factory", "<sirskit model right-hand side>")
+
+
 def make_rhs(p: ModelParams, f: IncidenceFunction):
     """The model right-hand side as a closure ``rhs(S, I, R) -> (dS, dI, dR)``.
 
-    Works on scalars (the integrators' inner loop) and on broadcastable
-    arrays (the certificate scans) alike.
+    Compiled from ``EQUATIONS``; it calls ``f.eval_f`` once.  Works on
+    scalars and on broadcastable arrays (the certificate scans and the
+    batched integrator) alike.
     """
-    lam, mu, g1, g2, delta = p.Lambda, p.mu, p.gamma1, p.gamma2, p.delta
-    outflow = p.infected_outflow
-    mu_delta = mu + delta
-    eval_f = f.eval_f
-
-    def rhs(s, i, r):
-        fv = eval_f(s, i)
-        return (lam - mu * s - fv + g1 * i + delta * r,
-                fv - outflow * i,
-                g2 * i - mu_delta * r)
-
-    return rhs
+    return _rhs_factory()(f.eval_f, **rates(p))
 
 
 def vector_field(p: ModelParams, f: IncidenceFunction, x: State) -> np.ndarray:

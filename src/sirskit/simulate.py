@@ -3,8 +3,14 @@
 One explicit Runge-Kutta engine steps two tableaux, both written in
 first-same-as-last form: classic RK4 with a fixed step, and the embedded
 Dormand-Prince 5(4) pair with mixed absolute/relative error control.
-At import each tableau compiles into one straight-line stage function,
-which the scalar loop and the batch both call.
+``_compile`` writes the whole scalar loop of a method as Python source,
+with the fixed or adaptive step logic chosen as it writes, and every
+stage's input, the model's ``EQUATIONS`` and a built-in family's
+incidence text inline, so a step calls nothing for the model.  Any
+other incidence callable is called once per stage from the same loop.
+Each loop compiles on first use, once per method and incidence text;
+rates and coefficients enter it as values.  The batch calls an array
+stage function written by the same stage emitter.
 Every step enforces the model's invariants numerically: components are
 clamped to zero only for round-off (within 2e-14*S0 below zero), and a
 state that leaves the feasible simplex by more than 2e-8*S0 aborts the
@@ -29,6 +35,7 @@ missing, or only one CPU is usable, it writes them all in-process.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import os
 import signal
@@ -39,10 +46,12 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .codegen import define, free_names, rename
 from .equilibria import find_endemic
 from .errors import BlowUpError, InvarianceViolationError, SirsKitError
-from .incidence import IncidenceFunction
-from .model import ModelParams, State, dfe, make_rhs, omega_grid, r0
+from .incidence import IncidenceFunction, formula
+from .model import (EQUATIONS, RATES, ModelParams, State, dfe, make_rhs, omega_grid, r0,
+                    rates)
 
 _MAX_STORED = 10_000
 _MAX_STEPS = 5_000_000
@@ -250,43 +259,169 @@ def _failure(y, t: float, bounds) -> SirsKitError:
         return exc
 
 
-def _compile_stages(name: str, rows, error):
-    """One straight-line function that takes one step of the tableau
-    ``(rows, error)``: ``stages(rhs, y, h, k)`` returns the new solution,
-    the derivative there (the next step's first stage) and the error
-    estimate, or None for a method without an error row.  ``y`` and ``k``
-    are (S, I, R) triples of floats in the scalar loop and of arrays in
-    the batch.  A stage input is y + h*d, where d = 0.0 + a0*k0 and then
-    d += a*k for each further nonzero weight a, in stage order; the error
-    is 0.0 + h*d over the error row.  The weights enter as their ``repr``,
-    so every float rounds as in that sum, and arrays accumulate in place.
+def _step_lines(rows, error, derivative):
+    """Source lines of one step of the tableau ``(rows, error)`` from the
+    state (s, i, r) whose derivative is (k0s, k0i, k0r).
+
+    Row m = 1..n of the n rows gives the input (s{m}, i{m}, r{m}) of
+    stage m, at which ``derivative(f"k{m}", f"s{m}", f"i{m}", f"r{m}")``
+    binds (k{m}s, k{m}i, k{m}r); stage n is the new solution, whose
+    derivative starts the next step.  With an error row, (es, ei, er) is
+    the error estimate.  Each input is y + h*d, where d = 0.0 + a0*k0 and
+    then d += a*k for each further nonzero weight a, in stage order; the
+    error is 0.0 + h*d over the error row.  The weights enter as their
+    ``repr``, so every float rounds as in that sum, and arrays accumulate
+    in place.
     """
-    lines = [f"def {name}(rhs, y, h, k):", "    s, i, r = y", "    k0s, k0i, k0r = k"]
+    lines = []
 
     def accumulate(weights):
         for c in "sir":
             terms = [f"{a!r} * k{j}{c}" for j, a in enumerate(weights) if a]
-            lines.append(f"    d{c} = 0.0 + {terms[0]}")
-            lines.extend(f"    d{c} += {term}" for term in terms[1:])
+            lines.append(f"d{c} = 0.0 + {terms[0]}")
+            lines.extend(f"d{c} += {term}" for term in terms[1:])
 
-    for m, weights in enumerate(rows[:-1], 1):
+    for m, weights in enumerate(rows, 1):
         accumulate(weights)
-        lines.append(f"    k{m}s, k{m}i, k{m}r = rhs(s + h * ds, i + h * di, r + h * dr)")
-    accumulate(rows[-1])
-    lines += ["    y_new = (s + h * ds, i + h * di, r + h * dr)", "    k_new = rhs(*y_new)"]
-    if error is None:
-        lines.append("    return y_new, k_new, None")
-    else:
-        lines.append(f"    k{len(rows)}s, k{len(rows)}i, k{len(rows)}r = k_new")
+        lines.extend(f"{c}{m} = {c} + h * d{c}" for c in "sir")
+        lines.extend(derivative(f"k{m}", f"s{m}", f"i{m}", f"r{m}"))
+    if error is not None:
         accumulate(error)
-        lines.append("    return y_new, k_new, (0.0 + h * ds, 0.0 + h * di, 0.0 + h * dr)")
-    namespace = {}
-    exec(compile("\n".join(lines), f"<{name}>", "exec"), namespace)
-    return namespace[name]
+        lines.extend(f"e{c} = 0.0 + h * d{c}" for c in "sir")
+    return lines
 
 
-_STAGES = {name: _compile_stages(f"_{name}_stages", *tableau)
-           for name, tableau in METHODS.items()}
+def _indent(lines, depth: int) -> str:
+    return "".join("    " * depth + line + "\n" for line in lines)
+
+
+@functools.cache
+def _stages(method: str):
+    """One step of ``method`` as one straight-line function, for the
+    batch: ``stages(rhs, y, h, k)`` returns the new solution, ``rhs`` at
+    it (the next step's first stage) and the error estimate, or None for
+    a method without an error row.  ``y`` and ``k`` are (S, I, R) triples
+    of floats or of arrays; ``rhs`` is called once per stage."""
+    rows, error = METHODS[method]
+    n = len(rows)
+
+    def call(k, *state):
+        return [f"{k} = rhs({', '.join(state)})", f"{k}s, {k}i, {k}r = {k}"]
+
+    estimate = "None" if error is None else "(es, ei, er)"
+    source = (f"def stages(rhs, y, h, k):\n"
+              + _indent(["s, i, r = y", "k0s, k0i, k0r = k",
+                         *_step_lines(rows, error, call),
+                         f"return (s{n}, i{n}, r{n}), k{n}, {estimate}"], 1))
+    return define(source, "stages", f"<sirskit {method} stages>")
+
+
+# The incidence text of the loop that calls ``eval_f`` itself.
+_CALL = "eval_f(S, I)"
+
+
+@functools.cache
+def _compile(method: str, f_text: str):
+    """The whole scalar integration loop of ``method`` for the incidence
+    expression ``f_text`` in S, I and its coefficients, compiled on first
+    use: ``loop(y0, t_end, control, bounds, rates, coefficients)`` returns
+    the history and the StepStats of one run.
+
+    ``control`` is (step, number of steps) for a fixed-step method and
+    (tol, atol, h, h_min, h_max, step budget) for an adaptive one.  Every stage
+    evaluates ``f_text`` and the model's ``EQUATIONS`` inline, so a
+    step makes no Python call but those in ``f_text``.  The rates and
+    coefficients enter as values, bound to locals named p_<rate> and
+    c_<coefficient>, so they never clash with the loop's own names and no
+    value is ever part of the source.
+    """
+    rows, error = METHODS[method]
+    adaptive, n = error is not None, len(rows)
+    coefficients = sorted(free_names(f_text) - {"S", "I"})
+    bound = {**{x: f"p_{x}" for x in RATES}, **{x: f"c_{x}" for x in coefficients}}
+
+    def inline(k, *state):
+        names = {**bound, **dict(zip("SIR", state))}
+        return [f"fv = {rename(f_text, names)}",
+                *(f"{k}{c} = {rename(eq, names)}" for c, eq in zip("sir", EQUATIONS))]
+
+    new, k_new = f"s{n}, i{n}, r{n}", f"k{n}s, k{n}i, k{n}r"
+    head = [*(f"p_{x} = rates[{x!r}]" for x in RATES),
+            *(f"c_{x} = coefficients[{x!r}]" for x in coefficients),
+            ("tol, atol, h, h_min, h_max, max_steps = control" if adaptive
+             else "step, n_steps = control"),
+            "clamp, low, top = bounds",
+            "s, i, r = y0",
+            *inline("k0", "s", "i", "r"),
+            'history = array("d", (0.0, s, i, r))',
+            "record = history.extend",
+            "t, steps, rejected, max_error = 0.0, 0, 0, 0.0"]
+    stages = ["try:", *(f"    {line}" for line in _step_lines(rows, error, inline))]
+    accept = ["try:",
+              "    # a state inside Omega is what postprocess would return unchanged",
+              f"    if 0.0 <= s{n} and 0.0 <= i{n} and 0.0 <= r{n} and s{n} + i{n} + r{n} <= top:",
+              f"        s, i, r, k0s, k0i, k0r = {new}, {k_new}",
+              "    else:",
+              f"        s, i, r = postprocess(({new}), t, clamp, low, top)",
+              f"        if s == s{n} and i == i{n} and r == r{n}:",
+              f"            k0s, k0i, k0r = {k_new}",
+              "        else:",
+              *(f"            {line}" for line in inline("k0", "s", "i", "r")),
+              "except TypeError:  # only a fixed step is accepted off the reals",
+              "    raise BlowUpError(NON_FINITE.format(t)) from None",
+              "record((t, s, i, r))",
+              "steps += 1"]
+    # A stage far outside Omega can overflow (OverflowError from ``float **
+    # q``) or leave the reals (a negative base to a fractional power gives a
+    # complex, which isfinite and ``<=`` reject with TypeError).  The adaptive
+    # method then rejects the trial step as if its error were infinite, as
+    # the batch does with inf and nan; the fixed-step method cannot, and
+    # stops with BlowUpError.
+    if adaptive:
+        finite = " and ".join(f"isfinite({v})" for v in ("es", "ei", "er", *new.split(", ")))
+        norm = ", ".join(f"abs(e{c}) / (atol + tol * max(abs({c}), abs({c}{n})))" for c in "sir")
+        loop = ["while t_end - t > 1e-14 * t_end:",
+                "    rest = t_end - t",
+                "    if rest < h:  # min(h, rest) without a call",
+                "        h = rest",
+                *(f"    {line}" for line in stages),
+                f"        if {finite}:",
+                f"            err_norm = max({norm})",
+                "        else:",
+                "            err_norm = inf",
+                "    except (OverflowError, TypeError):",
+                "        err_norm = inf",
+                "    if err_norm <= 1.0:",
+                "        t = t + h",
+                *(f"        {line}" for line in accept),
+                "        max_error = max(max_error, abs(es), abs(ei), abs(er))",
+                "    else:",
+                "        rejected += 1",
+                "    h = next_step(h, err_norm, h_min, h_max)",
+                "    if h <= h_min and err_norm > 1.0:",
+                "        raise BlowUpError(UNDERFLOW.format(t))",
+                "    if steps + rejected > max_steps:",
+                "        raise BlowUpError(EXHAUSTED)"]
+    else:
+        # times come from k*step, not accumulation, so the grid stays uniform
+        # to the ulp and no spurious sliver step appears at t_end; _run has
+        # checked n_steps against the step budget
+        loop = ["while steps < n_steps:",
+                "    t = steps * step",
+                "    rest = t_end - t",
+                "    h = rest if rest < step else step",
+                *(f"    {line}" for line in stages),
+                "    except (OverflowError, TypeError):",
+                "        raise BlowUpError(NON_FINITE.format(t + h)) from None",
+                "    t = t + h if steps < n_steps - 1 else t_end",
+                *(f"    {line}" for line in accept)]
+    source = ("def loop(y0, t_end, control, bounds, rates, coefficients):\n"
+              + _indent([*head, *loop, "return history, StepStats(steps, rejected, max_error)"], 1))
+    namespace = {"array": array, "isfinite": math.isfinite, "inf": math.inf,
+                 "postprocess": _postprocess, "next_step": _next_step,
+                 "BlowUpError": BlowUpError, "StepStats": StepStats,
+                 "NON_FINITE": _NON_FINITE, "UNDERFLOW": _UNDERFLOW, "EXHAUSTED": _EXHAUSTED}
+    return define(source, "loop", f"<sirskit {method} loop: {f_text}>", namespace)
 
 
 def _step_range(t_end: float):
@@ -303,83 +438,45 @@ def _next_step(h, err_norm, h_min, h_max, smaller=min, larger=max):
     return smaller(h_max, larger(h_min, h * factor))
 
 
-def _run(rhs, y0, t_end, step_or_tol, p, method):
-    stages, adaptive = _STAGES[method], METHODS[method][1] is not None
-    if adaptive:
-        tol = step_or_tol
-        atol = tol * (_ATOL * p.s0)
-        h, h_min, h_max = _step_range(t_end)
+def _run(p: ModelParams, f: IncidenceFunction, y0, t_end: float,
+         step_or_tol: float, method: str):
+    """History and StepStats of one scalar run, from ``_compile``'s loop.
+
+    The loop inlines a built-in family's f when ``f.eval_f`` is the very
+    function ``make_builtin`` built from its text; any other callable is
+    called once per stage as ``eval_f(S, I)``.  A fixed-step run that
+    needs more than ``_MAX_STEPS`` steps fails before it takes one.
+    """
+    if METHODS[method][1] is None:
+        n_steps = max(1, math.ceil(t_end / step_or_tol - 1e-12))
+        if n_steps > _MAX_STEPS:
+            raise BlowUpError(f"{method} needs {n_steps} steps of {step_or_tol:g} "
+                              f"to t = {t_end:g}, over the step budget of {_MAX_STEPS}")
+        control = (step_or_tol, n_steps)
     else:
-        # times come from k*step, not accumulation, so the grid stays uniform
-        # to the ulp and no spurious sliver step appears at t_end
-        step = step_or_tol
-        n_steps = max(1, math.ceil(t_end / step - 1e-12))
-    clamp, low, top = _bounds(p)
-    t, y, k1 = 0.0, y0, rhs(*y0)
-    history = array("d", (0.0, *y0))  # flat (t, S, I, R) rows
-    steps = rejected = 0
-    max_error = 0.0
-    while t_end - t > 1e-14 * t_end if adaptive else steps < n_steps:
-        if adaptive:
-            h = min(h, t_end - t)
-        else:
-            t = steps * step
-            h = min(step, t_end - t)
-        # A stage far outside Omega can overflow (OverflowError from
-        # ``float ** q``) or leave the reals (a negative base to a fractional
-        # power gives a complex, which math.isfinite and ``<=`` reject with
-        # TypeError).  The adaptive method then rejects the trial step as if
-        # its error were infinite, as the batch does with inf and nan; the
-        # fixed-step method cannot, and stops with BlowUpError.
-        try:
-            y_new, k_new, err = stages(rhs, y, h, k1)
-            if adaptive:
-                if all(map(math.isfinite, err + y_new)):
-                    err_norm = max(abs(e) / (atol + tol * max(abs(a), abs(b)))
-                                   for e, a, b in zip(err, y, y_new))
-                else:
-                    err_norm = math.inf
-        except (OverflowError, TypeError):
-            if not adaptive:
-                raise BlowUpError(_NON_FINITE.format(t + h)) from None
-            err_norm = math.inf
-        if not adaptive or err_norm <= 1.0:
-            t = t + h if adaptive or steps < n_steps - 1 else t_end
-            s, i, r = y_new
-            try:
-                # a state inside Omega is what _postprocess would return unchanged
-                if 0.0 <= s and 0.0 <= i and 0.0 <= r and s + i + r <= top:
-                    y, k1 = y_new, k_new
-                else:
-                    y = _postprocess(y_new, t, clamp, low, top)
-                    k1 = k_new if y == y_new else rhs(*y)
-            except TypeError:  # only a fixed step is accepted off the reals
-                raise BlowUpError(_NON_FINITE.format(t)) from None
-            history.extend((t, *y))
-            steps += 1
-            if adaptive:
-                max_error = max(max_error, *map(abs, err))
-        else:
-            rejected += 1
-        if adaptive:
-            h = _next_step(h, err_norm, h_min, h_max)
-            if h <= h_min and err_norm > 1.0:
-                raise BlowUpError(_UNDERFLOW.format(t))
-        if steps + rejected > _MAX_STEPS:
-            raise BlowUpError(_EXHAUSTED)
-    return history, StepStats(steps=steps, rejected=rejected, max_error=max_error)
+        control = (step_or_tol, step_or_tol * (_ATOL * p.s0), *_step_range(t_end), _MAX_STEPS)
+    f_text, coefficients = formula(f.eval_f) or (_CALL, {"eval_f": f.eval_f})
+    loop = _compile(method, f_text)
+    return loop(y0, t_end, control, _bounds(p), rates(p), coefficients)
 
 
 def _run_batch(rhs, y0: np.ndarray, t_end: float, tol: float, p: ModelParams):
     """Dormand-Prince from every row of the (m, 3) array ``y0`` at once.
 
-    Each row takes the steps ``_run`` takes from it alone, with its own
-    time, step size, error norm, accept decision and step budget.  A row
-    leaves the batch when it reaches ``t_end`` or fails.  Returns, per
-    row, its history in ``_run``'s format and its StepStats or the
-    SirsKitError that ended it.
+    Each row runs the tableau, step-size controller, checks and step
+    budget of ``_run`` from it alone, with its own time, step size, error
+    norm and accept decision, and the same operations in the same order.
+    Only NumPy's rounding differs from the scalar loop's: NumPy computes
+    an array's ``S ** 2.0`` as ``S * S`` and a fractional power with its
+    own SIMD ``pow``, where a float goes through libm, and the two differ
+    in the last bit on a few inputs in a hundred.  A row's states then
+    differ from ``integrate``'s by rounding, and rarely an accept decision
+    flips (from (30, 10, 5) to t_end = 2e5 on the reference model, 2681
+    rejected steps against 2682).  A row leaves the batch when it reaches
+    ``t_end`` or fails.  Returns, per row, its history in ``_run``'s
+    format and its StepStats or the SirsKitError that ended it.
     """
-    stages = _STAGES["rk45_adaptive"]
+    stages = _stages("rk45_adaptive")
     h0, h_min, h_max = _step_range(t_end)
     atol = tol * (_ATOL * p.s0)
     bounds = clamp, low, top = _bounds(p)
@@ -492,8 +589,7 @@ def integrate(p: ModelParams, f: IncidenceFunction, x0: State, t_end: float,
     _check_run(p, [x0], t_end, step_or_tol)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {list(METHODS)}")
-    history, stats = _run(make_rhs(p, f), (x0.S, x0.I, x0.R), t_end,
-                          step_or_tol, p, method)
+    history, stats = _run(p, f, (x0.S, x0.I, x0.R), t_end, step_or_tol, method)
     return _trajectory(history, stats)
 
 
@@ -513,11 +609,11 @@ def sweep(p: ModelParams, f: IncidenceFunction, initials: Sequence[State],
 
     Runs use the adaptive method at relative tolerance 1e-8 (absolute
     2e-10*S0, as in ``integrate``), with all initial states stepped
-    once, as one batch; each run takes the steps ``integrate`` takes
-    from its initial state and builds its trajectory from a history in
-    the same format.  A run that fails with a toolkit error is recorded
-    with infinite distance and its error instead of aborting the others;
-    distances are max-norm at t_end.  Raises ValueError unless conv_tol
+    once, as one batch; each run takes ``integrate``'s steps from its
+    initial state up to NumPy's rounding (see ``_run_batch``) and builds
+    its trajectory from a history in the same format.  A run that fails
+    with a toolkit error is recorded with infinite distance and its error
+    instead of aborting the others; distances are max-norm at t_end.  Raises ValueError unless conv_tol
     is positive and finite.
     """
     tol = 1e-8

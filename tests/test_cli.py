@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -353,6 +354,19 @@ def test_overflowing_incidence_exits_3(capsys, tmp_path, command, flags, inciden
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error: {error}: ")
+
+
+def test_fixed_step_over_budget_exits_3_at_once(capsys, tmp_path):
+    cfg = write_config(tmp_path, solver={"method": "rk4_fixed", "step_or_tol": 1e-4,
+                                         "t_end": 600})
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "simulate", cfg, "--initial", "30,10,5",
+                             "--out", tmp_path / "out.csv")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert out == ""
+    assert err == ("error: BlowUpError: rk4_fixed needs 6000000 steps of 0.0001 to t = 600, "
+                   "over the step budget of 5000000\n")
 
 
 def test_reproduce(capsys, tmp_path):

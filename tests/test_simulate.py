@@ -1,8 +1,10 @@
 import dataclasses
+import inspect
 import math
 import os
 import signal
 import time
+import traceback
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from sirskit import (
     BlowUpError,
     ModelParams,
     State,
+    Trajectory,
     attractor,
     conservation_check,
     dfe,
@@ -23,7 +26,8 @@ from sirskit import (
     omega_lattice,
     sweep,
 )
-from sirskit.model import make_rhs
+from sirskit.incidence import formula
+from sirskit.model import make_rhs, rates
 
 from conftest import FAMILY_INSTANCES, HYPOTHESIS_FAMILIES, REF
 
@@ -131,8 +135,11 @@ step_size = st.floats(1e-6, 2.0)
 @given(y=st.tuples(state_component, state_component, state_component), h=step_size)
 @settings(max_examples=40, deadline=None)
 def test_stages_float_and_array_bit_identical(method, y, h):
+    # The batch's stage function gives the same bits on floats and on
+    # arrays, and one step of the compiled scalar loop, with the incidence
+    # inline, gives the same new state and error.
     rhs = bilinear_rhs()
-    stages = simulate_mod._STAGES[method]
+    stages = simulate_mod._stages(method)
     y_new, k_new, err = stages(rhs, y, h, rhs(*y))
     rows = tuple(np.array([v]) for v in y)
     a_new, ak_new, a_err = stages(rhs, rows, np.array([h]), rhs(*rows))
@@ -140,6 +147,14 @@ def test_stages_float_and_array_bit_identical(method, y, h):
     arrays = (*a_new, *ak_new, *(a_err or ()))
     assert [float(v[0]).hex() for v in arrays] == [v.hex() for v in floats]
     assert (err is None) == (simulate_mod.METHODS[method][1] is None)
+    f_text, coefficients = formula(make_builtin("bilinear", {"beta": 0.04}).eval_f)
+    loop = simulate_mod._compile(method, f_text)
+    # an infinite tolerance accepts the step; these bounds leave every state as it is
+    control = (h, 1) if err is None else (math.inf, math.inf, h, h, h, 1)
+    history, stats = loop(y, h, control, (0.0, -math.inf, math.inf), rates(ModelParams(**REF)),
+                          coefficients)
+    assert [v.hex() for v in history[4:]] == [v.hex() for v in (h, *y_new)]
+    assert stats.max_error.hex() == max((0.0, *map(abs, err or ()))).hex()
 
 
 @pytest.mark.parametrize("method", sorted(simulate_mod.METHODS))
@@ -160,7 +175,7 @@ def test_stages_match_tableau(method, y, h):
         return outputs[-1]
 
     k0 = rhs(*y)
-    y_new, k_new, err = simulate_mod._STAGES[method](recording, y, h, k0)
+    y_new, k_new, err = simulate_mod._stages(method)(recording, y, h, k0)
     assert len(inputs) == len(rows)
     assert inputs[-1] == y_new and outputs[-1] is k_new
     ks = np.array([k0, *outputs])
@@ -196,6 +211,156 @@ def test_fast_accept_leaves_postprocess_nothing_to_do(y, big, at):
     assume(fast)
     kept = simulate_mod._postprocess(y, 1.0, *simulate_mod._bounds(ModelParams(**REF)))
     assert [v.hex() for v in kept] == [v.hex() for v in y]
+
+
+# Valid coefficients of every built-in family, q not only an integer.
+FAMILY_COEFFICIENTS = {
+    "bilinear": st.fixed_dictionaries({"beta": st.floats(1e-3, 0.1)}),
+    "power": st.fixed_dictionaries({"k": st.floats(1e-5, 2e-3), "q": st.floats(0.5, 3.0)}),
+    "saturated_in_I": st.fixed_dictionaries({"beta": st.floats(1e-3, 0.1),
+                                             "a": st.floats(0.0, 2.0)}),
+    "psi_ratio": st.fixed_dictionaries({"beta": st.floats(1e-3, 0.1), "a": st.floats(0.0, 2.0),
+                                        "b": st.floats(0.0, 1.0)}),
+    "ruan": st.fixed_dictionaries({"beta": st.floats(1e-4, 1e-2), "rho": st.floats(0.0, 1.0)}),
+}
+incidences = st.sampled_from(sorted(FAMILY_COEFFICIENTS)).flatmap(
+    lambda family: FAMILY_COEFFICIENTS[family].map(lambda c: make_builtin(family, c)))
+
+
+@st.composite
+def omega_states(draw):
+    s = draw(st.floats(0.0, S0))
+    i = draw(st.floats(0.0, S0 - s))
+    r = draw(st.floats(0.0, S0 - s - i))
+    assume(s + i + r <= S0)
+    return State(s, i, r)
+
+
+def called(f):
+    """``f`` with an ``eval_f`` that calls the family's own, so the
+    integrator cannot inline it."""
+    return dataclasses.replace(f, eval_f=lambda S, I: f.eval_f(S, I))
+
+
+def bits(traj):
+    return traj.times.tobytes(), traj.states.tobytes(), tuple(map(repr, traj.step_stats))
+
+
+def outcome(run):
+    """What ``run()`` returns, as ``bits`` of each trajectory, or the error
+    it raises."""
+    try:
+        result = run()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(result, Trajectory):
+        return bits(result)
+    return result.as_dict(), [run.trajectory and bits(run.trajectory) for run in result.runs]
+
+
+@pytest.mark.parametrize("method, step_or_tol, t_end", [
+    ("rk4_fixed", st.sampled_from([0.05, 0.5, 2.0]), 20.0),
+    ("rk45_adaptive", st.sampled_from([1e-6, 1e-8]), 50.0),
+])
+@given(data=st.data(), f=incidences, x0=omega_states())
+@settings(max_examples=60, deadline=None)
+def test_inline_incidence_bit_identical_to_called(method, step_or_tol, t_end, data, f, x0):
+    # The loop inlines a family's own eval_f and calls any other; both
+    # must step the same bits.  Every family's coefficient names, k among
+    # them, meet the loop's own names here.
+    p = ModelParams(**REF)
+    h = data.draw(step_or_tol)
+    assert formula(f.eval_f) is not None and formula(called(f).eval_f) is None
+    inline = outcome(lambda: integrate(p, f, x0, t_end, method, h))
+    assert inline == outcome(lambda: integrate(p, called(f), x0, t_end, method, h))
+
+
+@given(f=incidences)
+@settings(max_examples=20, deadline=None)
+def test_sweep_inline_incidence_bit_identical_to_called(f):
+    p = ModelParams(**REF)
+    initials = omega_lattice(p, 4)
+    inline = outcome(lambda: sweep(p, f, initials, 20.0, 0.5))
+    assert inline == outcome(lambda: sweep(p, called(f), initials, 20.0, 0.5))
+
+
+@pytest.mark.parametrize("wrap", ["replace", "from_callables"])
+@pytest.mark.parametrize("method, step_or_tol", [("rk4_fixed", 0.05), ("rk45_adaptive", 1e-8)])
+def test_called_incidence_evaluated_once_per_stage(ref_params, high_incidence, wrap, method,
+                                                   step_or_tol):
+    calls = [0]
+
+    def counted(S, I):
+        calls[0] += 1
+        return high_incidence.eval_f(S, I)
+
+    f = (dataclasses.replace(high_incidence, eval_f=counted) if wrap == "replace"
+         else from_callables(counted))
+    traj = integrate(ref_params, f, State(30, 10, 5), 50.0, method, step_or_tol)
+    stats = traj.step_stats
+    stages = 4 * stats.steps if method == "rk4_fixed" else 6 * (stats.steps + stats.rejected)
+    assert calls[0] == stages + 1
+    inline = integrate(ref_params, high_incidence, State(30, 10, 5), 50.0, method, step_or_tol)
+    assert traj.states.tobytes() == inline.states.tobytes()
+
+
+@pytest.mark.parametrize("method", sorted(simulate_mod.METHODS))
+def test_power_models_share_one_compiled_loop(method):
+    # Coefficients and rates enter the loop as values: two power models
+    # with different k and population scale reuse one code object, and
+    # neither's values are in its constants or its source.
+    loops, values = [], []
+    for scale in (1.0, 1e3):
+        k = 0.0008 / math.sqrt(50.0) / scale ** 2.5
+        p = ModelParams(**{**REF, "Lambda": REF["Lambda"] * scale})
+        f = make_builtin("power", {"k": k, "q": 2.5})
+        f_text, coefficients = formula(f.eval_f)
+        assert coefficients == {"k": k, "q": 2.5}
+        integrate(p, f, State(0.6 * p.s0, 0.2 * p.s0, 0.1 * p.s0), 10.0, method,
+                  0.1 if method == "rk4_fixed" else 1e-8)
+        if not loops:
+            misses = simulate_mod._compile.cache_info().misses
+        loops.append(simulate_mod._compile(method, f_text))
+        values += [k, p.Lambda, p.s0]
+    assert simulate_mod._compile.cache_info().misses == misses
+    assert loops[0] is loops[1]
+    source = inspect.getsource(loops[0])
+    assert "fv = c_k * i1 * s1 ** c_q" in source
+    for value in values + [2.5]:
+        assert value not in loops[0].__code__.co_consts
+        assert repr(value) not in source
+
+
+def test_compiled_loop_lines_in_tracebacks(ref_params):
+    def broken(S, I):
+        raise ZeroDivisionError("broken incidence")
+
+    with pytest.raises(ZeroDivisionError) as raised:
+        integrate(ref_params, from_callables(broken), State(30, 10, 5), 1.0, "rk4_fixed", 0.1)
+    assert "fv = c_eval_f(s, i)" in "".join(traceback.format_tb(raised.tb))
+
+
+def test_adaptive_step_budget(ref_params, high_incidence, monkeypatch):
+    # about 120 steps reach t = 500; a budget of 20 stops both engines
+    monkeypatch.setattr(simulate_mod, "_MAX_STEPS", 20)
+    with pytest.raises(BlowUpError, match="step budget exhausted"):
+        integrate(ref_params, high_incidence, State(30, 10, 5), 500.0)
+    report = sweep(ref_params, high_incidence, [State(30, 10, 5)], 500.0, 1e-2)
+    assert report.runs[0].error == f"BlowUpError: {simulate_mod._EXHAUSTED}"
+
+
+def test_fixed_step_over_budget_fails_before_stepping(ref_params, high_incidence, monkeypatch):
+    start = time.perf_counter()
+    with pytest.raises(BlowUpError, match="rk4_fixed needs 6000000 steps of 0.0001 to "
+                                          "t = 600, over the step budget of 5000000"):
+        integrate(ref_params, high_incidence, State(30, 10, 5), 600.0, "rk4_fixed", 1e-4)
+    assert time.perf_counter() - start < 0.5
+    # the budget itself is still allowed
+    monkeypatch.setattr(simulate_mod, "_MAX_STEPS", 100)
+    traj = integrate(ref_params, high_incidence, State(30, 10, 5), 1.0, "rk4_fixed", 0.01)
+    assert traj.step_stats.steps == 100
+    with pytest.raises(BlowUpError, match="needs 101 steps"):
+        integrate(ref_params, high_incidence, State(30, 10, 5), 1.01, "rk4_fixed", 0.01)
 
 
 @pytest.mark.parametrize("t_end, step", [(500.0, 0.01), (2.0, 1e-4), (1.0, 0.3),
