@@ -39,6 +39,7 @@ import functools
 import math
 import os
 import signal
+import string
 import sys
 from array import array
 from dataclasses import dataclass
@@ -320,30 +321,31 @@ def _stages(method: str):
 _CALL = "eval_f(S, I)"
 
 
-@functools.cache
-def _compile(method: str, f_text: str):
-    """The whole scalar integration loop of ``method`` for the incidence
-    expression ``f_text`` in S, I and its coefficients, compiled on first
-    use: ``loop(y0, t_end, control, bounds, rates, coefficients)`` returns
-    the history and the StepStats of one run.
+def _inliner(f_text: str, bound: dict):
+    """``inline(k, *state)``, the source lines that bind fv to ``f_text``
+    and (k s, k i, k r) to the model's ``EQUATIONS`` at the (S, I, R) named
+    by ``state``, with every other name renamed as in ``bound``.  Each
+    expression is renamed once, into a template whose holes $S, $I and $R
+    each stage fills with its own names."""
+    holes = {**bound, **{x: f"${x}" for x in "SIR"}}
+    f_template = string.Template(rename(f_text, holes))
+    templates = [string.Template(rename(eq, holes)) for eq in EQUATIONS]
 
-    ``control`` is (step, number of steps) for a fixed-step method and
-    (tol, atol, h, h_min, h_max, step budget) for an adaptive one.  Every stage
-    evaluates ``f_text`` and the model's ``EQUATIONS`` inline, so a
-    step makes no Python call but those in ``f_text``.  The rates and
-    coefficients enter as values, bound to locals named p_<rate> and
-    c_<coefficient>, so they never clash with the loop's own names and no
-    value is ever part of the source.
-    """
+    def inline(k, *state):
+        names = dict(zip("SIR", state))
+        return [f"fv = {f_template.substitute(names)}",
+                *(f"{k}{c} = {eq.substitute(names)}" for c, eq in zip("sir", templates))]
+
+    return inline
+
+
+def _loop_source(method: str, f_text: str) -> str:
+    """The source of ``_compile``'s loop for ``method`` and ``f_text``."""
     rows, error = METHODS[method]
     adaptive, n = error is not None, len(rows)
     coefficients = sorted(free_names(f_text) - {"S", "I"})
     bound = {**{x: f"p_{x}" for x in RATES}, **{x: f"c_{x}" for x in coefficients}}
-
-    def inline(k, *state):
-        names = {**bound, **dict(zip("SIR", state))}
-        return [f"fv = {rename(f_text, names)}",
-                *(f"{k}{c} = {rename(eq, names)}" for c, eq in zip("sir", EQUATIONS))]
+    inline = _inliner(f_text, bound)
 
     new, k_new = f"s{n}, i{n}, r{n}", f"k{n}s, k{n}i, k{n}r"
     head = [*(f"p_{x} = rates[{x!r}]" for x in RATES),
@@ -415,13 +417,31 @@ def _compile(method: str, f_text: str):
                 "        raise BlowUpError(NON_FINITE.format(t + h)) from None",
                 "    t = t + h if steps < n_steps - 1 else t_end",
                 *(f"    {line}" for line in accept)]
-    source = ("def loop(y0, t_end, control, bounds, rates, coefficients):\n"
-              + _indent([*head, *loop, "return history, StepStats(steps, rejected, max_error)"], 1))
+    return ("def loop(y0, t_end, control, bounds, rates, coefficients):\n"
+            + _indent([*head, *loop, "return history, StepStats(steps, rejected, max_error)"], 1))
+
+
+@functools.cache
+def _compile(method: str, f_text: str):
+    """The whole scalar integration loop of ``method`` for the incidence
+    expression ``f_text`` in S, I and its coefficients, compiled on first
+    use: ``loop(y0, t_end, control, bounds, rates, coefficients)`` returns
+    the history and the StepStats of one run.
+
+    ``control`` is (step, number of steps) for a fixed-step method and
+    (tol, atol, h, h_min, h_max, step budget) for an adaptive one.  Every stage
+    evaluates ``f_text`` and the model's ``EQUATIONS`` inline, so a
+    step makes no Python call but those in ``f_text``.  The rates and
+    coefficients enter as values, bound to locals named p_<rate> and
+    c_<coefficient>, so they never clash with the loop's own names and no
+    value is ever part of the source.
+    """
     namespace = {"array": array, "isfinite": math.isfinite, "inf": math.inf,
                  "postprocess": _postprocess, "next_step": _next_step,
                  "BlowUpError": BlowUpError, "StepStats": StepStats,
                  "NON_FINITE": _NON_FINITE, "UNDERFLOW": _UNDERFLOW, "EXHAUSTED": _EXHAUSTED}
-    return define(source, "loop", f"<sirskit {method} loop: {f_text}>", namespace)
+    return define(_loop_source(method, f_text), "loop", f"<sirskit {method} loop: {f_text}>",
+                  namespace)
 
 
 def _step_range(t_end: float):

@@ -46,6 +46,13 @@ u = S*, and a pass means "verified at the reported grid resolution".
 G is unbounded near u = S*, and no k1 can exist, exactly when
 f1(S*, v) != f1(S*, I*) for some v; ``divergence_flag`` reports that,
 decided from f1(S*, .) on the grid's v axis.
+
+Neither scan holds its grid.  The slope grid is evaluated in blocks of
+whole u rows, about ``_BLOCK`` points each, and the dV/dt lattice as one
+triangle of (S, I) points to which the R levels add their terms, a block
+of levels at a time, so their memory grows with neither grid_n**2 nor
+dvdt_grid_n**3.  Every sample still goes through the operations of a
+dense scan in the same order, so the results keep their bits.
 """
 
 from __future__ import annotations
@@ -162,6 +169,10 @@ def secant_slope(f: IncidenceFunction, eq: State, u, v):
 # Half-width of the strip |u - S*| < _STRIP * S0 that the slope grid leaves out.
 _STRIP = 1e-4
 
+# Points per block of a scan: the slope grid and the dV/dt levels are
+# evaluated about this many points at a time, so no scan holds its grid.
+_BLOCK = 16384
+
 
 class _SlopeRange(NamedTuple):
     """Extremes of G over the scan samples and the (u, v) reaching each."""
@@ -177,23 +188,38 @@ def _slope_range(f: IncidenceFunction, eq: State, s0: float, grid_n: int) -> _Sl
     """G over a grid_n x grid_n grid on [0, S0]^2 minus the strip
     |u - S*| < 1e-4*S0, and whether G is unbounded near u = S*.
 
-    G is unbounded there exactly when f1(S*, v) differs from f1(S*, I*)
-    for some v; that is decided on the grid's v axis, with differences
-    within 1e-12*f1(S*, I*) counted as round-off (at E1 that is the
-    infected outflow rate, a per-capita rate that rescaling leaves alone).  Raises ValueError when
-    grid_n < 2."""
+    The grid is taken in blocks of whole u rows, about ``_BLOCK`` points
+    each, in row-major order; each extreme keeps its first sample in that
+    order.  G is unbounded near u = S* exactly when f1(S*, v) differs from
+    f1(S*, I*) for some v; that is decided on the grid's v axis, with
+    differences within 1e-12*f1(S*, I*) counted as round-off (at E1 that
+    is the infected outflow rate, a per-capita rate that rescaling leaves
+    alone).  Raises ValueError when grid_n < 2."""
     if grid_n < 2:
         raise ValueError(f"grid_n must be at least 2, got {grid_n}")
     axis = np.linspace(0.0, s0, grid_n)
-    uu, vv = np.meshgrid(axis[np.abs(axis - eq.S) >= _STRIP * s0], axis, indexing="ij")
-    g = require_finite(secant_slope(f, eq, uu, vv), "secant slope", uu, vv).ravel()
+    rows = axis[np.abs(axis - eq.S) >= _STRIP * s0]
     f1_star = float(f.eval_f1(eq.S, eq.I))
+    step = max(1, _BLOCK // grid_n)
+    lo = hi = None
+    # with every u in the strip, one empty block raises numpy's ValueError
+    for start in range(0, max(rows.size, 1), step):
+        # contiguous copies, laid out as the rows of a meshgrid, so that
+        # f1 sees the same arrays, element for element, at any block size
+        uu = np.repeat(rows[start:start + step], grid_n)
+        vv = np.tile(axis, uu.size // grid_n)
+        # secant_slope's operations, with its singular-point check left
+        # out: the strip keeps every u far from S*
+        g = (np.asarray(f.eval_f1(uu, vv), dtype=float) - f1_star) / (uu - eq.S)
+        require_finite(g, "secant slope", uu, vv)
+        k_lo, k_hi = int(np.argmin(g)), int(np.argmax(g))
+        if lo is None or g[k_lo] < lo[0]:
+            lo = (float(g[k_lo]), (float(uu[k_lo]), float(vv[k_lo])))
+        if hi is None or g[k_hi] > hi[0]:
+            hi = (float(g[k_hi]), (float(uu[k_hi]), float(vv[k_hi])))
     f1_column = require_finite(f.eval_f1(eq.S, axis), "incidence factor", eq.S, axis)
     divergence = bool(np.any(np.abs(f1_column - f1_star) > 1e-12 * abs(f1_star)))
-    lo, hi = int(np.argmin(g)), int(np.argmax(g))
-    return _SlopeRange(g_min=float(g[lo]), g_max=float(g[hi]),
-                       at_min=(float(uu.flat[lo]), float(vv.flat[lo])),
-                       at_max=(float(uu.flat[hi]), float(vv.flat[hi])),
+    return _SlopeRange(g_min=lo[0], g_max=hi[0], at_min=lo[1], at_max=hi[1],
                        divergence_flag=divergence)
 
 
@@ -289,17 +315,67 @@ def dvdt_at(p: ModelParams, f: IncidenceFunction, eq: State,
 
 
 def _dvdt_samples(p: ModelParams, f: IncidenceFunction, eq: State, k1: float,
-                  k2: float | None, grid_n: int) -> np.ndarray:
-    """dV/dt at every point that ``dvdt_scan`` scans, as one array."""
-    k2_value = default_k2(p) if k2 is None else k2
-    ss, ii, rr = omega_grid(p, grid_n)
-    keep = (ii > 0) & (((ss - eq.S) ** 2 + (ii - eq.I) ** 2 + (rr - eq.R) ** 2)
-                       > (1e-3 * p.s0) ** 2)
-    ss, ii, rr = ss[keep], ii[keep], rr[keep]
+                  k2: float | None, grid_n: int) -> tuple[float, int]:
+    """(max, count) of dV/dt over the points that ``dvdt_scan`` scans.
 
-    field = make_rhs(p, f)(ss, ii, rr)
-    require_finite(field[1], "incidence", ss, ii)
-    return _dvdt(eq, k1, k2_value, ss, ii, rr, field)
+    The points are the ``omega_grid`` lattice points (a, b, c)*S0/(n-1)
+    with I > 0 outside the ball, but the lattice is never built.  What
+    depends on (S, I) alone is evaluated once, on the triangle a + b <=
+    n - 1, at the (a, b) that keep some c; ordered by a + b, the (S, I)
+    allowed at level c form a prefix, to which each level adds its R
+    terms, consecutive levels taken together in blocks of about
+    ``_BLOCK`` points.  Each sample goes through the operations of
+    ``_dvdt`` and ``make_rhs`` in their order, so it has the bits of a
+    dense scan.
+    """
+    k2_value = default_k2(p) if k2 is None else k2
+    if grid_n < 2:
+        raise ValueError(f"grid size must be at least 2 points per axis, got {grid_n}")
+    axis = np.linspace(0.0, p.s0, grid_n)
+    a, b = np.nonzero(np.add.outer(np.arange(grid_n), np.arange(grid_n)) < grid_n)
+    ss, ii = axis[a], axis[b]
+    r_off = axis - eq.R
+    r_sq = r_off ** 2
+    near = (ss - eq.S) ** 2 + (ii - eq.I) ** 2
+    # the R term is monotone in c on either side of R*, and rounding keeps
+    # that order, so a column keeps some c iff it keeps c = 0 or its top c
+    radius_sq = (1e-3 * p.s0) ** 2
+    top = grid_n - 1 - a - b
+    keep = (ii > 0) & ((near + r_sq[0] > radius_sq) | (near + r_sq[top] > radius_sq))
+    a, b, ss, ii, near = a[keep], b[keep], ss[keep], ii[keep], near[keep]
+
+    # each equation is affine in R with its R term last, so the field at
+    # R = 0 is its (S, I) part plus or minus 0.0, which can differ from that
+    # part only in the sign of a zero; adding a level's R term, delta*R or
+    # -(mu + delta)*R, then rounds to the dense field's bits
+    ds, di, dr = make_rhs(p, f)(ss, ii, 0.0)
+    require_finite(di, "incidence", ss, ii)
+    shift = (ss - eq.S) + (ii - eq.I)
+    k1_term = k1 * (1.0 - eq.I / ii) * di
+
+    order = np.argsort(a + b, kind="stable")
+    ds, di, dr, shift, k1_term, near = (x[order] for x in (ds, di, dr, shift, k1_term, near))
+    prefix = np.searchsorted((a + b)[order], grid_n - 1 - np.arange(grid_n), side="right")
+    # R terms as columns, one row per level, against the (S, I) prefix
+    ds_r, dr_r, k2_r = (x[:, None] for x in (p.delta * axis, (p.mu + p.delta) * axis,
+                                              k2_value * r_off))
+    r_off, r_sq, prefix = r_off[:, None], r_sq[:, None], prefix[:, None]
+    maxima, count, c = [], 0, 0
+    while c < grid_n:
+        # consecutive levels, about _BLOCK points in all
+        m = int(prefix[c, 0])
+        levels = slice(c, c + max(1, _BLOCK // max(m, 1)))
+        c = levels.stop
+        kept = (near[:m] + r_sq[levels] > radius_sq) & (np.arange(m) < prefix[levels])
+        if not kept.any():
+            continue
+        dr_c = dr[:m] - dr_r[levels]
+        dvdt = ((shift[:m] + r_off[levels]) * ((ds[:m] + ds_r[levels]) + di[:m] + dr_c)
+                + k1_term[:m] + k2_r[levels] * dr_c)
+        maxima.append(np.max(dvdt[kept]))
+        count += int(np.count_nonzero(kept))
+    # no point at all raises numpy's ValueError, as an empty scan did
+    return float(np.max(np.array(maxima))), count
 
 
 def dvdt_scan(p: ModelParams, f: IncidenceFunction, eq: State, k1: float,
@@ -315,7 +391,7 @@ def dvdt_scan(p: ModelParams, f: IncidenceFunction, eq: State, k1: float,
     EvaluationError naming the first (S, I) where the incidence is
     non-finite.
     """
-    return float(np.max(_dvdt_samples(p, f, eq, k1, k2, grid_n)))
+    return _dvdt_samples(p, f, eq, k1, k2, grid_n)[0]
 
 
 def pq_matrices(p: ModelParams, f: IncidenceFunction, eq: State,
@@ -380,8 +456,7 @@ def certify(p: ModelParams, f: IncidenceFunction, eq: State,
     if k1_value is not None:
         _, _, minors = pq_matrices(p, f, eq, k1_value, k2, scan.worst_point)
         p_minors, q_minors = minors[:2], minors[2:]
-        dvdt = _dvdt_samples(p, f, eq, k1_value, k2, dvdt_grid_n)
-        dvdt_max, dvdt_points = float(np.max(dvdt)), dvdt.size
+        dvdt_max, dvdt_points = _dvdt_samples(p, f, eq, k1_value, k2, dvdt_grid_n)
     return CertificateReport(
         a1_pass=a1.passed, a1_margin=a1.margin, a1_remark_value=a1.remark_value,
         k1=k1_value, k2=k2, sup_h=scan.sup_h, h_bound=scan.h_bound,

@@ -26,8 +26,9 @@ from sirskit import (
     omega_lattice,
     sweep,
 )
-from sirskit.incidence import formula
-from sirskit.model import make_rhs, rates
+from sirskit.codegen import rename
+from sirskit.incidence import _FAMILIES, formula
+from sirskit.model import EQUATIONS, make_rhs, rates
 
 from conftest import FAMILY_INSTANCES, HYPOTHESIS_FAMILIES, REF
 
@@ -329,6 +330,35 @@ def test_power_models_share_one_compiled_loop(method):
     for value in values + [2.5]:
         assert value not in loops[0].__code__.co_consts
         assert repr(value) not in source
+
+
+def _rename_per_stage(f_text, bound):
+    # the stage emitter as first written: every expression renamed anew
+    # at every stage
+    def inline(k, *state):
+        names = {**bound, **dict(zip("SIR", state))}
+        return [f"fv = {rename(f_text, names)}",
+                *(f"{k}{c} = {rename(eq, names)}" for c, eq in zip("sir", EQUATIONS))]
+
+    return inline
+
+
+_INCIDENCE_TEXTS = sorted({text for family in _FAMILIES.values() for text in family[:2]}
+                          | {simulate_mod._CALL})
+
+
+@pytest.mark.parametrize("f_text", _INCIDENCE_TEXTS)
+@pytest.mark.parametrize("method", sorted(simulate_mod.METHODS))
+def test_loop_source_renames_each_expression_once(monkeypatch, method, f_text):
+    # the templates give the bytes of renaming at every stage, from one
+    # rename per expression: f and the three equations
+    calls = []
+    monkeypatch.setattr(simulate_mod, "rename",
+                        lambda text, names: calls.append(text) or rename(text, names))
+    source = simulate_mod._loop_source(method, f_text)
+    assert sorted(calls) == sorted([f_text, *EQUATIONS])
+    monkeypatch.setattr(simulate_mod, "_inliner", _rename_per_stage)
+    assert source == simulate_mod._loop_source(method, f_text)
 
 
 def test_compiled_loop_lines_in_tracebacks(ref_params):
