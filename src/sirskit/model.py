@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,8 @@ from .incidence import IncidenceFunction, compute_beta, require_finite
 @dataclass(frozen=True)
 class ModelParams:
     """The six rates of the model.  Lambda and mu must be positive,
-    the remaining rates non-negative."""
+    with S0 = Lambda/mu a finite normal float, and the remaining rates
+    non-negative."""
 
     Lambda: float
     mu: float
@@ -53,6 +55,9 @@ class ModelParams:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        # every population tolerance is a multiple of S0, so it must not round to 0 or inf
+        if not sys.float_info.min <= self.s0 < math.inf:
+            raise ValueError(f"Lambda/mu = {self.s0:g} must lie in [{sys.float_info.min:g}, inf)")
         for name in ("gamma1", "gamma2", "alpha", "delta"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):

@@ -4,13 +4,14 @@ One explicit Runge-Kutta engine steps two tableaux, both written in
 first-same-as-last form: classic RK4 with a fixed step, and the embedded
 Dormand-Prince 5(4) pair with mixed absolute/relative error control.
 ``_compile`` writes the whole scalar loop of a method as Python source,
-with the fixed or adaptive step logic chosen as it writes, and every
-stage's input, the model's ``EQUATIONS`` and a built-in family's
-incidence text inline, so a step calls nothing for the model.  Any
-other incidence callable is called once per stage from the same loop.
-Each loop compiles on first use, once per method and incidence text;
-rates and coefficients enter it as values.  The batch calls an array
-stage function written by the same stage emitter.
+with the fixed or adaptive step logic chosen as it writes.  Every stage
+computes its input in S, I and R, then evaluates a built-in family's
+incidence text and the model's ``EQUATIONS`` there, both as written, so
+a step calls nothing for the model.  Any other incidence callable is
+called once per stage from the same loop.  Each loop compiles on first
+use, once per method and incidence text; rates and coefficients are its
+parameters.  The batch calls an array stage function written by the same
+stage emitter.
 Every step enforces the model's invariants numerically: components are
 clamped to zero only for round-off (within 2e-14*S0 below zero), and a
 state that leaves the feasible simplex by more than 2e-8*S0 aborts the
@@ -39,7 +40,6 @@ import functools
 import math
 import os
 import signal
-import string
 import sys
 from array import array
 from dataclasses import dataclass
@@ -47,7 +47,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .codegen import define, free_names, rename
+from .codegen import define
 from .equilibria import find_endemic
 from .errors import BlowUpError, InvarianceViolationError, SirsKitError
 from .incidence import IncidenceFunction, formula
@@ -264,15 +264,14 @@ def _step_lines(rows, error, derivative):
     """Source lines of one step of the tableau ``(rows, error)`` from the
     state (s, i, r) whose derivative is (k0s, k0i, k0r).
 
-    Row m = 1..n of the n rows gives the input (s{m}, i{m}, r{m}) of
-    stage m, at which ``derivative(f"k{m}", f"s{m}", f"i{m}", f"r{m}")``
-    binds (k{m}s, k{m}i, k{m}r); stage n is the new solution, whose
-    derivative starts the next step.  With an error row, (es, ei, er) is
-    the error estimate.  Each input is y + h*d, where d = 0.0 + a0*k0 and
-    then d += a*k for each further nonzero weight a, in stage order; the
-    error is 0.0 + h*d over the error row.  The weights enter as their
-    ``repr``, so every float rounds as in that sum, and arrays accumulate
-    in place.
+    Row m = 1..n of the n rows gives the input (S, I, R) of stage m, at
+    which ``derivative(f"k{m}")`` binds (k{m}s, k{m}i, k{m}r); after stage
+    n, (S, I, R) is the new solution, whose derivative starts the next
+    step.  With an error row, (es, ei, er) is the error estimate.  Each
+    input is y + h*d, where d = 0.0 + a0*k0 and then d += a*k for each
+    further nonzero weight a, in stage order; the error is 0.0 + h*d over
+    the error row.  The weights enter as their ``repr``, so every float
+    rounds as in that sum, and arrays accumulate in place.
     """
     lines = []
 
@@ -284,8 +283,8 @@ def _step_lines(rows, error, derivative):
 
     for m, weights in enumerate(rows, 1):
         accumulate(weights)
-        lines.extend(f"{c}{m} = {c} + h * d{c}" for c in "sir")
-        lines.extend(derivative(f"k{m}", f"s{m}", f"i{m}", f"r{m}"))
+        lines.extend(f"{c.upper()} = {c} + h * d{c}" for c in "sir")
+        lines.extend(derivative(f"k{m}"))
     if error is not None:
         accumulate(error)
         lines.extend(f"e{c} = 0.0 + h * d{c}" for c in "sir")
@@ -304,16 +303,15 @@ def _stages(method: str):
     a method without an error row.  ``y`` and ``k`` are (S, I, R) triples
     of floats or of arrays; ``rhs`` is called once per stage."""
     rows, error = METHODS[method]
-    n = len(rows)
 
-    def call(k, *state):
-        return [f"{k} = rhs({', '.join(state)})", f"{k}s, {k}i, {k}r = {k}"]
+    def call(k):
+        return [f"{k} = rhs(S, I, R)", f"{k}s, {k}i, {k}r = {k}"]
 
     estimate = "None" if error is None else "(es, ei, er)"
     source = (f"def stages(rhs, y, h, k):\n"
               + _indent(["s, i, r = y", "k0s, k0i, k0r = k",
                          *_step_lines(rows, error, call),
-                         f"return (s{n}, i{n}, r{n}), k{n}, {estimate}"], 1))
+                         f"return (S, I, R), k{len(rows)}, {estimate}"], 1))
     return define(source, "stages", f"<sirskit {method} stages>")
 
 
@@ -321,54 +319,36 @@ def _stages(method: str):
 _CALL = "eval_f(S, I)"
 
 
-def _inliner(f_text: str, bound: dict):
-    """``inline(k, *state)``, the source lines that bind fv to ``f_text``
-    and (k s, k i, k r) to the model's ``EQUATIONS`` at the (S, I, R) named
-    by ``state``, with every other name renamed as in ``bound``.  Each
-    expression is renamed once, into a template whose holes $S, $I and $R
-    each stage fills with its own names."""
-    holes = {**bound, **{x: f"${x}" for x in "SIR"}}
-    f_template = string.Template(rename(f_text, holes))
-    templates = [string.Template(rename(eq, holes)) for eq in EQUATIONS]
-
-    def inline(k, *state):
-        names = dict(zip("SIR", state))
-        return [f"fv = {f_template.substitute(names)}",
-                *(f"{k}{c} = {eq.substitute(names)}" for c, eq in zip("sir", templates))]
-
-    return inline
-
-
-def _loop_source(method: str, f_text: str) -> str:
-    """The source of ``_compile``'s loop for ``method`` and ``f_text``."""
+def _loop_source(method: str, f_text: str, names) -> str:
+    """The source of ``_compile``'s loop for ``method``, ``f_text`` and
+    the coefficient ``names``."""
     rows, error = METHODS[method]
     adaptive, n = error is not None, len(rows)
-    coefficients = sorted(free_names(f_text) - {"S", "I"})
-    bound = {**{x: f"p_{x}" for x in RATES}, **{x: f"c_{x}" for x in coefficients}}
-    inline = _inliner(f_text, bound)
 
-    new, k_new = f"s{n}, i{n}, r{n}", f"k{n}s, k{n}i, k{n}r"
-    head = [*(f"p_{x} = rates[{x!r}]" for x in RATES),
-            *(f"c_{x} = coefficients[{x!r}]" for x in coefficients),
-            ("tol, atol, h, h_min, h_max, max_steps = control" if adaptive
+    def derivative(k):
+        return [f"fv = {f_text}", *(f"{k}{c} = {eq}" for c, eq in zip("sir", EQUATIONS))]
+
+    k_new = f"k{n}s, k{n}i, k{n}r"
+    head = [("tol, atol, h, h_min, h_max, max_steps = control" if adaptive
              else "step, n_steps = control"),
             "clamp, low, top = bounds",
-            "s, i, r = y0",
-            *inline("k0", "s", "i", "r"),
+            "s, i, r = S, I, R = y0",
+            *derivative("k0"),
             'history = array("d", (0.0, s, i, r))',
             "record = history.extend",
             "t, steps, rejected, max_error = 0.0, 0, 0, 0.0"]
-    stages = ["try:", *(f"    {line}" for line in _step_lines(rows, error, inline))]
+    stages = ["try:", *(f"    {line}" for line in _step_lines(rows, error, derivative))]
     accept = ["try:",
               "    # a state inside Omega is what postprocess would return unchanged",
-              f"    if 0.0 <= s{n} and 0.0 <= i{n} and 0.0 <= r{n} and s{n} + i{n} + r{n} <= top:",
-              f"        s, i, r, k0s, k0i, k0r = {new}, {k_new}",
+              "    if 0.0 <= S and 0.0 <= I and 0.0 <= R and S + I + R <= top:",
+              f"        s, i, r, k0s, k0i, k0r = S, I, R, {k_new}",
               "    else:",
-              f"        s, i, r = postprocess(({new}), t, clamp, low, top)",
-              f"        if s == s{n} and i == i{n} and r == r{n}:",
+              "        s, i, r = postprocess((S, I, R), t, clamp, low, top)",
+              "        if s == S and i == I and r == R:",
               f"            k0s, k0i, k0r = {k_new}",
               "        else:",
-              *(f"            {line}" for line in inline("k0", "s", "i", "r")),
+              "            S, I, R = s, i, r",
+              *(f"            {line}" for line in derivative("k0")),
               "except TypeError:  # only a fixed step is accepted off the reals",
               "    raise BlowUpError(NON_FINITE.format(t)) from None",
               "record((t, s, i, r))",
@@ -380,8 +360,9 @@ def _loop_source(method: str, f_text: str) -> str:
     # the batch does with inf and nan; the fixed-step method cannot, and
     # stops with BlowUpError.
     if adaptive:
-        finite = " and ".join(f"isfinite({v})" for v in ("es", "ei", "er", *new.split(", ")))
-        norm = ", ".join(f"abs(e{c}) / (atol + tol * max(abs({c}), abs({c}{n})))" for c in "sir")
+        finite = " and ".join(f"isfinite({v})" for v in ("es", "ei", "er", "S", "I", "R"))
+        norm = ", ".join(f"abs(e{c}) / (atol + tol * max(abs({c}), abs({c.upper()})))"
+                         for c in "sir")
         loop = ["while t_end - t > 1e-14 * t_end:",
                 "    rest = t_end - t",
                 "    if rest < h:  # min(h, rest) without a call",
@@ -417,31 +398,30 @@ def _loop_source(method: str, f_text: str) -> str:
                 "        raise BlowUpError(NON_FINITE.format(t + h)) from None",
                 "    t = t + h if steps < n_steps - 1 else t_end",
                 *(f"    {line}" for line in accept)]
-    return ("def loop(y0, t_end, control, bounds, rates, coefficients):\n"
+    return (f"def loop(y0, t_end, control, bounds, {', '.join((*RATES, *names))}):\n"
             + _indent([*head, *loop, "return history, StepStats(steps, rejected, max_error)"], 1))
 
 
 @functools.cache
-def _compile(method: str, f_text: str):
+def _compile(method: str, f_text: str, names: tuple):
     """The whole scalar integration loop of ``method`` for the incidence
-    expression ``f_text`` in S, I and its coefficients, compiled on first
-    use: ``loop(y0, t_end, control, bounds, rates, coefficients)`` returns
-    the history and the StepStats of one run.
+    expression ``f_text`` in S, I and the coefficients ``names``, compiled
+    on first use: ``loop(y0, t_end, control, bounds, **rates,
+    **coefficients)`` returns the history and the StepStats of one run.
 
     ``control`` is (step, number of steps) for a fixed-step method and
     (tol, atol, h, h_min, h_max, step budget) for an adaptive one.  Every stage
-    evaluates ``f_text`` and the model's ``EQUATIONS`` inline, so a
-    step makes no Python call but those in ``f_text``.  The rates and
-    coefficients enter as values, bound to locals named p_<rate> and
-    c_<coefficient>, so they never clash with the loop's own names and no
-    value is ever part of the source.
+    writes its input to S, I and R and evaluates ``f_text`` and the model's
+    ``EQUATIONS`` there verbatim, so a step makes no Python call but those
+    in ``f_text``.  The rates and coefficients are the loop's parameters,
+    under their own names, so no value is ever part of the source.
     """
     namespace = {"array": array, "isfinite": math.isfinite, "inf": math.inf,
                  "postprocess": _postprocess, "next_step": _next_step,
                  "BlowUpError": BlowUpError, "StepStats": StepStats,
                  "NON_FINITE": _NON_FINITE, "UNDERFLOW": _UNDERFLOW, "EXHAUSTED": _EXHAUSTED}
-    return define(_loop_source(method, f_text), "loop", f"<sirskit {method} loop: {f_text}>",
-                  namespace)
+    return define(_loop_source(method, f_text, names), "loop",
+                  f"<sirskit {method} loop: {f_text}>", namespace)
 
 
 def _step_range(t_end: float):
@@ -476,8 +456,8 @@ def _run(p: ModelParams, f: IncidenceFunction, y0, t_end: float,
     else:
         control = (step_or_tol, step_or_tol * (_ATOL * p.s0), *_step_range(t_end), _MAX_STEPS)
     f_text, coefficients = formula(f.eval_f) or (_CALL, {"eval_f": f.eval_f})
-    loop = _compile(method, f_text)
-    return loop(y0, t_end, control, _bounds(p), rates(p), coefficients)
+    loop = _compile(method, f_text, tuple(coefficients))
+    return loop(y0, t_end, control, _bounds(p), **rates(p), **coefficients)
 
 
 def _run_batch(rhs, y0: np.ndarray, t_end: float, tol: float, p: ModelParams):

@@ -328,6 +328,22 @@ def test_invalid_input_exits_1(capsys, monkeypatch, high_config, tmp_path, comma
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("check", []), ("analyze", []), ("simulate", ["--initial", "0,0,0"]), ("sweep", []),
+])
+@pytest.mark.parametrize("Lambda, mu", [(1e300, 1e-10), (1e-320, 1.0)],
+                         ids=["s0-inf", "s0-subnormal"])
+def test_s0_outside_float_range_exits_1(capsys, tmp_path, command, flags, Lambda, mu):
+    # S0 = inf, or an S0 whose absolute tolerance underflows to 0
+    cfg = write_config(tmp_path, params={**REF_PARAMS, "Lambda": Lambda, "mu": mu})
+    out_flag = [] if command in ("check", "analyze") else ["--out", tmp_path / "out"]
+    code, out, err = run_cli(capsys, command, cfg, *flags, *out_flag)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "Lambda/mu" in err
+
+
 # 50**200 overflows a float at the initial state.  Fixed steps fail later:
 # from (30, 10, 5) the first step of 10 reaches S < 0, where S**2.5 is
 # complex, and from (10, 30, 5) a stage of the first step of 100 overflows S**3.

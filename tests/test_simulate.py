@@ -26,9 +26,8 @@ from sirskit import (
     omega_lattice,
     sweep,
 )
-from sirskit.codegen import rename
 from sirskit.incidence import _FAMILIES, formula
-from sirskit.model import EQUATIONS, make_rhs, rates
+from sirskit.model import EQUATIONS, RATES, make_rhs, rates
 
 from conftest import FAMILY_INSTANCES, HYPOTHESIS_FAMILIES, REF
 
@@ -149,11 +148,11 @@ def test_stages_float_and_array_bit_identical(method, y, h):
     assert [float(v[0]).hex() for v in arrays] == [v.hex() for v in floats]
     assert (err is None) == (simulate_mod.METHODS[method][1] is None)
     f_text, coefficients = formula(make_builtin("bilinear", {"beta": 0.04}).eval_f)
-    loop = simulate_mod._compile(method, f_text)
+    loop = simulate_mod._compile(method, f_text, tuple(coefficients))
     # an infinite tolerance accepts the step; these bounds leave every state as it is
     control = (h, 1) if err is None else (math.inf, math.inf, h, h, h, 1)
-    history, stats = loop(y, h, control, (0.0, -math.inf, math.inf), rates(ModelParams(**REF)),
-                          coefficients)
+    history, stats = loop(y, h, control, (0.0, -math.inf, math.inf),
+                          **rates(ModelParams(**REF)), **coefficients)
     assert [v.hex() for v in history[4:]] == [v.hex() for v in (h, *y_new)]
     assert stats.max_error.hex() == max((0.0, *map(abs, err or ()))).hex()
 
@@ -321,26 +320,15 @@ def test_power_models_share_one_compiled_loop(method):
                   0.1 if method == "rk4_fixed" else 1e-8)
         if not loops:
             misses = simulate_mod._compile.cache_info().misses
-        loops.append(simulate_mod._compile(method, f_text))
+        loops.append(simulate_mod._compile(method, f_text, tuple(coefficients)))
         values += [k, p.Lambda, p.s0]
     assert simulate_mod._compile.cache_info().misses == misses
     assert loops[0] is loops[1]
     source = inspect.getsource(loops[0])
-    assert "fv = c_k * i1 * s1 ** c_q" in source
+    assert "fv = k * I * S ** q" in source
     for value in values + [2.5]:
         assert value not in loops[0].__code__.co_consts
         assert repr(value) not in source
-
-
-def _rename_per_stage(f_text, bound):
-    # the stage emitter as first written: every expression renamed anew
-    # at every stage
-    def inline(k, *state):
-        names = {**bound, **dict(zip("SIR", state))}
-        return [f"fv = {rename(f_text, names)}",
-                *(f"{k}{c} = {rename(eq, names)}" for c, eq in zip("sir", EQUATIONS))]
-
-    return inline
 
 
 _INCIDENCE_TEXTS = sorted({text for family in _FAMILIES.values() for text in family[:2]}
@@ -349,16 +337,40 @@ _INCIDENCE_TEXTS = sorted({text for family in _FAMILIES.values() for text in fam
 
 @pytest.mark.parametrize("f_text", _INCIDENCE_TEXTS)
 @pytest.mark.parametrize("method", sorted(simulate_mod.METHODS))
-def test_loop_source_renames_each_expression_once(monkeypatch, method, f_text):
-    # the templates give the bytes of renaming at every stage, from one
-    # rename per expression: f and the three equations
-    calls = []
-    monkeypatch.setattr(simulate_mod, "rename",
-                        lambda text, names: calls.append(text) or rename(text, names))
-    source = simulate_mod._loop_source(method, f_text)
-    assert sorted(calls) == sorted([f_text, *EQUATIONS])
-    monkeypatch.setattr(simulate_mod, "_inliner", _rename_per_stage)
-    assert source == simulate_mod._loop_source(method, f_text)
+def test_loop_source_writes_each_text_verbatim(method, f_text):
+    # f and every equation appear as written, once per stage, once in the
+    # head and once where a clamped state is re-evaluated
+    n = len(simulate_mod.METHODS[method][0])
+    lines = [line.strip() for line in simulate_mod._loop_source(method, f_text, ()).splitlines()]
+    assert lines.count(f"fv = {f_text}") == n + 2
+    for c, eq in zip("sir", EQUATIONS):
+        assert lines.count(f"k0{c} = {eq}") == 2
+        for m in range(1, n + 1):
+            assert lines.count(f"k{m}{c} = {eq}") == 1
+
+
+def _clashes(method, names):
+    """The coefficient ``names`` that a rate or a name of the loop itself
+    would shadow or be shadowed by."""
+    code = simulate_mod._compile(method, "S * I", ()).__code__
+    return set(names) & {*RATES, *code.co_varnames, *code.co_names}
+
+
+# every family's f text and coefficient names, and the called incidence's
+_COEFFICIENT_NAMES = {**{family: (f_text, positive + nonneg)
+                         for family, (f_text, _, positive, nonneg) in _FAMILIES.items()},
+                      "called": (simulate_mod._CALL, ("eval_f",))}
+
+
+@pytest.mark.parametrize("f_text, names", _COEFFICIENT_NAMES.values(), ids=_COEFFICIENT_NAMES)
+@pytest.mark.parametrize("method", sorted(simulate_mod.METHODS))
+def test_coefficient_names_cannot_clash(method, f_text, names):
+    # the texts enter the loop verbatim, so nothing but their names keeps a
+    # coefficient apart from the rates and the loop's own locals and globals
+    assert _clashes(method, names) == set()
+    assert _clashes(method, ("h", *names)) == {"h"}
+    loop = simulate_mod._compile(method, f_text, names)
+    assert loop.__code__.co_varnames[4:4 + len(RATES) + len(names)] == (*RATES, *names)
 
 
 def test_compiled_loop_lines_in_tracebacks(ref_params):
@@ -367,7 +379,7 @@ def test_compiled_loop_lines_in_tracebacks(ref_params):
 
     with pytest.raises(ZeroDivisionError) as raised:
         integrate(ref_params, from_callables(broken), State(30, 10, 5), 1.0, "rk4_fixed", 0.1)
-    assert "fv = c_eval_f(s, i)" in "".join(traceback.format_tb(raised.tb))
+    assert "fv = eval_f(S, I)" in "".join(traceback.format_tb(raised.tb))
 
 
 def test_adaptive_step_budget(ref_params, high_incidence, monkeypatch):
