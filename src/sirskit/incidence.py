@@ -29,7 +29,10 @@ Each built-in family declares f and f1 as expression text in S, I and
 its coefficients.  ``make_builtin`` compiles that text once per family
 and binds the coefficients as values, so no coefficient is ever source
 text; ``formula`` gives the f text back for the function built from it,
-which the integrator then inlines into its compiled loop.
+which the integrator then inlines into its compiled loop.  A family also
+declares whether its f1 is a function of S alone; ``f1_of_s_only``
+recognises the f1 built from such a family, whose slope scan in
+``stability`` then needs one I per S.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from __future__ import annotations
 import functools
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -108,21 +111,38 @@ class HypothesisReport:
         }
 
 
-# family -> (f, f1, positive coefficients, non-negative coefficients with
-# default 0); f and f1 are expression text in S, I and the coefficients
+class _Family(NamedTuple):
+    """A built-in family: f and f1 as expression text in S, I and the
+    coefficients, its positive coefficients, its non-negative ones (default
+    0), and whether f1 is a function of S alone, its value at every I the
+    bits of its value at I = 0."""
+
+    f: str
+    f1: str
+    positive: tuple
+    nonneg: tuple
+    f1_of_s_only: bool = False
+
+
 _FAMILIES = {
-    "bilinear": ("beta * S * I", "beta * S + 0.0 * I", ("beta",), ()),
-    "power": ("k * I * S ** q", "k * S ** q + 0.0 * I", ("k", "q"), ()),
-    "saturated_in_I": ("beta * S * I / (1.0 + a * I)", "beta * S / (1.0 + a * I)",
-                       ("beta",), ("a",)),
-    "psi_ratio": ("beta * S * I / (1.0 + a * I + b * I * I)",
-                  "beta * S / (1.0 + a * I + b * I * I)", ("beta",), ("a", "b")),
-    "ruan": ("beta * S * I * I / (1.0 + rho * I * I)", "beta * S * I / (1.0 + rho * I * I)",
-             ("beta",), ("rho",)),
+    "bilinear": _Family("beta * S * I", "beta * S + 0.0 * I", ("beta",), (),
+                        f1_of_s_only=True),
+    "power": _Family("k * I * S ** q", "k * S ** q + 0.0 * I", ("k", "q"), (),
+                     f1_of_s_only=True),
+    "saturated_in_I": _Family("beta * S * I / (1.0 + a * I)", "beta * S / (1.0 + a * I)",
+                              ("beta",), ("a",)),
+    "psi_ratio": _Family("beta * S * I / (1.0 + a * I + b * I * I)",
+                         "beta * S / (1.0 + a * I + b * I * I)", ("beta",), ("a", "b")),
+    "ruan": _Family("beta * S * I * I / (1.0 + rho * I * I)",
+                    "beta * S * I / (1.0 + rho * I * I)", ("beta",), ("rho",)),
 }
 
 # eval_f of every live make_builtin result -> (its f text, its coefficients)
 _FORMULAS = weakref.WeakKeyDictionary()
+
+# eval_f1 of every live make_builtin result whose family declares
+# f1_of_s_only
+_S_ONLY_F1 = weakref.WeakSet()
 
 
 @functools.cache
@@ -141,6 +161,16 @@ def formula(eval_f):
         return _FORMULAS.get(eval_f)
     except TypeError:  # not weakly referenceable, or not hashable
         return None
+
+
+def f1_of_s_only(eval_f1) -> bool:
+    """Whether ``eval_f1`` is the very function ``make_builtin`` built for a
+    family whose f1 is a function of S alone; a wrapper or a replacement
+    of it, even one forwarding to it, is not."""
+    try:
+        return eval_f1 in _S_ONLY_F1
+    except TypeError:  # not weakly referenceable, or not hashable
+        return False
 
 
 def make_builtin(family: str, coefficients: Mapping[str, float]) -> IncidenceFunction:
@@ -164,7 +194,7 @@ def make_builtin(family: str, coefficients: Mapping[str, float]) -> IncidenceFun
     if family not in _FAMILIES:
         raise ValueError(f"unknown incidence family {family!r}; "
                          f"expected one of {sorted(_FAMILIES)}")
-    f_text, f1_text, positive, nonneg = _FAMILIES[family]
+    f_text, f1_text, positive, nonneg, s_only = _FAMILIES[family]
     known = set(positive) | set(nonneg)
     unknown = set(coefficients) - known
     if unknown:
@@ -186,9 +216,12 @@ def make_builtin(family: str, coefficients: Mapping[str, float]) -> IncidenceFun
     names = positive + nonneg
     eval_f = _evaluator(f_text, names)(**coefs)
     _FORMULAS[eval_f] = (f_text, coefs)
+    eval_f1 = _evaluator(f1_text, names)(**coefs)
+    if s_only:
+        _S_ONLY_F1.add(eval_f1)
     return IncidenceFunction(
         eval_f=eval_f,
-        eval_f1=_evaluator(f1_text, names)(**coefs),
+        eval_f1=eval_f1,
         label=f"{family}({', '.join(f'{name}={coefs[name]:g}' for name in names)})",
     )
 

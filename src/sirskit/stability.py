@@ -52,7 +52,12 @@ whole u rows, about ``_BLOCK`` points each, and the dV/dt lattice as one
 triangle of (S, I) points to which the R levels add their terms, a block
 of levels at a time, so their memory grows with neither grid_n**2 nor
 dvdt_grid_n**3.  Every sample still goes through the operations of a
-dense scan in the same order, so the results keep their bits.
+dense scan in the same order, so the results keep their bits.  A
+built-in f1 that its family declares a function of S alone (see
+``incidence.f1_of_s_only``) gives G the same bits at every v of a u
+row, so the slope scan takes each row at v = 0 only: grid_n evaluations
+instead of grid_n**2, for the range, the points and the errors of the
+whole grid.
 """
 
 from __future__ import annotations
@@ -64,7 +69,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateParameterError, SingularPointError
-from .incidence import IncidenceFunction, require_finite
+from .incidence import IncidenceFunction, f1_of_s_only, require_finite
 from .model import ModelParams, State, make_rhs, omega_grid, r0
 
 
@@ -190,24 +195,29 @@ def _slope_range(f: IncidenceFunction, eq: State, s0: float, grid_n: int) -> _Sl
 
     The grid is taken in blocks of whole u rows, about ``_BLOCK`` points
     each, in row-major order; each extreme keeps its first sample in that
-    order.  G is unbounded near u = S* exactly when f1(S*, v) differs from
-    f1(S*, I*) for some v; that is decided on the grid's v axis, with
-    differences within 1e-12*f1(S*, I*) counted as round-off (at E1 that
-    is the infected outflow rate, a per-capita rate that rescaling leaves
-    alone).  Raises ValueError when grid_n < 2."""
+    order.  When f is a built-in whose f1 is a function of S alone
+    (``incidence.f1_of_s_only``), each row is taken at v = 0 only: every
+    v of a row gives G the same bits, so the first extreme of the grid
+    sits at v = 0 of its row, and the range, its points and any error
+    are those of the whole grid.  G is unbounded near u = S* exactly when
+    f1(S*, v) differs from f1(S*, I*) for some v; that is decided on the
+    grid's v axis, with differences within 1e-12*f1(S*, I*) counted as
+    round-off (at E1 that is the infected outflow rate, a per-capita rate
+    that rescaling leaves alone).  Raises ValueError when grid_n < 2."""
     if grid_n < 2:
         raise ValueError(f"grid_n must be at least 2, got {grid_n}")
     axis = np.linspace(0.0, s0, grid_n)
     rows = axis[np.abs(axis - eq.S) >= _STRIP * s0]
+    columns = axis[:1] if f1_of_s_only(f.eval_f1) else axis
     f1_star = float(f.eval_f1(eq.S, eq.I))
-    step = max(1, _BLOCK // grid_n)
+    step = max(1, _BLOCK // columns.size)
     lo = hi = None
     # with every u in the strip, one empty block raises numpy's ValueError
     for start in range(0, max(rows.size, 1), step):
         # contiguous copies, laid out as the rows of a meshgrid, so that
         # f1 sees the same arrays, element for element, at any block size
-        uu = np.repeat(rows[start:start + step], grid_n)
-        vv = np.tile(axis, uu.size // grid_n)
+        uu = np.repeat(rows[start:start + step], columns.size)
+        vv = np.tile(columns, uu.size // columns.size)
         # secant_slope's operations, with its singular-point check left
         # out: the strip keeps every u far from S*
         g = (np.asarray(f.eval_f1(uu, vv), dtype=float) - f1_star) / (uu - eq.S)
@@ -254,11 +264,12 @@ def check_a2(p: ModelParams, f: IncidenceFunction, eq: State, k1: float,
     """Scan h(u, v) = (2mu + alpha - k1*G(u, v))^2 against 2mu*(mu+alpha).
 
     Takes the range of G on a grid_n x grid_n grid over [0, Lambda/mu]^2
-    with the strip |u - S*| < 1e-4*Lambda/mu removed; sup h is reached
-    at one of its ends.  Passes when the supremum stays below the bound
-    and f1(S*, .) is constant on the grid's v axis, so that G stays
-    bounded near S*.  Raises ValueError unless 0 <= k1 < inf, or when
-    grid_n < 2.
+    with the strip |u - S*| < 1e-4*Lambda/mu removed, from its u axis
+    alone when f1 is a built-in of S alone, which gives the grid's range
+    bit for bit; sup h is reached at one of its ends.  Passes when the
+    supremum stays below the bound and f1(S*, .) is constant on the
+    grid's v axis, so that G stays bounded near S*.  Raises ValueError
+    unless 0 <= k1 < inf, or when grid_n < 2.
     """
     return _a2_scan(p, _slope_range(f, eq, p.s0, grid_n), k1)
 
@@ -272,7 +283,9 @@ def find_k1(p: ModelParams, f: IncidenceFunction, eq: State,
     is None when Gmin + Gmax <= 0 (no positive k1 lowers h below
     (2mu+alpha)^2), or when even this k1 fails condition (a2), which
     includes every f1 that varies with I at S*.  Absence of a valid k1
-    is a value, not an error.
+    is a value, not an error.  The slope range is that of ``check_a2``:
+    grid_n points along u for a built-in f1 of S alone, with the bits of
+    the grid_n x grid_n grid, and the whole grid for any other f1.
     """
     return _optimal_k1(p, _slope_range(f, eq, p.s0, grid_n))
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from sirskit import ModelParams, make_builtin
@@ -34,3 +36,9 @@ FAMILY_INSTANCES = {
 
 # Families satisfying all three structural hypotheses (ruan fails H2/H3).
 HYPOTHESIS_FAMILIES = ("bilinear", "power", "saturated_in_I", "psi_ratio")
+
+
+def forwarding(f):
+    """``f`` with an f1 that calls f's own: the same values from a function
+    that ``make_builtin`` did not build."""
+    return dataclasses.replace(f, eval_f1=lambda S, I: f.eval_f1(S, I))

@@ -16,8 +16,9 @@ from sirskit import (
     make_builtin,
     small_i_limit,
 )
+from sirskit.incidence import _FAMILIES, f1_of_s_only
 
-from conftest import FAMILY_INSTANCES, HYPOTHESIS_FAMILIES
+from conftest import FAMILY_INSTANCES, HYPOTHESIS_FAMILIES, forwarding
 
 positive_pop = st.floats(min_value=1e-6, max_value=50.0,
                          allow_nan=False, allow_infinity=False)
@@ -256,3 +257,40 @@ def test_incidence_bound_all_passing_families(family):
     passed, slack = check_incidence_bound(
         make_builtin(family, FAMILY_INSTANCES[family]), 10.0, 0.2, grid_n=100)
     assert passed, f"{family}: min slack {slack}"
+
+
+_S_ONLY = sorted(name for name, family in _FAMILIES.items() if family.f1_of_s_only)
+
+
+def test_declared_f1_of_s_only_families():
+    # a new family is scanned on the whole slope grid until it opts in
+    assert _S_ONLY == ["bilinear", "power"]
+
+
+@given(family=st.sampled_from(_S_ONLY), log_s=st.floats(-6.0, 6.0),
+       strength=st.floats(1e-3, 1e3), q=st.floats(0.1, 4.0),
+       fractions=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), max_size=20))
+@settings(max_examples=100, deadline=None)
+def test_f1_of_s_only_has_the_bits_of_v_zero(family, log_s, strength, q, fractions):
+    # f1(u, v) has the bytes of f1(u, 0) on [0, S0]^2; as bytes, -0.0 != 0.0
+    s0 = 50.0 * 10.0 ** log_s
+    f = make_builtin(family, {"beta": strength / s0} if family == "bilinear"
+                     else {"k": strength / s0 ** q, "q": q})
+    assert f1_of_s_only(f.eval_f1)
+    points = [(0.0, 0.5), (0.5, 0.0), (0.5, 1.0)] + fractions
+    u = np.array([a for a, _ in points]) * s0
+    v = np.array([b for _, b in points]) * s0
+    assert np.asarray(f.eval_f1(u, v)).tobytes() == np.asarray(f.eval_f1(u, 0.0 * v)).tobytes()
+    for a, b in zip(u.tolist(), v.tolist()):
+        assert np.float64(f.eval_f1(a, b)).tobytes() == np.float64(f.eval_f1(a, 0.0)).tobytes()
+
+
+@pytest.mark.parametrize("build", [
+    forwarding,
+    lambda f: from_callables(f.eval_f),
+    lambda f: from_callables(f.eval_f, lambda S, I: 0.0008 * S ** 2 + 0.0 * I),
+], ids=["forwarding", "derived", "user_f1"])
+def test_f1_of_s_only_recognises_only_the_built_function(build):
+    f = make_builtin("power", {"k": 0.0008, "q": 2.0})
+    assert f1_of_s_only(f.eval_f1)
+    assert not f1_of_s_only(build(f).eval_f1)

@@ -22,7 +22,7 @@ from sirskit import (EvaluationError, ModelParams, SirsKitError, State, certify,
 from sirskit.incidence import require_finite
 from sirskit.model import make_rhs, omega_grid
 
-from conftest import REF
+from conftest import REF, forwarding
 
 
 def dense_slope_range(f, eq, s0, grid_n):
@@ -104,6 +104,7 @@ MODELS = {
     "bilinear": lambda s, x: make_builtin("bilinear", {"beta": 0.04 * x / s}),
     "power": lambda s, x: make_builtin("power", {"k": 0.0008 * x / s ** 2, "q": 2.0}),
     "power_q2.5": lambda s, x: make_builtin("power", {"k": 1.6e-4 * x / s ** 2.5, "q": 2.5}),
+    "forwarded_power_q2.5": lambda s, x: forwarding(MODELS["power_q2.5"](s, x)),
     "saturated_in_I": lambda s, x: make_builtin("saturated_in_I",
                                                 {"beta": 0.04 * x / s, "a": 0.1 * x / s}),
     "psi_ratio": lambda s, x: make_builtin("psi_ratio", {"beta": 0.04 * x / s, "a": 0.1 / s,

@@ -358,7 +358,7 @@ def _clashes(method, names):
 
 # every family's f text and coefficient names, and the called incidence's
 _COEFFICIENT_NAMES = {**{family: (f_text, positive + nonneg)
-                         for family, (f_text, _, positive, nonneg) in _FAMILIES.items()},
+                         for family, (f_text, _, positive, nonneg, _) in _FAMILIES.items()},
                       "called": (simulate_mod._CALL, ("eval_f",))}
 
 

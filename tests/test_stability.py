@@ -27,9 +27,11 @@ from sirskit import (
     make_builtin,
     pq_matrices,
     secant_slope,
+    stability,
 )
+from sirskit.incidence import require_finite
 
-from conftest import REF
+from conftest import REF, forwarding
 
 
 @pytest.fixture(scope="module")
@@ -437,6 +439,32 @@ def test_certify_scans_slopes_once(ref_p, f_high, eq_high, k1):
     grid_n = 201
     assert certify(ref_p, f, eq_high, k1=k1, grid_n=grid_n).granted
     assert sum(n for n in sizes if n > 1) <= grid_n ** 2 + grid_n
+
+
+_POWER_Q25 = make_builtin("power", {"k": 1.6e-4, "q": 2.5})
+
+
+@pytest.mark.parametrize("f, most, least", [
+    (make_builtin("power", {"k": 0.0008, "q": 2.0}), 801, 0),
+    (_POWER_Q25, 801, 0),
+    (make_builtin("bilinear", {"beta": 0.04}), 801, 0),
+    (forwarding(_POWER_Q25), math.inf, 600_000),
+    (make_builtin("saturated_in_I", {"beta": 0.03, "a": 0.5}), math.inf, 600_000),
+], ids=["power_q2", "power_q2.5", "bilinear", "forwarded_power_q2.5", "saturated_in_I"])
+def test_slope_scan_work_at_grid_801(monkeypatch, ref_p, f, most, least):
+    # a built-in f1 of S alone is scanned at one v per u row; any other f1,
+    # even one forwarding to such a built-in, on the whole grid
+    eq = find_endemic(ref_p, f).endemic[0][0]
+    checked = []
+
+    def spy(values, what, s, i):
+        if what == "secant slope":
+            checked.append(np.size(values))
+        return require_finite(values, what, s, i)
+
+    monkeypatch.setattr(stability, "require_finite", spy)
+    find_k1(ref_p, f, eq, grid_n=801)
+    assert least <= sum(checked) <= most
 
 
 def test_certify_divergent_family(ref_p):
