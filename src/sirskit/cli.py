@@ -7,13 +7,13 @@ the bundled reference scenario and verify its expected outputs).
 
 Reports are deterministic JSON on standard output; ``--out`` redirects
 to files.  ``analyze`` and ``reproduce`` run ``find_endemic`` and
-``certify`` at their library defaults.  Exit codes: 0 success, 1 input
-error (a bad config, command line or flag value, or an unwritable
-output path), 2 analysis-level failure (a failed hypothesis, a sweep
-run that does not converge or a failed ``reproduce`` check), 3 internal
-solver error.  A refused
-certificate is a result, not a failure: ``analyze`` reports it with
-``"granted": false`` and exits 0.
+``certify`` at their library defaults; the certificate always takes the
+closed-form k1, which no other k1 improves on.  Exit codes: 0 success,
+1 input error (a bad config, command line or flag value, or an
+unwritable output path), 2 analysis-level failure (a failed hypothesis,
+a sweep run that does not converge or a failed ``reproduce`` check), 3
+internal solver error.  A refused certificate is a result, not a
+failure: ``analyze`` reports it with ``"granted": false`` and exits 0.
 """
 
 from __future__ import annotations
@@ -62,10 +62,11 @@ def _write_output(text: str, out: Path | None) -> None:
         Path(out).write_text(text)
 
 
-def _run_analysis(params: ModelParams, f, k1=None):
+def _run_analysis(params: ModelParams, f):
     """Shared pipeline behind ``analyze`` and ``reproduce``.
 
-    Returns (document, hypotheses_ok, equilibrium_report, errors).
+    Returns (document, hypotheses_ok, equilibrium_report); the document's
+    ``errors`` lists the stages that raised.
     """
     doc = {
         "params": params.as_dict(),
@@ -81,9 +82,9 @@ def _run_analysis(params: ModelParams, f, k1=None):
     hyp = check_hypotheses(f, s_max=params.s0)
     doc["hypotheses"] = hyp.as_dict()
     if not hyp.all_pass:
-        return doc, False, None, []
+        return doc, False, None
 
-    errors = []
+    errors = doc["errors"]
     eq_report = None
     try:
         doc["beta"] = compute_beta(f, params.Lambda, params.mu)
@@ -95,13 +96,12 @@ def _run_analysis(params: ModelParams, f, k1=None):
                        "message": str(exc)})
     if eq_report is not None and eq_report.r0 > 1 and eq_report.endemic:
         try:
-            cert = certify(params, f, eq_report.endemic[0][0], k1=k1)
+            cert = certify(params, f, eq_report.endemic[0][0])
             doc["certificate"] = cert.as_dict()
         except SirsKitError as exc:
             errors.append({"stage": "certificate", "type": type(exc).__name__,
                            "message": str(exc)})
-    doc["errors"] = errors
-    return doc, True, eq_report, errors
+    return doc, True, eq_report
 
 
 def cmd_check(args) -> int:
@@ -113,11 +113,11 @@ def cmd_check(args) -> int:
 
 def cmd_analyze(args) -> int:
     cfg = load_config(args.config)
-    doc, hyp_ok, _, errors = _run_analysis(cfg.params, cfg.incidence(), k1=args.k1)
+    doc, hyp_ok, _ = _run_analysis(cfg.params, cfg.incidence())
     _write_output(jsonio.dumps(doc), args.out)
     if not hyp_ok:
         return EXIT_ANALYSIS
-    return EXIT_SOLVER if errors else EXIT_OK
+    return EXIT_SOLVER if doc["errors"] else EXIT_OK
 
 
 def _parse_initial(text: str) -> State:
@@ -188,12 +188,12 @@ def cmd_reproduce(args) -> int:
     reports = {}
     for name, k in _REFERENCE_CASES.items():
         f = make_builtin("power", {"k": k, "q": 2.0})
-        doc, hyp_ok, eq_report, errors = _run_analysis(params, f)
+        doc, hyp_ok, eq_report = _run_analysis(params, f)
         (out_dir / f"analysis_{name}.json").write_text(jsonio.dumps(doc))
-        if not hyp_ok or errors or eq_report is None:
+        if not hyp_ok or doc["errors"] or eq_report is None:
             print(f"error: reference analysis '{name}' failed", file=sys.stderr)
             return EXIT_SOLVER
-        reports[name] = eq_report
+        reports[name] = eq_report, f
         traj = integrate(params, f, State(30.0, 10.0, 5.0), 500.0,
                          "rk45_adaptive", 1e-8)
         traj.to_csv(out_dir / f"trajectory_{name}.csv")
@@ -206,7 +206,8 @@ def cmd_reproduce(args) -> int:
             "pass": abs(eq_report.r0 - expected_r0) <= targets["r0_tol"],
         })
 
-    endemic = reports["supercritical"].endemic
+    sup_report, f_sup = reports["supercritical"]
+    endemic = sup_report.endemic
     if not endemic:
         print("error: supercritical case produced no endemic equilibrium",
               file=sys.stderr)
@@ -224,7 +225,6 @@ def cmd_reproduce(args) -> int:
     })
 
     # h(u) curve for the supercritical case at the fixed k1 above.
-    f_sup = make_builtin("power", {"k": _REFERENCE_CASES["supercritical"], "q": 2.0})
     u = np.linspace(0.0, params.s0, 501)
     slope = secant_slope(f_sup, eq, u, eq.I + 0.0 * u)
     h = (2.0 * params.mu + params.alpha - targets["h_k1"] * slope) ** 2
@@ -277,8 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze",
                              help="R0, equilibria and stability certificate")
     analyze.add_argument("config", type=Path)
-    analyze.add_argument("--k1", type=float, default=None,
-                         help="force this k1 instead of the closed form")
     analyze.add_argument("--out", type=Path, default=None)
     analyze.set_defaults(func=cmd_analyze)
 

@@ -38,7 +38,8 @@ of samples its supremum sits at the smallest or largest slope, Gmin or
 Gmax.  Condition (a2) therefore only needs the slope range: the k1
 minimising sup h is 2c/(Gmin + Gmax), where sup h = c^2 *
 ((Gmax - Gmin)/(Gmax + Gmin))^2, and no k1 > 0 can pass when
-Gmin + Gmax <= 0.
+Gmin + Gmax <= 0.  No other k1 passes (a2) where that one fails, so
+``certify`` always takes it.
 
 Certificates here are grid-based confirmation, not interval proofs: the
 slope range is taken over a grid that leaves out a thin strip around
@@ -63,7 +64,7 @@ whole grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -94,52 +95,32 @@ class A2Scan:
 class CertificateReport:
     """Outcome of the endemic-stability certificate checks.
 
-    Minor pairs hold the leading principal minors (top-left entry,
-    determinant); ``q_minors`` is evaluated at the sample where h is
-    largest.  ``dvdt_max`` is the largest sampled derivative of V
-    outside a ball around the equilibrium and is negative whenever the
-    certificate is sound; ``dvdt_points`` is the number of lattice points
-    it was taken over.  ``k2`` is always ``default_k2``.
+    ``granted`` is (a1) together with a closed-form k1 that passes (a2);
+    ``k1`` is None exactly when no k1 passes, and then ``sup_h`` and
+    ``dvdt_max`` are None too.  ``dvdt_max`` is the largest sampled
+    derivative of V outside a ball around the equilibrium and is
+    negative whenever the certificate is sound; ``dvdt_points`` is the
+    number of lattice points it was taken over.  ``k2`` is always
+    ``default_k2``.  The minors of P and Q follow from these fields:
+    both top-left entries are mu/2, det P = mu*a1_margin/(2*gamma2) and
+    det Q = (h_bound - sup_h)/4.
     """
 
+    granted: bool
     a1_pass: bool
     a1_margin: float
-    a1_remark_value: float
     k1: float | None
     k2: float
-    sup_h: float
+    sup_h: float | None
     h_bound: float
     divergence_flag: bool
-    p_minors: tuple[float, float] | None
-    q_minors: tuple[float, float] | None
     dvdt_max: float | None
     dvdt_points: int
     grid_n: int
     exclusion: float
 
-    @property
-    def granted(self) -> bool:
-        return (self.a1_pass and self.k1 is not None
-                and self.sup_h < self.h_bound and not self.divergence_flag)
-
     def as_dict(self) -> dict:
-        return {
-            "granted": self.granted,
-            "a1_pass": self.a1_pass,
-            "a1_margin": self.a1_margin,
-            "a1_remark_value": self.a1_remark_value,
-            "k1": self.k1,
-            "k2": self.k2,
-            "sup_h": self.sup_h,
-            "h_bound": self.h_bound,
-            "divergence_flag": self.divergence_flag,
-            "p_minors": list(self.p_minors) if self.p_minors is not None else None,
-            "q_minors": list(self.q_minors) if self.q_minors is not None else None,
-            "dvdt_max": self.dvdt_max,
-            "dvdt_points": self.dvdt_points,
-            "grid_n": self.grid_n,
-            "exclusion": self.exclusion,
-        }
+        return asdict(self)
 
 
 def check_a1(p: ModelParams) -> A1Check:
@@ -446,11 +427,11 @@ def dfe_lyapunov_bound(p: ModelParams, f: IncidenceFunction, grid_n: int = 201) 
 
 
 def certify(p: ModelParams, f: IncidenceFunction, eq: State,
-            k1: float | None = None,
             grid_n: int = 201, dvdt_grid_n: int = 41) -> CertificateReport:
     """Run the full endemic-certificate pipeline and assemble a report.
 
-    ``k1`` overrides the closed-form k1.  k2 is always ``default_k2(p)``,
+    k1 is the closed form of ``find_k1``, which minimises sup h, so no
+    other k1 passes (a2) where it fails.  k2 is always ``default_k2(p)``,
     the only value for which dV/dt splits into the P and Q forms, so
     gamma2 = 0 raises DegenerateParameterError.  The slope range and the
     divergence decision are computed once and serve both the k1 choice
@@ -461,18 +442,15 @@ def certify(p: ModelParams, f: IncidenceFunction, eq: State,
     a1 = check_a1(p)
     k2 = default_k2(p)
     slopes = _slope_range(f, eq, p.s0, grid_n)
-    k1_value = _optimal_k1(p, slopes) if k1 is None else float(k1)
-
-    scan = _a2_scan(p, slopes, 0.0 if k1_value is None else k1_value)
-    p_minors = q_minors = dvdt_max = None
+    k1 = _optimal_k1(p, slopes)
+    scan = _a2_scan(p, slopes, 0.0 if k1 is None else k1)
+    sup_h = dvdt_max = None
     dvdt_points = 0
-    if k1_value is not None:
-        _, _, minors = pq_matrices(p, f, eq, k1_value, k2, scan.worst_point)
-        p_minors, q_minors = minors[:2], minors[2:]
-        dvdt_max, dvdt_points = _dvdt_samples(p, f, eq, k1_value, k2, dvdt_grid_n)
+    if k1 is not None:
+        sup_h = scan.sup_h
+        dvdt_max, dvdt_points = _dvdt_samples(p, f, eq, k1, k2, dvdt_grid_n)
     return CertificateReport(
-        a1_pass=a1.passed, a1_margin=a1.margin, a1_remark_value=a1.remark_value,
-        k1=k1_value, k2=k2, sup_h=scan.sup_h, h_bound=scan.h_bound,
-        divergence_flag=scan.divergence_flag, p_minors=p_minors, q_minors=q_minors,
-        dvdt_max=dvdt_max, dvdt_points=dvdt_points, grid_n=grid_n,
-        exclusion=_STRIP * p.s0)
+        granted=a1.passed and k1 is not None, a1_pass=a1.passed, a1_margin=a1.margin,
+        k1=k1, k2=k2, sup_h=sup_h, h_bound=scan.h_bound,
+        divergence_flag=scan.divergence_flag, dvdt_max=dvdt_max,
+        dvdt_points=dvdt_points, grid_n=grid_n, exclusion=_STRIP * p.s0)

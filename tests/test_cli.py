@@ -131,15 +131,6 @@ def test_analyze_grants_at_rescaled_population(capsys, tmp_path, scale):
     assert state["I"] / scale == pytest.approx(9.42443127, rel=1e-9)
 
 
-def test_analyze_forced_k1(capsys, high_config):
-    code, out, _ = run_cli(capsys, "analyze", high_config, "--k1", 7)
-    assert code == 0
-    cert = json.loads(out)["certificate"]
-    assert cert["k1"] == 7.0
-    assert cert["granted"]
-    assert abs(cert["sup_h"] - 0.1117898) < 1e-5
-
-
 def test_analyze_refused_certificate_exits_0(capsys, tmp_path):
     # f1 = beta*S/(1 + a*I) depends on I, so G is unbounded near S*; the
     # refusal is a result of the analysis, not a failure
@@ -152,6 +143,7 @@ def test_analyze_refused_certificate_exits_0(capsys, tmp_path):
     assert cert["granted"] is False
     assert cert["divergence_flag"] is True
     assert cert["k1"] is None
+    assert cert["sup_h"] is None
     assert cert["exclusion"] == 0.005
 
 
@@ -280,10 +272,7 @@ def test_sweep_insufficient_time_exits_2(capsys, high_config, tmp_path):
     ("analyze", ["--grid-n", 0], None, "unrecognized arguments: --grid-n 0", None),
     ("analyze", ["--grid-n", 1], None, "unrecognized arguments: --grid-n 1", None),
     ("analyze", ["--k2", 100], None, "unrecognized arguments: --k2 100", None),
-    ("analyze", ["--k1", "nan"], None, "k1 must be non-negative and finite, got nan",
-     None),
-    ("analyze", ["--k1", "inf"], None, "k1 must be non-negative and finite, got inf",
-     None),
+    ("analyze", ["--k1", 7], None, "unrecognized arguments: --k1 7", None),
     ("sweep", ["--conv-tol", -1], None, "conv_tol must be positive and finite, got -1.0",
      None),
     ("sweep", ["--conv-tol", 0], None, "conv_tol must be positive and finite, got 0.0",
@@ -306,8 +295,8 @@ def test_sweep_insufficient_time_exits_2(capsys, high_config, tmp_path):
     ("simulate", ["--initial", "30,10,5"], None, "No such file or directory",
      "missing/traj.csv"),
     ("sweep", ["--lattice", 3], None, "1 of 1 CSV writer processes failed", "taken"),
-], ids=["analyze-grid-0", "analyze-grid-1", "analyze-k2", "analyze-k1-nan",
-        "analyze-k1-inf", "sweep-conv-tol-negative", "sweep-conv-tol-0",
+], ids=["analyze-grid-0", "analyze-grid-1", "analyze-k2", "analyze-k1",
+        "sweep-conv-tol-negative", "sweep-conv-tol-0",
         "sweep-conv-tol-nan", "sweep-lattice-1", "sweep-lattice-abc",
         "sweep-t-end-inf", "simulate-no-initial", "simulate-outside-omega",
         "simulate-negative", "simulate-two-values", "simulate-t-end-inf",
@@ -423,10 +412,10 @@ def test_module_entry_point(capsys, tmp_path, high_config):
     code, out, _ = run_cli(capsys, "reproduce", "--out", out_dir)
     assert code == 0
     assert ran.stdout == out
-    refused = module("analyze", high_config, "--k1", "nan")
+    refused = module("sweep", high_config, "--conv-tol", "nan", "--out", tmp_path / "sweep")
     assert refused.returncode == 1
     assert refused.stdout == ""
-    assert refused.stderr == "error: k1 must be non-negative and finite, got nan\n"
+    assert refused.stderr == "error: conv_tol must be positive and finite, got nan\n"
 
 
 def test_reproduce_deterministic(capsys, tmp_path):

@@ -1,7 +1,7 @@
 """README.md's examples stay valid input: every ```json block is a
 config that parses, every ``sirskit ...`` line of a code block is a
 command line the parser accepts, and every ``--flag`` the text names
-exists."""
+exists.  Its list of certificate keys is the report's."""
 
 import argparse
 import json
@@ -9,8 +9,11 @@ import re
 import shlex
 from pathlib import Path
 
+from sirskit import ModelParams, certify, find_endemic, make_builtin
 from sirskit.cli import build_parser
 from sirskit.config import parse_config
+
+from conftest import REF
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```", README, flags=re.M | re.S)
@@ -46,3 +49,17 @@ def test_readme_flags_exist():
     named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", README))
     assert "--out" in named
     assert named <= _parser_flags(build_parser())
+
+
+# keys the certificate report no longer has: each restated others
+DROPPED_KEYS = ("a1_remark_value", "p_minors", "q_minors")
+
+
+def test_readme_lists_every_certificate_key():
+    p = ModelParams(**REF)
+    f = make_builtin("power", {"k": 0.0008, "q": 2.0})
+    keys = certify(p, f, find_endemic(p, f).endemic[0][0]).as_dict()
+    section = re.search(r"has these keys:\n\n(.*?)\n\n", README, flags=re.S).group(1)
+    assert re.findall(r"^- `(\w+)`: ", section, flags=re.M) == list(keys)
+    for key in DROPPED_KEYS:
+        assert f"`{key}`" not in README

@@ -75,9 +75,11 @@ def _outcome(call):
 
 
 def _entry_points(p, f, eq, k1, grid_n, dvdt_grid_n):
+    # certify takes the closed-form k1; a given k1 reaches the scans
+    # through check_a2 and dvdt_scan
     k1_scan = p.s0 if k1 is None else k1
     return {
-        "certify": lambda: certify(p, f, eq, k1=k1, grid_n=grid_n,
+        "certify": lambda: certify(p, f, eq, grid_n=grid_n,
                                    dvdt_grid_n=dvdt_grid_n).as_dict(),
         "find_k1": lambda: find_k1(p, f, eq, grid_n=grid_n),
         "check_a2": lambda: check_a2(p, f, eq, k1_scan, grid_n=grid_n),

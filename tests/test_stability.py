@@ -157,6 +157,12 @@ def test_check_a2_k1_zero_fails(ref_p, f_high, eq_high):
     assert not scan.passed
 
 
+@pytest.mark.parametrize("k1", [-1.0, math.nan, math.inf])
+def test_check_a2_rejects_invalid_k1(ref_p, f_high, eq_high, k1):
+    with pytest.raises(ValueError, match=f"^k1 must be non-negative and finite, got {k1}$"):
+        check_a2(ref_p, f_high, eq_high, k1)
+
+
 def test_check_a2_divergence_for_i_dependent_f1(ref_p):
     f = make_builtin("saturated_in_I", {"beta": 0.03, "a": 0.5})
     eq = find_endemic(ref_p, f).endemic[0][0]
@@ -378,20 +384,15 @@ def test_certify_reference(ref_p, f_high, eq_high):
     assert cert.sup_h < cert.h_bound
     assert not cert.divergence_flag
     assert cert.dvdt_max < 0
-    assert cert.p_minors[1] == pytest.approx(0.055, abs=1e-12)
-    assert cert.q_minors[1] > 0
-
-
-def test_certify_forced_k1(ref_p, f_high, eq_high):
-    cert = certify(ref_p, f_high, eq_high, k1=7.0)
-    assert cert.granted
-    assert cert.k1 == 7.0
-    assert cert.sup_h == pytest.approx(0.1117898, abs=1e-5)
-
-
-def test_certify_rejects_negative_k1(ref_p, f_high, eq_high):
-    with pytest.raises(ValueError):
-        certify(ref_p, f_high, eq_high, k1=-1.0)
+    # the minors the report leaves out follow from its fields
+    worst = check_a2(ref_p, f_high, eq_high, cert.k1).worst_point
+    _, _, minors = pq_matrices(ref_p, f_high, eq_high, cert.k1, cert.k2, worst)
+    assert minors[0] == minors[2] == ref_p.mu / 2
+    assert minors[1] == pytest.approx(0.055, abs=1e-12)
+    assert minors[1] == pytest.approx(ref_p.mu * cert.a1_margin / (2 * ref_p.gamma2),
+                                      rel=1e-12)
+    assert minors[3] == pytest.approx((cert.h_bound - cert.sup_h) / 4, rel=1e-9)
+    assert minors[3] == pytest.approx(0.016887, abs=1e-6)
 
 
 # Built-ins whose f1 does not depend on I; the coefficient is solved from R0.
@@ -402,12 +403,14 @@ _FLAT_IN_I = ("bilinear", "power", "saturated_in_I", "psi_ratio")
        lam=st.floats(0.5, 50.0), mu=st.floats(0.01, 2.0), gamma1=st.floats(0.0, 2.0),
        gamma2=st.floats(0.01, 2.0), alpha=st.floats(0.0, 2.0), delta=st.floats(0.0, 2.0),
        r0_value=st.floats(1.2, 5.0), q=st.floats(0.5, 4.0),
-       k1_decades=st.one_of(st.none(), st.floats(-0.5, 0.5)))
+       k1_decades=st.one_of(st.none(), st.floats(-3.0, 3.0)))
 @settings(max_examples=100, deadline=None)
 def test_granted_certificate_is_sound(family, log_s, lam, mu, gamma1, gamma2, alpha,
                                       delta, r0_value, q, k1_decades):
-    # granted implies P and Q positive definite where they were evaluated
-    # and dV/dt < 0 on the scanned lattice; a refusal implies nothing
+    # (a1) and (a2) at any k1 imply P and Q positive definite at the worst
+    # slope sample and dV/dt < 0 on the scanned lattice, and a k1 passes
+    # (a2) only when the closed form does; a granted certificate has
+    # dV/dt < 0 there too, and a refusal implies nothing
     p = ModelParams(Lambda=lam * 10.0 ** log_s, mu=mu, gamma1=gamma1, gamma2=gamma2,
                     alpha=alpha, delta=delta)
     if family != "power":
@@ -416,18 +419,26 @@ def test_granted_certificate_is_sound(family, log_s, lam, mu, gamma1, gamma2, al
     f = make_builtin(family, {"k": coefficient, "q": q} if family == "power"
                      else {"beta": coefficient})
     eq = find_endemic(p, f).endemic[0][0]
-    k1 = find_k1(p, f, eq)
-    if k1 is not None and k1_decades is not None:
-        k1 *= 10.0 ** k1_decades
-    cert = certify(p, f, eq, k1=k1)
+    cert = certify(p, f, eq)
     if cert.granted:
-        assert cert.p_minors[1] > 0.0
-        assert cert.q_minors[1] > 0.0
         assert cert.dvdt_max < 0.0
+    # k1 scales as the population: near the closed form, or within three
+    # decades of S0 when there is none
+    k1 = cert.k1 if cert.k1 is not None else p.s0
+    if k1_decades is not None:
+        k1 *= 10.0 ** k1_decades
+    scan = check_a2(p, f, eq, k1)
+    if scan.passed:
+        assert cert.k1 is not None
+    if check_a1(p).passed and scan.passed:
+        k2 = default_k2(p)
+        _, _, minors = pq_matrices(p, f, eq, k1, k2, scan.worst_point)
+        assert minors[1] > 0.0
+        assert minors[3] > 0.0
+        assert dvdt_scan(p, f, eq, k1, k2) < 0.0
 
 
-@pytest.mark.parametrize("k1", [None, 7.0])
-def test_certify_scans_slopes_once(ref_p, f_high, eq_high, k1):
+def test_certify_scans_slopes_once(ref_p, f_high, eq_high):
     # one scan evaluates f1 on at most the grid plus its v axis at u = S*
     sizes = []
 
@@ -437,7 +448,7 @@ def test_certify_scans_slopes_once(ref_p, f_high, eq_high, k1):
 
     f = dataclasses.replace(f_high, eval_f1=counting_f1)
     grid_n = 201
-    assert certify(ref_p, f, eq_high, k1=k1, grid_n=grid_n).granted
+    assert certify(ref_p, f, eq_high, grid_n=grid_n).granted
     assert sum(n for n in sizes if n > 1) <= grid_n ** 2 + grid_n
 
 
