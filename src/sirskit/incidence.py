@@ -83,7 +83,8 @@ class HypothesisReport:
     H2 entry gives the lower sample of a pair of grid neighbours, in S or
     in I, and the difference quotient of f1 between them.
     ``h3_limit_at`` records the extrapolated small-I limit of f/I at
-    every sampled S > 0.
+    every sampled S > 0.  ``grid`` gives s_max, grid_n and eps; the
+    sampled S and I are ``linspace(0, s_max, grid_n)``.
     """
 
     h1_pass: bool
@@ -355,8 +356,7 @@ def check_hypotheses(f: IncidenceFunction, s_max: float,
         h3_pass="H3" not in failed,
         h3_limit_at=list(zip(s_pos.tolist(), limits.tolist())),
         violations=violations,
-        grid={"s_max": float(s_max), "grid_n": int(grid_n), "eps": float(eps),
-              "axis": [float(a) for a in axis]},
+        grid={"s_max": float(s_max), "grid_n": int(grid_n), "eps": float(eps)},
     )
 
 

@@ -1,9 +1,11 @@
 """Deterministic JSON emission for reports.
 
-Floats are written with 17 significant digits (full round-trip), dict
-keys keep insertion order, and output is byte-identical across runs for
-identical inputs.  Non-finite numbers become null, since strict JSON
-has no representation for them.
+Reports are written by the standard ``json`` module with a two-space
+indent.  Each float is its shortest round-trip ``repr``, so it reads back
+with the same bits: an integral float keeps its ``.0`` and -0.0 keeps its
+sign.  Dict keys keep insertion order, and output is byte-identical
+across runs for identical inputs.  Non-finite numbers become null, since
+strict JSON has no representation for them.
 """
 
 from __future__ import annotations
@@ -11,46 +13,18 @@ from __future__ import annotations
 import json
 import math
 
-import numpy as np
 
-_INDENT = "  "
-
-
-def _format_float(value: float) -> str:
-    if math.isnan(value) or math.isinf(value):
-        return "null"
-    return format(value, ".17g")
-
-
-def _emit(value, depth: int) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _format_float(float(value))
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, (list, tuple, np.ndarray)):
-        items = list(value)
-        if not items:
-            return "[]"
-        pad = _INDENT * (depth + 1)
-        body = ",\n".join(pad + _emit(item, depth + 1) for item in items)
-        return "[\n" + body + "\n" + _INDENT * depth + "]"
+def _finite(value):
+    """``value`` with every NaN or infinite float, at any depth, as None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        pad = _INDENT * (depth + 1)
-        body = ",\n".join(
-            f"{pad}{json.dumps(str(key))}: {_emit(item, depth + 1)}"
-            for key, item in value.items())
-        return "{\n" + body + "\n" + _INDENT * depth + "}"
-    raise TypeError(f"cannot serialise {type(value).__name__}")
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return value
 
 
 def dumps(value) -> str:
     """Serialise ``value`` to a newline-terminated JSON document."""
-    return _emit(value, 0) + "\n"
+    return json.dumps(_finite(value), indent=2) + "\n"

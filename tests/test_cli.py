@@ -192,11 +192,14 @@ def test_analyze_deterministic_output(capsys, high_config):
 def test_analyze_roundtrip_precision(capsys, high_config):
     _, out, _ = run_cli(capsys, "analyze", high_config)
     doc = json.loads(out)
-    # 17 significant digits round-trip exactly
+    # every float is written as its shortest round-trip repr
     from sirskit import ModelParams, make_builtin, r0
     expected = r0(ModelParams(**{k: float(v) for k, v in REF_PARAMS.items()}),
                   make_builtin("power", {"k": 0.0008, "q": 2.0}))
     assert doc["r0"] == expected
+    # an integral float keeps its ".0" and reads back as a float
+    assert type(doc["params"]["Lambda"]) is float
+    assert type(doc["dfe"]["S"]) is float
 
 
 def test_simulate_csv_and_summary(capsys, high_config, tmp_path):
