@@ -235,8 +235,7 @@ def cmd_reproduce(args) -> int:
     summary = {
         "checks": checks,
         "all_pass": all(check["pass"] for check in checks),
-        "notes": ("initial condition (30, 10, 5), horizon t_end = 500 and the "
-                  "lattice of sweep initials are toolkit defaults"),
+        "notes": "initial condition (30, 10, 5) and horizon t_end = 500 are toolkit defaults",
     }
     text = jsonio.dumps(summary)
     (out_dir / "summary.json").write_text(text)

@@ -57,7 +57,10 @@ def _number(mapping: dict, key: str, where: str, source: str) -> float:
     value = mapping[key]
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ConfigError(f"{source}: {where}.{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer too large for a float
+        raise ConfigError(f"{source}: {where}.{key} is too large for a float") from None
 
 
 def parse_config(doc, source: str = "<config>") -> ModelConfig:

@@ -28,17 +28,18 @@ array-valued small-I limit.
 Each built-in family declares f and f1 as expression text in S, I and
 its coefficients.  ``make_builtin`` compiles that text once per family
 and binds the coefficients as values, so no coefficient is ever source
-text; ``formula`` gives the f text back for the function built from it,
-which the integrator then inlines into its compiled loop.  A family also
-declares whether its f1 is a function of S alone; ``f1_of_s_only``
-recognises the f1 built from such a family, whose slope scan in
-``stability`` then needs one I per S.
+text.  f and f1 come back as instances of one private callable type that
+keeps the text, the coefficients and, for f1, whether the family
+declares it a function of S alone.  ``formula`` gives a built f's text,
+which the integrator inlines into its compiled loop; ``f1_of_s_only``
+recognises a built f1 of S alone, whose slope scan in ``stability``
+needs one I per S.  Any other callable, even a wrapper of a built one,
+is called as it stands.
 """
 
 from __future__ import annotations
 
 import functools
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple
 
@@ -138,14 +139,6 @@ _FAMILIES = {
                     "beta * S * I / (1.0 + rho * I * I)", ("beta",), ("rho",)),
 }
 
-# eval_f of every live make_builtin result -> (its f text, its coefficients)
-_FORMULAS = weakref.WeakKeyDictionary()
-
-# eval_f1 of every live make_builtin result whose family declares
-# f1_of_s_only
-_S_ONLY_F1 = weakref.WeakSet()
-
-
 @functools.cache
 def _evaluator(text: str, names: tuple):
     """``factory(**coefficients)``, which returns ``lambda S, I: <text>``
@@ -154,24 +147,33 @@ def _evaluator(text: str, names: tuple):
     return define(source, "factory", f"<sirskit incidence: {text}>")
 
 
+class _Built:
+    """f or f1 as ``make_builtin`` built it: calls ``lambda S, I: <text>``
+    with ``coefficients`` bound, and records whether it is an f1 that
+    depends on S alone.  Compared and hashed by identity, as a function."""
+
+    __slots__ = ("_call", "text", "coefficients", "s_only")
+
+    def __init__(self, text: str, names: tuple, coefficients: dict, s_only: bool = False):
+        self._call = _evaluator(text, names)(**coefficients)
+        self.text, self.coefficients, self.s_only = text, coefficients, s_only
+
+    def __call__(self, S, I):
+        return self._call(S, I)
+
+
 def formula(eval_f):
-    """``(f text, coefficients)`` when ``eval_f`` is the very function
+    """``(f text, coefficients)`` when ``eval_f`` is a function
     ``make_builtin`` built from a family's text, else None: a wrapper or
     a replacement of it is called as it stands."""
-    try:
-        return _FORMULAS.get(eval_f)
-    except TypeError:  # not weakly referenceable, or not hashable
-        return None
+    return (eval_f.text, eval_f.coefficients) if isinstance(eval_f, _Built) else None
 
 
 def f1_of_s_only(eval_f1) -> bool:
-    """Whether ``eval_f1`` is the very function ``make_builtin`` built for a
-    family whose f1 is a function of S alone; a wrapper or a replacement
-    of it, even one forwarding to it, is not."""
-    try:
-        return eval_f1 in _S_ONLY_F1
-    except TypeError:  # not weakly referenceable, or not hashable
-        return False
+    """Whether ``eval_f1`` is the f1 ``make_builtin`` built for a family
+    whose f1 is a function of S alone; a wrapper or a replacement of it,
+    even one forwarding to it, is not."""
+    return isinstance(eval_f1, _Built) and eval_f1.s_only
 
 
 def make_builtin(family: str, coefficients: Mapping[str, float]) -> IncidenceFunction:
@@ -215,14 +217,9 @@ def make_builtin(family: str, coefficients: Mapping[str, float]) -> IncidenceFun
             raise ValueError(f"{family}: coefficient {name} must be non-negative, got {value}")
         coefs[name] = value
     names = positive + nonneg
-    eval_f = _evaluator(f_text, names)(**coefs)
-    _FORMULAS[eval_f] = (f_text, coefs)
-    eval_f1 = _evaluator(f1_text, names)(**coefs)
-    if s_only:
-        _S_ONLY_F1.add(eval_f1)
     return IncidenceFunction(
-        eval_f=eval_f,
-        eval_f1=eval_f1,
+        eval_f=_Built(f_text, names, coefs),
+        eval_f1=_Built(f1_text, names, coefs, s_only),
         label=f"{family}({', '.join(f'{name}={coefs[name]:g}' for name in names)})",
     )
 

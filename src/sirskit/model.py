@@ -159,25 +159,23 @@ def r0(p: ModelParams, f: IncidenceFunction) -> float:
     return p.Lambda * beta / (p.mu * p.infected_outflow)
 
 
+def omega_indices(n: int, dims: int):
+    """The integer points (a, b[, c]) of the cube {0..n-1}^dims with
+    a + b [+ c] <= n - 1, one index array per axis, in lexicographic
+    order; found as the nonzero entries of a mask on the n**dims cube."""
+    return np.nonzero(sum(np.ix_(*[np.arange(n)] * dims)) < n)
+
+
 def omega_grid(p: ModelParams, n: int, dims: int = 3):
     """The lattice points of Omega at spacing S0/(n-1), one array per axis.
 
     Returns (S, I, R) for ``dims=3`` or (S, I) for ``dims=2``: the points
-    (a, b[, c]) * S0/(n-1) with integers a + b [+ c] <= n - 1, taken from
-    ``linspace(0, S0, n)`` and listed in lexicographic order.  Only those
-    points are built, never the n**dims cube.  Boundary points whose
+    ``omega_indices(n, dims)`` * S0/(n-1), taken from ``linspace(0, S0,
+    n)`` and listed in lexicographic order.  Boundary points whose
     floating-point sum lands just above S0 are kept; callers needing exact
     membership filter on the sum.  Raises ValueError when n < 2.
     """
     if n < 2:
         raise ValueError(f"grid size must be at least 2 points per axis, got {n}")
     axis = np.linspace(0.0, p.s0, n)
-    columns, room = [], np.array([n])
-    for _ in range(dims):
-        # point k of the lattice so far extends to room[k] points, its next
-        # index running over 0..room[k]-1
-        parent = np.repeat(np.arange(room.size), room)
-        index = np.arange(parent.size) - (np.cumsum(room) - room)[parent]
-        columns = [col[parent] for col in columns] + [index]
-        room = room[parent] - index
-    return tuple(axis[col] for col in columns)
+    return tuple(axis[index] for index in omega_indices(n, dims))

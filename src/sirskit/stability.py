@@ -71,7 +71,7 @@ import numpy as np
 
 from .errors import DegenerateParameterError, SingularPointError
 from .incidence import IncidenceFunction, f1_of_s_only, require_finite
-from .model import ModelParams, State, make_rhs, omega_grid, r0
+from .model import ModelParams, State, make_rhs, omega_grid, omega_indices, r0
 
 
 class A1Check(NamedTuple):
@@ -315,18 +315,18 @@ def _dvdt_samples(p: ModelParams, f: IncidenceFunction, eq: State, k1: float,
     The points are the ``omega_grid`` lattice points (a, b, c)*S0/(n-1)
     with I > 0 outside the ball, but the lattice is never built.  What
     depends on (S, I) alone is evaluated once, on the triangle a + b <=
-    n - 1, at the (a, b) that keep some c; ordered by a + b, the (S, I)
-    allowed at level c form a prefix, to which each level adds its R
-    terms, consecutive levels taken together in blocks of about
-    ``_BLOCK`` points.  Each sample goes through the operations of
-    ``_dvdt`` and ``make_rhs`` in their order, so it has the bits of a
+    n - 1 of ``omega_indices``, at the (a, b) that keep some c; ordered
+    by a + b, the (S, I) allowed at level c form a prefix, to which each
+    level adds its R terms, consecutive levels taken together in blocks
+    of about ``_BLOCK`` points.  Each sample goes through the operations
+    of ``_dvdt`` and ``make_rhs`` in their order, so it has the bits of a
     dense scan.
     """
     k2_value = default_k2(p) if k2 is None else k2
     if grid_n < 2:
         raise ValueError(f"grid size must be at least 2 points per axis, got {grid_n}")
     axis = np.linspace(0.0, p.s0, grid_n)
-    a, b = np.nonzero(np.add.outer(np.arange(grid_n), np.arange(grid_n)) < grid_n)
+    a, b = omega_indices(grid_n, 2)
     ss, ii = axis[a], axis[b]
     r_off = axis - eq.R
     r_sq = r_off ** 2

@@ -87,6 +87,14 @@ def test_check_malformed_json_exits_1(capsys, tmp_path):
     assert code == 1
 
 
+def test_integer_too_large_for_a_float_exits_1(capsys, tmp_path):
+    path = write_config(tmp_path)
+    path.write_text(path.read_text().replace('"Lambda": 10,', '"Lambda": 1' + "0" * 400 + ","))
+    code, _, err = run_cli(capsys, "analyze", path)
+    assert code == 1
+    assert err == f"error: {path}: params.Lambda is too large for a float\n"
+
+
 def test_analyze_subcritical(capsys, low_config):
     code, out, _ = run_cli(capsys, "analyze", low_config)
     assert code == 0

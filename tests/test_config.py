@@ -97,6 +97,20 @@ def test_bool_is_not_a_number(section, key):
     rejects(doc, f".{key} must be a number, got True")
 
 
+@pytest.mark.parametrize("section, key", [
+    ("params", "Lambda"),
+    ("coefficients", "k"),
+    ("solver", "t_end"),
+])
+def test_integer_too_large_for_a_float(section, key):
+    # json reads 1 followed by 400 zeros as an int that float() cannot take
+    doc = make_doc(solver={})
+    target = doc["incidence"]["coefficients"] if section == "coefficients" else doc[section]
+    target[key] = 10 ** 400
+    message = rejects(doc, f".{key} is too large for a float")
+    assert "\n" not in message and "0" * 400 not in message
+
+
 def test_string_is_not_a_number():
     doc = make_doc()
     doc["params"]["mu"] = "0.2"

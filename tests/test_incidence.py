@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -289,8 +291,19 @@ def test_f1_of_s_only_has_the_bits_of_v_zero(family, log_s, strength, q, fractio
     forwarding,
     lambda f: from_callables(f.eval_f),
     lambda f: from_callables(f.eval_f, lambda S, I: 0.0008 * S ** 2 + 0.0 * I),
-], ids=["forwarding", "derived", "user_f1"])
+    lambda f: dataclasses.replace(f, eval_f1=functools.wraps(f.eval_f1)(
+        lambda S, I: f.eval_f1(S, I))),
+], ids=["forwarding", "derived", "user_f1", "wraps"])
 def test_f1_of_s_only_recognises_only_the_built_function(build):
     f = make_builtin("power", {"k": 0.0008, "q": 2.0})
     assert f1_of_s_only(f.eval_f1)
     assert not f1_of_s_only(build(f).eval_f1)
+
+
+def test_built_incidence_compares_and_hashes_by_identity():
+    # f and f1 compare as the functions they are, not by their coefficients
+    f, g = (make_builtin("power", {"k": 0.0008, "q": 2.0}) for _ in range(2))
+    assert f != g and f.eval_f != g.eval_f and f.eval_f1 != g.eval_f1
+    assert dataclasses.replace(f) == f
+    assert hash(dataclasses.replace(f)) == hash(f)
+    assert len({f, g, dataclasses.replace(f)}) == 2

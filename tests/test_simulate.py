@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import inspect
 import math
 import os
@@ -284,7 +285,7 @@ def test_sweep_inline_incidence_bit_identical_to_called(f):
     assert inline == outcome(lambda: sweep(p, called(f), initials, 20.0, 0.5))
 
 
-@pytest.mark.parametrize("wrap", ["replace", "from_callables"])
+@pytest.mark.parametrize("wrap", ["replace", "from_callables", "wraps"])
 @pytest.mark.parametrize("method, step_or_tol", [("rk4_fixed", 0.05), ("rk45_adaptive", 1e-8)])
 def test_called_incidence_evaluated_once_per_stage(ref_params, high_incidence, wrap, method,
                                                    step_or_tol):
@@ -294,8 +295,10 @@ def test_called_incidence_evaluated_once_per_stage(ref_params, high_incidence, w
         calls[0] += 1
         return high_incidence.eval_f(S, I)
 
-    f = (dataclasses.replace(high_incidence, eval_f=counted) if wrap == "replace"
-         else from_callables(counted))
+    if wrap == "wraps":  # copies the built function's attributes, but is not it
+        counted = functools.wraps(high_incidence.eval_f)(counted)
+    f = (from_callables(counted) if wrap == "from_callables"
+         else dataclasses.replace(high_incidence, eval_f=counted))
     traj = integrate(ref_params, f, State(30, 10, 5), 50.0, method, step_or_tol)
     stats = traj.step_stats
     stages = 4 * stats.steps if method == "rk4_fixed" else 6 * (stats.steps + stats.rejected)
