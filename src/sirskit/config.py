@@ -9,8 +9,9 @@ A configuration document has the shape
       "solver": {"method": "rk45_adaptive", "step_or_tol": 1e-8, "t_end": 500}
     }
 
-``solver`` is optional and may be given partially; unknown keys
-anywhere are rejected, and missing required keys are reported by name.
+``solver`` is optional and may be given partially, except that
+``rk4_fixed`` needs its step; unknown keys anywhere are rejected, and
+missing required keys are reported by name.
 """
 
 from __future__ import annotations
@@ -106,11 +107,16 @@ def parse_config(doc, source: str = "<config>") -> ModelConfig:
             raise ConfigError(f"{source}: solver must be an object")
         _reject_unknown(raw, ("method", "step_or_tol", "t_end"), "solver", source)
         method = raw.get("method", solver.method)
-        if method not in METHODS:
+        if not isinstance(method, str) or method not in METHODS:
             raise ConfigError(f"{source}: solver.method must be one of "
                               f"{list(METHODS)}, got {method!r}")
-        step_or_tol = (_number(raw, "step_or_tol", "solver", source)
-                       if "step_or_tol" in raw else solver.step_or_tol)
+        if "step_or_tol" in raw:
+            step_or_tol = _number(raw, "step_or_tol", "solver", source)
+        elif METHODS[method][1] is None:  # the default is a tolerance, not a step
+            raise ConfigError(f"{source}: solver.step_or_tol (the step) is required "
+                              f"with the fixed-step method {method!r}")
+        else:
+            step_or_tol = solver.step_or_tol
         t_end = _number(raw, "t_end", "solver", source) if "t_end" in raw else solver.t_end
         if not (0.0 < step_or_tol < math.inf and 0.0 < t_end < math.inf):
             raise ConfigError(f"{source}: solver.step_or_tol and solver.t_end "

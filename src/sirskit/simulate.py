@@ -16,7 +16,8 @@ Every step enforces the model's invariants numerically: components are
 clamped to zero only for round-off (within 2e-14*S0 below zero), and a
 state that leaves the feasible simplex by more than 2e-8*S0 aborts the
 run, since the model guarantees non-negativity and forward invariance.
-At S0 = 50 those bounds are 1e-12 and 1e-6.
+At S0 = 50 those bounds are 1e-12 and 1e-6.  ``_postprocess`` is that
+rule, for every accepted state outside Omega in both integrators.
 
 Every run keeps its accepted states as one history, a flat
 ``array('d')`` of (t, S, I, R) rows, which ``_trajectory`` downsamples.
@@ -252,14 +253,6 @@ def _postprocess(y, t: float, clamp: float, low: float, top: float):
     return (s, i, r)
 
 
-def _failure(y, t: float, bounds) -> SirsKitError:
-    """The error ``_postprocess`` raises for a state it rejects."""
-    try:
-        _postprocess(y, t, *bounds)
-    except SirsKitError as exc:
-        return exc
-
-
 def _step_lines(rows, error, derivative):
     """Source lines of one step of the tableau ``(rows, error)`` from the
     state (s, i, r) whose derivative is (k0s, k0i, k0r).
@@ -343,12 +336,8 @@ def _loop_source(method: str, f_text: str, names) -> str:
               "    if 0.0 <= S and 0.0 <= I and 0.0 <= R and S + I + R <= top:",
               f"        s, i, r, k0s, k0i, k0r = S, I, R, {k_new}",
               "    else:",
-              "        s, i, r = postprocess((S, I, R), t, clamp, low, top)",
-              "        if s == S and i == I and r == R:",
-              f"            k0s, k0i, k0r = {k_new}",
-              "        else:",
-              "            S, I, R = s, i, r",
-              *(f"            {line}" for line in derivative("k0")),
+              "        s, i, r = S, I, R = postprocess((S, I, R), t, clamp, low, top)",
+              *(f"        {line}" for line in derivative("k0")),
               "except TypeError:  # only a fixed step is accepted off the reals",
               "    raise BlowUpError(NON_FINITE.format(t)) from None",
               "record((t, s, i, r))",
@@ -472,14 +461,15 @@ def _run_batch(rhs, y0: np.ndarray, t_end: float, tol: float, p: ModelParams):
     in the last bit on a few inputs in a hundred.  A row's states then
     differ from ``integrate``'s by rounding, and rarely an accept decision
     flips (from (30, 10, 5) to t_end = 2e5 on the reference model, 2681
-    rejected steps against 2682).  A row leaves the batch when it reaches
-    ``t_end`` or fails.  Returns, per row, its history in ``_run``'s
-    format and its StepStats or the SirsKitError that ended it.
+    rejected steps against 2682).  ``_postprocess`` checks Omega, one row
+    at a time on the accepted states outside it.  A row leaves the batch
+    when it reaches ``t_end`` or fails.  Returns, per row, its history in
+    ``_run``'s format and its StepStats or the SirsKitError that ended it.
     """
     stages = _stages("rk45_adaptive")
     h0, h_min, h_max = _step_range(t_end)
     atol = tol * (_ATOL * p.s0)
-    bounds = clamp, low, top = _bounds(p)
+    bounds = _, _, top = _bounds(p)
     m = len(y0)
     histories = [array("d", (0.0, *x0)) for x0 in y0.tolist()]
     outcomes = [None] * m
@@ -500,21 +490,29 @@ def _run_batch(rhs, y0: np.ndarray, t_end: float, tol: float, p: ModelParams):
                                           for e, a, b in zip(err, y, y_new)])
             err_norm[~np.logical_and.reduce([np.isfinite(v) for v in err + y_new])] = np.inf
             accept = err_norm <= 1.0
-            # _postprocess on arrays: clamp round-off below zero, then check Omega
-            s, i, r = clamped = tuple(np.where((v < 0.0) & (v >= clamp), 0.0, v) for v in y_new)
-            bad = accept & ~((s >= low) & (i >= low) & (r >= low) & (s + i + r <= top))
-            good = accept & ~bad
             t = np.where(accept, t + h, t)
-            y = tuple(np.where(good, c, v) for c, v in zip(clamped, y))
-            k1 = tuple(np.where(good, k, v) for k, v in zip(k_new, k1))
-            moved = good & ((s != y_new[0]) | (i != y_new[1]) | (r != y_new[2]))
-            if moved.any():
-                for k, k_moved in zip(k1, rhs(*(v[moved] for v in y))):
-                    k[moved] = k_moved
+            # as in ``_run``'s loop, each accepted state outside Omega goes to _postprocess
+            s, i, r = y_new
+            off = accept & ~((0.0 <= s) & (0.0 <= i) & (0.0 <= r) & (s + i + r <= top))
+            kept, failed = [], []
+            for j in np.flatnonzero(off).tolist():
+                try:
+                    s[j], i[j], r[j] = _postprocess((s[j], i[j], r[j]), float(t[j]), *bounds)
+                except SirsKitError as exc:
+                    outcomes[idx[j]] = exc
+                    failed.append(j)
+                else:
+                    kept.append(j)
+            if kept:
+                for k, k_kept in zip(k_new, rhs(s[kept], i[kept], r[kept])):
+                    k[kept] = k_kept
+            accept[failed] = False  # the row leaves below with its error
+            y = tuple(np.where(accept, a, b) for a, b in zip(y_new, y))
+            k1 = tuple(np.where(accept, a, b) for a, b in zip(k_new, k1))
             steps += accept
             rejected += ~accept
-            stored = idx[good]
-            pending[stored, held[stored]] = np.column_stack([v[good] for v in (t, *y)])
+            stored = idx[accept]
+            pending[stored, held[stored]] = np.column_stack([v[accept] for v in (t, *y)])
             held[stored] += 1
             for j in stored[held[stored] == _BATCH_ROWS].tolist():
                 histories[j].frombytes(pending[j].tobytes())
@@ -524,14 +522,15 @@ def _run_batch(rhs, y0: np.ndarray, t_end: float, tol: float, p: ModelParams):
             h = _next_step(h, err_norm, h_min, h_max, np.minimum, np.maximum)
             underflow = (h <= h_min) & (err_norm > 1.0)
             exhausted = steps + rejected > _MAX_STEPS
-            leave = bad | underflow | exhausted | (t_end - t <= 1e-14 * t_end)
+            leave = underflow | exhausted | (t_end - t <= 1e-14 * t_end)
+            leave[failed] = True
             if not leave.any():
                 continue
             for j in np.flatnonzero(leave).tolist():
                 histories[idx[j]].frombytes(pending[idx[j], :held[idx[j]]].tobytes())
-                if bad[j]:
-                    outcomes[idx[j]] = _failure(tuple(v[j] for v in y_new), float(t[j]), bounds)
-                elif underflow[j]:
+                if outcomes[idx[j]] is not None:  # _postprocess rejected its state
+                    continue
+                if underflow[j]:
                     outcomes[idx[j]] = BlowUpError(_UNDERFLOW.format(float(t[j])))
                 elif exhausted[j]:
                     outcomes[idx[j]] = BlowUpError(_EXHAUSTED)

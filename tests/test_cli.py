@@ -95,6 +95,19 @@ def test_integer_too_large_for_a_float_exits_1(capsys, tmp_path):
     assert err == f"error: {path}: params.Lambda is too large for a float\n"
 
 
+@pytest.mark.parametrize("solver, key", [({"method": "rk4_fixed"}, "step_or_tol"),
+                                         ({"method": ["rk4_fixed"]}, "method")],
+                         ids=["rk4-without-step", "method-not-a-string"])
+@pytest.mark.parametrize("command", ["check", "analyze", "simulate", "sweep"])
+def test_bad_solver_method_exits_1(capsys, tmp_path, solver, key, command):
+    path = write_config(tmp_path, solver=solver)
+    extra = {"simulate": ["--initial", "30,10,5", "--out", tmp_path / "traj.csv"],
+             "sweep": ["--lattice", 3, "--out", tmp_path / "sweep"]}.get(command, [])
+    code, out, err = run_cli(capsys, command, path, *extra)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path}: solver.{key} ") and err.count("\n") == 1
+
+
 def test_analyze_subcritical(capsys, low_config):
     code, out, _ = run_cli(capsys, "analyze", low_config)
     assert code == 0

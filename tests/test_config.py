@@ -128,6 +128,21 @@ def test_unknown_method():
             "solver.method must be one of ['rk4_fixed', 'rk45_adaptive']", "'euler'")
 
 
+@pytest.mark.parametrize("method", [["rk4_fixed"], {"name": "rk4_fixed"}],
+                         ids=["list", "object"])
+def test_method_must_be_a_string(method):
+    # a list or an object is unhashable, so it must not reach ``in METHODS``
+    rejects(make_doc(solver={"method": method, "step_or_tol": 0.01}),
+            "solver.method must be one of ['rk4_fixed', 'rk45_adaptive']", repr(method))
+
+
+def test_fixed_step_method_needs_its_step():
+    # the default step_or_tol, 1e-8, is the adaptive method's tolerance
+    rejects(make_doc(solver={"method": "rk4_fixed", "t_end": 50}),
+            "solver.step_or_tol (the step) is required", "'rk4_fixed'")
+    assert parse_config(make_doc(solver={"method": "rk45_adaptive"})).solver == SolverSettings()
+
+
 @pytest.mark.parametrize("key", ["t_end", "step_or_tol"])
 @pytest.mark.parametrize("value", [0, -1.5])
 def test_non_positive_solver_setting(key, value):

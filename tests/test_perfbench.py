@@ -54,7 +54,7 @@ def test_tracer_installs_and_uninstalls(monkeypatch, tmp_path):
         assert owner.__dict__.get(attr) is original
 
 
-@pytest.mark.parametrize("name", ["reference", "certify_fine"])
+@pytest.mark.parametrize("name", ["reference", "basin_sweep", "long_horizon", "certify_fine"])
 def test_workload_cycle_passes_its_checks(monkeypatch, tmp_path, name):
     # one whole cycle of inputs, plus the first input again so that the
     # byte-determinism check compares two ops

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import sirskit.simulate as simulate_mod
 from sirskit import (
     BlowUpError,
+    InvarianceViolationError,
     ModelParams,
     State,
     Trajectory,
@@ -560,6 +561,56 @@ def test_sweep_records_failures_without_aborting(ref_params):
     runs = report.as_dict()["runs"]
     assert [run["error"] for run in runs] == [report.runs[0].error, None]
     assert [run["distance"] for run in runs] == [None, report.runs[1].distance]
+
+
+def leaking_incidence(c):
+    """2e-4*S*I - c*S: at I = 0 the incidence is -c*S, so I turns negative.
+    R0 > 1 on the reference rates, so sweep has an endemic target.  Also
+    returns a one-item list that counts the points f is evaluated at."""
+    points = [0]
+
+    def f(S, I):
+        points[0] += np.size(S)
+        return 2e-4 * S * I - c * S
+
+    return from_callables(f, f1=lambda S, I: 2e-4 * S + 0.0 * I, label="leaking"), points
+
+
+LEAK_INITIALS = [State(30.0, 0.0, 5.0), State(20.0, 0.0, 10.0), State(30.0, 10.0, 5.0)]
+
+
+def test_both_integrators_clamp_round_off_below_zero(ref_params):
+    # c = 1e-16 moves I below zero by round-off only: from I = 0 every step
+    # clamps it to 0 and takes the derivative again there (a seventh point
+    # per step), in the loop and the batch; (30, 10, 5) shares the batch
+    # and stays inside Omega.  The attractor evaluates f1 only.
+    f, points = leaking_incidence(1e-16)
+    report = sweep(ref_params, f, LEAK_INITIALS, 50.0, 1e-2)
+    assert points[0] == 3 + 6 * (70 + 77 + 102) + 70 + 77
+    for run, accepted in zip(report.runs, (70, 77, 102)):
+        points[0] = 0
+        alone = integrate(ref_params, f, run.initial, 50.0, "rk45_adaptive", 1e-8)
+        clamped = run.initial.I == 0.0
+        assert points[0] == 1 + (7 if clamped else 6) * accepted
+        assert run.error is None
+        assert alone.step_stats[:2] == run.trajectory.step_stats[:2] == (accepted, 0)
+        assert np.max(np.abs(run.trajectory.states - alone.states)) <= 1e-7
+        if clamped:
+            assert not alone.states[:, 1].any() and not run.trajectory.states[:, 1].any()
+
+
+def test_both_integrators_reject_a_state_off_omega(ref_params):
+    # c = 1e-3 moves I below -2e-8*S0: every run stops, each at its own time,
+    # and each sweep row records the error that integrate raises.
+    f, _ = leaking_incidence(1e-3)
+    report = sweep(ref_params, f, LEAK_INITIALS, 50.0, 1e-2)
+    for run, t in zip(report.runs, ("0.05", "0.05", "7.46185")):
+        with pytest.raises(InvarianceViolationError) as alone:
+            integrate(ref_params, f, run.initial, 50.0, "rk45_adaptive", 1e-8)
+        assert str(alone.value).endswith(f" left Omega at t = {t}")
+        assert run.error == f"InvarianceViolationError: {alone.value}"
+        assert run.final is None and math.isinf(run.distance)
+    assert report.converged_fraction == 0.0
 
 
 # q = 2.5 with k = 0.0008/sqrt(50) keeps R0 at the reference value; to
