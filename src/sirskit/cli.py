@@ -134,8 +134,8 @@ def cmd_simulate(args) -> int:
     t_end = args.t_end if args.t_end is not None else cfg.solver.t_end
     traj = integrate(params, f, initial, t_end,
                      cfg.solver.method, cfg.solver.step_or_tol)
-    traj.to_csv(args.out)
     target = attractor(params, f)
+    traj.to_csv(args.out)
     distance = float(np.max(np.abs(traj.states[-1] - target.as_array())))
     summary = {
         "final": traj.final_state.as_dict(),
@@ -157,8 +157,7 @@ def cmd_sweep(args) -> int:
     initials = omega_lattice(params, args.lattice,
                              include_i_zero=(target.I == 0.0))
     t_end = args.t_end if args.t_end is not None else cfg.solver.t_end
-    conv_tol = args.conv_tol if args.conv_tol is not None else 2e-4 * params.s0
-    report = sweep(params, f, initials, t_end, conv_tol)
+    report = sweep(params, f, initials, t_end, 2e-4 * params.s0)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -289,9 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd.add_argument("--lattice", type=int, default=2,
                            help="lattice points per axis (candidates kept inside Omega)")
     sweep_cmd.add_argument("--t-end", dest="t_end", type=float, default=None)
-    sweep_cmd.add_argument("--conv-tol", dest="conv_tol", type=float, default=None,
-                           help="largest max-norm distance to the attractor that "
-                                "counts as converged (default 2e-4*S0)")
     sweep_cmd.add_argument("--out", type=Path, required=True, help="output directory")
     sweep_cmd.set_defaults(func=cmd_sweep)
 

@@ -15,9 +15,11 @@ on (0, I0), where I0 is the line's I-axis intercept.  Under (H1) and
 (H2) the root is unique (Korobeinikov & Maini, Math. Med. Biol. 22,
 2005): along the line S falls as I rises, so f1 falls, and g is
 strictly decreasing from g(0) = outflow*(R0 - 1) to g(I0) = -outflow.
-The solver therefore evaluates g at the two ends of (0, I0), bisects
+The solver therefore evaluates g near the two ends of (0, I0), bisects
 that one bracket to adjacent doubles when g changes sign across it,
-and verifies the root against the vector field.
+and verifies the root against the vector field.  Just above R0 = 1 the
+root can lie below the bracket's lower end 1e-9*I0; the solver then
+bisects (0, 1e-9*I0) instead.
 """
 
 from __future__ import annotations
@@ -28,29 +30,27 @@ import numpy as np
 
 from .errors import BracketFailureError, VerificationError
 from .incidence import IncidenceFunction
-from .model import ModelParams, State, dfe, r0, vector_field
+from .model import ModelParams, State, r0, vector_field
 
 
 @dataclass(frozen=True)
 class EquilibriumReport:
-    """Disease-free and endemic equilibria with diagnostics.
+    """The endemic equilibrium with diagnostics.
 
     ``endemic`` holds the one (State, residual max-norm) pair, or is
     empty.  ``i0`` is the I-axis intercept of the equilibrium line.
     ``bracket_log`` holds the (I_lo, I_hi) bracket that was bisected, or
-    is empty.
+    is empty.  ``as_dict`` leaves out ``r0``, which reports print at
+    their top level.
     """
 
-    dfe: State
+    r0: float
+    i0: float
     endemic: list = field(default_factory=list)
-    r0: float = 0.0
-    i0: float = 0.0
     bracket_log: list = field(default_factory=list)
 
     def as_dict(self) -> dict:
         return {
-            "dfe": self.dfe.as_dict(),
-            "r0": self.r0,
             "i0": self.i0,
             "endemic": [{"state": s.as_dict(), "residual": res} for s, res in self.endemic],
             "bracket_log": [[lo, hi] for lo, hi in self.bracket_log],
@@ -106,11 +106,12 @@ def find_endemic(p: ModelParams, f: IncidenceFunction) -> EquilibriumReport:
     """Locate the endemic equilibrium and verify it against the vector field.
 
     Evaluates g at the ends of the bracket (eps, I0 - eps), with
-    eps = 1e-9*I0.  When g is positive at the lower end and negative at
-    the upper one, bisects that bracket to adjacent doubles,
-    reconstructs S from the equilibrium line and
-    R = gamma2*I/(mu+delta), and requires the vector-field residual to
-    stay below 1e-10*Lambda.  Otherwise there is no endemic equilibrium.
+    eps = 1e-9*I0, and bisects it to adjacent doubles when g is positive
+    at the lower end and negative at the upper one; when R0 > 1 but g is
+    already non-positive at eps, it bisects (0, eps) instead.  S comes
+    from the equilibrium line, R = gamma2*I/(mu+delta), and the
+    vector-field residual must stay below 1e-10*Lambda.  Otherwise there
+    is no endemic equilibrium.
 
     Precondition: f satisfies (H1) and (H2), under which the root is
     unique.  For any other f1 the result holds at most one root, and
@@ -119,7 +120,7 @@ def find_endemic(p: ModelParams, f: IncidenceFunction) -> EquilibriumReport:
     satisfies them.
 
     Raises BracketFailureError, giving g at both ends, when R0 > 1 but
-    the ends do not bracket a root, and VerificationError when the root
+    neither bracket holds a root, and VerificationError when the root
     fails the residual check.
     """
     r0_value = r0(p, f)
@@ -136,11 +137,15 @@ def find_endemic(p: ModelParams, f: IncidenceFunction) -> EquilibriumReport:
         # The failure guard needs R0 above 1 by more than round-off: at the
         # threshold itself the root merges with I = 0 and an empty result is
         # the correct answer, not a missed bracket.
-        if r0_value > 1 + 1e-9:
+        if not r0_value > 1 + 1e-9:
+            return EquilibriumReport(r0=r0_value, i0=i0)
+        # Just above the threshold the root, near outflow*(R0-1)/|g'(0)|, can be below eps.
+        g_zero = g(0.0)
+        if not g_zero > 0.0 >= g_lo:
             raise BracketFailureError(
-                f"R0 = {r0_value:g} > 1 but g does not fall from positive to negative "
+                f"R0 = {r0_value:.12g} > 1 but g does not fall from positive to negative "
                 f"across the bracket: g({lo:g}) = {g_lo:g}, g({hi:g}) = {g_hi:g}")
-        return EquilibriumReport(dfe=dfe(p), r0=r0_value, i0=i0)
+        lo, hi, g_lo = 0.0, eps, g_zero
 
     i_star = _bisect(g, lo, hi, g_lo)
     state = State(equilibrium_line(p, i_star), i_star, p.gamma2 * i_star / (p.mu + p.delta))
@@ -149,5 +154,5 @@ def find_endemic(p: ModelParams, f: IncidenceFunction) -> EquilibriumReport:
     if residual >= gate:
         raise VerificationError(
             f"candidate at I = {i_star:.12g} has residual {residual:g} >= {gate:g}")
-    return EquilibriumReport(dfe=dfe(p), endemic=[(state, residual)], r0=r0_value, i0=i0,
+    return EquilibriumReport(r0=r0_value, i0=i0, endemic=[(state, residual)],
                              bracket_log=[(lo, hi)])

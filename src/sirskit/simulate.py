@@ -106,14 +106,11 @@ class Trajectory:
     states: np.ndarray
     step_stats: StepStats
 
-    def state_at(self, index: int) -> State:
-        s, i, r = self.states[index]
-        # Stored values may carry round-off slightly below zero.
-        return State(max(s, 0.0), max(i, 0.0), max(r, 0.0))
-
     @property
     def final_state(self) -> State:
-        return self.state_at(-1)
+        s, i, r = self.states[-1]
+        # Stored values may carry round-off slightly below zero.
+        return State(max(s, 0.0), max(i, 0.0), max(r, 0.0))
 
     def to_csv(self, path) -> None:
         """Write the trajectory with header exactly ``t,S,I,R``."""
@@ -612,8 +609,8 @@ def sweep(p: ModelParams, f: IncidenceFunction, initials: Sequence[State],
     initial state up to NumPy's rounding (see ``_run_batch``) and builds
     its trajectory from a history in the same format.  A run that fails
     with a toolkit error is recorded with infinite distance and its error
-    instead of aborting the others; distances are max-norm at t_end.  Raises ValueError unless conv_tol
-    is positive and finite.
+    instead of aborting the others; distances are max-norm at t_end.
+    Raises ValueError unless conv_tol is positive and finite.
     """
     tol = 1e-8
     _check_run(p, initials, t_end, tol)

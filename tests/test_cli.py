@@ -204,6 +204,30 @@ def test_analyze_bilinear_at_threshold(capsys, tmp_path):
     assert doc["equilibria"]["endemic"] == []
 
 
+def test_analyze_just_above_threshold(capsys, tmp_path):
+    # R0 = 1 + 1e-7: the endemic root lies below the usual bracket's lower
+    # end 1e-9*I0 and is found by bisecting (0, 1e-9*I0)
+    cfg = write_config(tmp_path, "near.json",
+                       incidence={"family": "saturated_in_I",
+                                  "coefficients": {"beta": 0.0140000014, "a": 10}})
+    code, out, _ = run_cli(capsys, "analyze", cfg)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["errors"] == []
+    assert doc["r0"] == pytest.approx(1.0 + 1e-7, rel=1e-12)
+    equilibria = doc["equilibria"]
+    assert equilibria["bracket_log"] == [[0.0, 1e-9 * equilibria["i0"]]]
+    assert 0.0 < equilibria["endemic"][0]["state"]["I"] < 1e-9 * equilibria["i0"]
+
+
+def test_analyze_states_each_fact_once(capsys, high_config):
+    _, out, _ = run_cli(capsys, "analyze", high_config)
+    doc = json.loads(out)
+    assert set(doc["equilibria"]) == {"i0", "endemic", "bracket_log"}
+    for block in ("equilibria", "certificate"):
+        assert not set(doc[block]) & set(doc), block
+
+
 def test_analyze_deterministic_output(capsys, high_config):
     _, first, _ = run_cli(capsys, "analyze", high_config)
     _, second, _ = run_cli(capsys, "analyze", high_config)
@@ -248,6 +272,19 @@ def test_simulate_from_dfe_constant(capsys, high_config, tmp_path):
     assert code == 0
     rows = np.loadtxt(out_csv, delimiter=",", skiprows=1)
     assert np.max(np.abs(rows[:, 1:] - np.array([50.0, 0.0, 0.0]))) < 1e-9
+
+
+def test_simulate_solver_error_leaves_no_csv(capsys, tmp_path):
+    # ruan fails (H3), so attractor raises after the trajectory is computed
+    cfg = write_config(tmp_path, "ruan.json",
+                       incidence={"family": "ruan",
+                                  "coefficients": {"beta": 0.5, "rho": 1}})
+    out_csv = tmp_path / "traj.csv"
+    code, out, err = run_cli(capsys, "simulate", cfg, "--initial", "30,10,5",
+                             "--out", out_csv)
+    assert code == 3 and out == ""
+    assert err.startswith("error: HypothesisViolationError: ")
+    assert not out_csv.exists()
 
 
 def test_sweep_lattice_2(capsys, low_config, high_config, tmp_path):
@@ -297,12 +334,9 @@ def test_sweep_insufficient_time_exits_2(capsys, high_config, tmp_path):
     ("analyze", ["--grid-n", 1], None, "unrecognized arguments: --grid-n 1", None),
     ("analyze", ["--k2", 100], None, "unrecognized arguments: --k2 100", None),
     ("analyze", ["--k1", 7], None, "unrecognized arguments: --k1 7", None),
-    ("sweep", ["--conv-tol", -1], None, "conv_tol must be positive and finite, got -1.0",
-     None),
-    ("sweep", ["--conv-tol", 0], None, "conv_tol must be positive and finite, got 0.0",
-     None),
-    ("sweep", ["--conv-tol", "nan"], None, "conv_tol must be positive and finite, got nan",
-     None),
+    ("sweep", ["--conv-tol", -1], None, "unrecognized arguments: --conv-tol -1", None),
+    ("sweep", ["--conv-tol", 0], None, "unrecognized arguments: --conv-tol 0", None),
+    ("sweep", ["--conv-tol", "nan"], None, "unrecognized arguments: --conv-tol nan", None),
     ("sweep", ["--lattice", 1], None, "got 1", None),
     ("sweep", ["--lattice", "abc"], None, "invalid int value: 'abc'", None),
     ("sweep", ["--lattice", 2, "--t-end", "inf"], None,
@@ -436,10 +470,10 @@ def test_module_entry_point(capsys, tmp_path, high_config):
     code, out, _ = run_cli(capsys, "reproduce", "--out", out_dir)
     assert code == 0
     assert ran.stdout == out
-    refused = module("sweep", high_config, "--conv-tol", "nan", "--out", tmp_path / "sweep")
+    refused = module("sweep", high_config, "--t-end", "inf", "--out", tmp_path / "sweep")
     assert refused.returncode == 1
     assert refused.stdout == ""
-    assert refused.stderr == "error: conv_tol must be positive and finite, got nan\n"
+    assert refused.stderr == "error: t_end must be positive and finite, got inf\n"
 
 
 def test_reproduce_deterministic(capsys, tmp_path):

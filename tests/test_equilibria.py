@@ -71,7 +71,6 @@ def test_find_endemic_subcritical_empty(ref_params, low_incidence):
     report = find_endemic(ref_params, low_incidence)
     assert report.endemic == []
     assert report.r0 < 1
-    assert report.dfe == dfe(ref_params)
 
 
 def test_find_endemic_bilinear_closed_form():
@@ -122,6 +121,18 @@ def test_no_endemic_when_r0_below_one(family, make_coefs):
         assert report.endemic == []
 
 
+def builtin_at_r0(family, p, target_r0, q, a_s0, b_s0):
+    """A built-in of ``family`` with the given R0 at ``p``; a*S0 and b*S0**2
+    are ``a_s0`` and ``b_s0``."""
+    f1_s0 = target_r0 * p.infected_outflow  # f1(S0, 0), which sets R0
+    return make_builtin(family, {
+        "bilinear": {"beta": f1_s0 / p.s0},
+        "power": {"k": f1_s0 / p.s0 ** q, "q": q},
+        "saturated_in_I": {"beta": f1_s0 / p.s0, "a": a_s0 / p.s0},
+        "psi_ratio": {"beta": f1_s0 / p.s0, "a": a_s0 / p.s0, "b": b_s0 / p.s0 ** 2},
+    }[family])
+
+
 @given(family=st.sampled_from(HYPOTHESIS_FAMILIES), lam=st.floats(1e-3, 1e4),
        mu=st.floats(0.01, 2.0), rates=st.tuples(*[st.floats(0.0, 2.0)] * 4),
        target_r0=st.floats(1.2, 5.0), q=st.floats(0.5, 4.0),
@@ -132,18 +143,32 @@ def test_one_endemic_equilibrium_from_one_bracket(family, lam, mu, rates, target
     # Under (H1)-(H2) g falls from outflow*(R0 - 1) at I = 0 to -outflow at
     # I0, so the ends of the bracket hold the one sign change.
     p = ModelParams(lam, mu, *rates)
-    f1_s0 = target_r0 * p.infected_outflow  # f1(S0, 0), which sets R0
-    f = make_builtin(family, {
-        "bilinear": {"beta": f1_s0 / p.s0},
-        "power": {"k": f1_s0 / p.s0 ** q, "q": q},
-        "saturated_in_I": {"beta": f1_s0 / p.s0, "a": a_s0 / p.s0},
-        "psi_ratio": {"beta": f1_s0 / p.s0, "a": a_s0 / p.s0, "b": b_s0 / p.s0 ** 2},
-    }[family])
-    report = find_endemic(p, f)
+    report = find_endemic(p, builtin_at_r0(family, p, target_r0, q, a_s0, b_s0))
     assert report.r0 == pytest.approx(target_r0, rel=1e-9)
     assert len(report.endemic) == 1
     i0 = i_axis_intercept(p)
     assert report.bracket_log == [(1e-9 * i0, i0 - 1e-9 * i0)]
+    state, residual = report.endemic[0]
+    assert 0.0 < state.I < i0
+    assert residual < 1e-10 * p.Lambda
+
+
+@given(family=st.sampled_from(HYPOTHESIS_FAMILIES), log_lam=st.floats(-3.0, 4.0),
+       mu=st.floats(0.01, 2.0), rates=st.tuples(*[st.floats(0.0, 2.0)] * 4),
+       log_excess=st.floats(-8.5, -3.0), q=st.floats(0.5, 4.0),
+       a_s0=st.floats(0.0, 1000.0), b_s0=st.floats(0.0, 1000.0))
+@settings(max_examples=200, deadline=None)
+def test_endemic_equilibrium_just_above_threshold(family, log_lam, mu, rates, log_excess, q,
+                                                  a_s0, b_s0):
+    # With R0 - 1 small the root, near outflow*(R0 - 1)/|g'(0)|, can lie
+    # below the usual bracket's lower end 1e-9*I0; it is then found in
+    # (0, 1e-9*I0).
+    p = ModelParams(10.0 ** log_lam, mu, *rates)
+    report = find_endemic(p, builtin_at_r0(family, p, 1.0 + 10.0 ** log_excess, q, a_s0, b_s0))
+    assert len(report.endemic) == 1
+    i0 = i_axis_intercept(p)
+    eps = 1e-9 * i0
+    assert report.bracket_log in ([(eps, i0 - eps)], [(0.0, eps)])
     state, residual = report.endemic[0]
     assert 0.0 < state.I < i0
     assert residual < 1e-10 * p.Lambda
