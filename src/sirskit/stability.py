@@ -48,17 +48,17 @@ G is unbounded near u = S*, and no k1 can exist, exactly when
 f1(S*, v) != f1(S*, I*) for some v; ``divergence_flag`` reports that,
 decided from f1(S*, .) on the grid's v axis.
 
-Neither scan holds its grid.  The slope grid is evaluated in blocks of
-whole u rows, about ``_BLOCK`` points each, and the dV/dt lattice as one
-triangle of (S, I) points to which the R levels add their terms, a block
-of levels at a time, so their memory grows with neither grid_n**2 nor
-dvdt_grid_n**3.  Every sample still goes through the operations of a
-dense scan in the same order, so the results keep their bits.  A
-built-in f1 that its family declares a function of S alone (see
-``incidence.f1_of_s_only``) gives G the same bits at every v of a u
-row, so the slope scan takes each row at v = 0 only: grid_n evaluations
-instead of grid_n**2, for the range, the points and the errors of the
-whole grid.
+The slope grid is evaluated in blocks of u rows, about ``_BLOCK`` points
+each.  The dV/dt scan evaluates the field once per (S, I) of its lattice;
+above it dV/dt is a quadratic in R with R^2 coefficient -(mu + k2*(mu +
+delta)) < 0, so each column is taken at the two levels around its
+vertex, and at every level only where the ball around E1 may cut it.
+Every sample goes through the operations of a dense scan in the same
+order, so the results keep their bits.  A built-in f1 that its family
+declares a function of S alone (see ``incidence.f1_of_s_only``) gives G
+the same bits at every v of a u row, so the slope scan takes each row
+at v = 0 only: grid_n evaluations instead of grid_n**2, for the range,
+the points and the errors of the whole grid.
 """
 
 from __future__ import annotations
@@ -155,8 +155,7 @@ def secant_slope(f: IncidenceFunction, eq: State, u, v):
 # Half-width of the strip |u - S*| < _STRIP * S0 that the slope grid leaves out.
 _STRIP = 1e-4
 
-# Points per block of a scan: the slope grid and the dV/dt levels are
-# evaluated about this many points at a time, so no scan holds its grid.
+# Points per block of the slope scan, which evaluates its grid a block at a time.
 _BLOCK = 16384
 
 
@@ -273,11 +272,12 @@ def find_k1(p: ModelParams, f: IncidenceFunction, eq: State,
 
 def default_k2(p: ModelParams) -> float:
     """(2mu + alpha)/gamma2, the only k2 cancelling the I-R cross term."""
-    if p.gamma2 == 0:
-        raise DegenerateParameterError(
-            "gamma2 = 0 leaves k2 = (2mu+alpha)/gamma2 undefined, "
-            "so no endemic certificate exists")
-    return (2.0 * p.mu + p.alpha) / p.gamma2
+    k2 = (2.0 * p.mu + p.alpha) / p.gamma2 if p.gamma2 else math.nan
+    if not 0.0 < k2 < math.inf:  # gamma2 = 0, or a ratio that overflows or underflows
+        value = "undefined" if p.gamma2 == 0 else f"= {k2:g}"
+        raise DegenerateParameterError(f"gamma2 = {p.gamma2:g} leaves k2 = (2mu+alpha)/gamma2 "
+                                       f"{value}, so no endemic certificate exists")
+    return k2
 
 
 def lyapunov_v(eq: State, k1: float, k2: float, x: State) -> float:
@@ -310,19 +310,17 @@ def dvdt_at(p: ModelParams, f: IncidenceFunction, eq: State,
 
 def _dvdt_samples(p: ModelParams, f: IncidenceFunction, eq: State, k1: float,
                   k2: float | None, grid_n: int) -> tuple[float, int]:
-    """(max, count) of dV/dt over the points that ``dvdt_scan`` scans.
-
-    The points are the ``omega_grid`` lattice points (a, b, c)*S0/(n-1)
-    with I > 0 outside the ball, but the lattice is never built.  What
-    depends on (S, I) alone is evaluated once, on the triangle a + b <=
-    n - 1 of ``omega_indices``, at the (a, b) that keep some c; ordered
-    by a + b, the (S, I) allowed at level c form a prefix, to which each
-    level adds its R terms, consecutive levels taken together in blocks
-    of about ``_BLOCK`` points.  Each sample goes through the operations
-    of ``_dvdt`` and ``make_rhs`` in their order, so it has the bits of a
-    dense scan.
-    """
+    """(max, count) of dV/dt over the points that ``dvdt_scan`` scans: the
+    ``omega_grid`` lattice points (a, b, c)*h, h = S0/(n-1), with I > 0
+    outside the ball.  Along a column of levels c, dV/dt is a quadratic in
+    R with R^2 coefficient -(mu + k2*(mu + delta)) < 0, so a level two or
+    more steps from the vertex is lower than the two around it by about
+    2*(mu + k2*(mu + delta))*h^2, far above rounding.  Each sample takes
+    the operations of ``_dvdt`` and ``make_rhs`` in order, so it has a
+    dense scan's bits."""
     k2_value = default_k2(p) if k2 is None else k2
+    if not 0.0 < k2_value < math.inf:
+        raise ValueError(f"k2 must be positive and finite, got {k2_value}")
     if grid_n < 2:
         raise ValueError(f"grid size must be at least 2 points per axis, got {grid_n}")
     axis = np.linspace(0.0, p.s0, grid_n)
@@ -336,7 +334,7 @@ def _dvdt_samples(p: ModelParams, f: IncidenceFunction, eq: State, k1: float,
     radius_sq = (1e-3 * p.s0) ** 2
     top = grid_n - 1 - a - b
     keep = (ii > 0) & ((near + r_sq[0] > radius_sq) | (near + r_sq[top] > radius_sq))
-    a, b, ss, ii, near = a[keep], b[keep], ss[keep], ii[keep], near[keep]
+    ss, ii, near, top = ss[keep], ii[keep], near[keep], top[keep]
 
     # each equation is affine in R with its R term last, so the field at
     # R = 0 is its (S, I) part plus or minus 0.0, which can differ from that
@@ -347,29 +345,30 @@ def _dvdt_samples(p: ModelParams, f: IncidenceFunction, eq: State, k1: float,
     shift = (ss - eq.S) + (ii - eq.I)
     k1_term = k1 * (1.0 - eq.I / ii) * di
 
-    order = np.argsort(a + b, kind="stable")
-    ds, di, dr, shift, k1_term, near = (x[order] for x in (ds, di, dr, shift, k1_term, near))
-    prefix = np.searchsorted((a + b)[order], grid_n - 1 - np.arange(grid_n), side="right")
-    # R terms as columns, one row per level, against the (S, I) prefix
-    ds_r, dr_r, k2_r = (x[:, None] for x in (p.delta * axis, (p.mu + p.delta) * axis,
-                                              k2_value * r_off))
-    r_off, r_sq, prefix = r_off[:, None], r_sq[:, None], prefix[:, None]
-    maxima, count, c = [], 0, 0
-    while c < grid_n:
-        # consecutive levels, about _BLOCK points in all
-        m = int(prefix[c, 0])
-        levels = slice(c, c + max(1, _BLOCK // max(m, 1)))
-        c = levels.stop
-        kept = (near[:m] + r_sq[levels] > radius_sq) & (np.arange(m) < prefix[levels])
-        if not kept.any():
-            continue
-        dr_c = dr[:m] - dr_r[levels]
-        dvdt = ((shift[:m] + r_off[levels]) * ((ds[:m] + ds_r[levels]) + di[:m] + dr_c)
-                + k1_term[:m] + k2_r[levels] * dr_c)
-        maxima.append(np.max(dvdt[kept]))
-        count += int(np.count_nonzero(kept))
+    def sample(column, level):
+        dr_c = dr[column] - (p.mu + p.delta) * axis[level]
+        return ((shift[column] + r_off[level])
+                * ((ds[column] + p.delta * axis[level]) + di[column] + dr_c)
+                + k1_term[column] + k2_value * r_off[level] * dr_c)
+
+    # adding (R - R*)^2 >= 0 to near cannot bring it under the radius, so
+    # only a column with near inside it can lose levels to the ball
+    cut = np.flatnonzero(near <= radius_sq)
+    rows, levels = np.nonzero((np.arange(grid_n) <= top[cut, None])
+                              & (near[cut, None] + r_sq > radius_sq))
+    dvdt = [sample(cut[rows], levels)]
+    # every other column peaks at one of the two levels around its vertex,
+    # weighed by 1/(1 + k2) and k2/(1 + k2) so that no k2 overflows it;
+    # fmax and fmin clip the levels to the column, a NaN vertex to level 0
+    whole = np.flatnonzero(near > radius_sq)
+    u, w = 1.0 / (1.0 + k2_value), k2_value / (1.0 + k2_value)
+    vertex = ((u * ((ds + di + dr) - p.mu * (shift - eq.R)) + w * (dr + (p.mu + p.delta) * eq.R))
+              / (2.0 * (u * p.mu + w * (p.mu + p.delta))))
+    below = np.floor(vertex / (p.s0 / (grid_n - 1)))[whole]
+    for step in (0.0, 1.0):
+        dvdt.append(sample(whole, np.fmin(np.fmax(below + step, 0.0), top[whole]).astype(np.intp)))
     # no point at all raises numpy's ValueError, as an empty scan did
-    return float(np.max(np.array(maxima))), count
+    return float(np.max(np.concatenate(dvdt))), int(np.sum(top[whole] + 1)) + rows.size
 
 
 def dvdt_scan(p: ModelParams, f: IncidenceFunction, eq: State, k1: float,
@@ -381,9 +380,9 @@ def dvdt_scan(p: ModelParams, f: IncidenceFunction, eq: State, k1: float,
     given, or DegenerateParameterError is raised.  The gradient of V is
     taken analytically; finite differences of V are only a cross-check
     in the test suite.  A sound certificate makes the returned maximum
-    negative.  Raises ValueError when grid_n < 2, and
-    EvaluationError naming the first (S, I) where the incidence is
-    non-finite.
+    negative.  Raises ValueError when grid_n < 2 or k2 is not positive
+    and finite, and EvaluationError naming the first (S, I) where the
+    incidence is non-finite.
     """
     return _dvdt_samples(p, f, eq, k1, k2, grid_n)[0]
 

@@ -179,10 +179,12 @@ def test_analyze_ruan_hypotheses_fail(capsys, tmp_path):
     assert doc["r0"] is None  # partial report
 
 
-def test_analyze_gamma2_zero_is_degenerate(capsys, tmp_path):
-    # k2 = (2mu+alpha)/gamma2 is undefined, so no certificate is issued
+@pytest.mark.parametrize("gamma2", [0.0, 1e-320])
+def test_analyze_gamma2_zero_is_degenerate(capsys, tmp_path, gamma2):
+    # k2 = (2mu+alpha)/gamma2 is undefined, or overflows to inf, so no
+    # certificate is issued
     params = dict(REF_PARAMS)
-    params["gamma2"] = 0.0
+    params["gamma2"] = gamma2
     cfg = write_config(tmp_path, "sis.json", params=params)
     code, out, _ = run_cli(capsys, "analyze", cfg)
     assert code == 3

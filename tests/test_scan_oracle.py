@@ -1,11 +1,11 @@
-"""The certificate's streamed scans against dense ones.
+"""The certificate's scans against dense ones.
 
 ``dense_slope_range`` and ``dense_dvdt_samples`` are the scans as they
-were written before they streamed: the slope range from one ``meshgrid``
-and dV/dt from the whole ``omega_grid`` lattice.  Patched into
-``sirskit.stability`` they give the reference outcome of every public
-entry point, which the streamed scans must match bit for bit, errors
-included.
+were written before the slope scan streamed and the dV/dt scan took two
+levels a column: the slope range from one ``meshgrid`` and dV/dt from
+the whole ``omega_grid`` lattice.  Patched into ``sirskit.stability``
+they give the reference outcome of every public entry point, which the
+scans must match bit for bit, errors included.
 """
 
 import dataclasses
@@ -74,21 +74,22 @@ def _outcome(call):
         return "raises", type(exc), str(exc)
 
 
-def _entry_points(p, f, eq, k1, grid_n, dvdt_grid_n):
-    # certify takes the closed-form k1; a given k1 reaches the scans
-    # through check_a2 and dvdt_scan
+def _entry_points(p, f, eq, k1, grid_n, dvdt_grid_n, k2):
+    # certify takes the closed-form k1 and default_k2; a given k1 reaches
+    # the scans through check_a2 and dvdt_scan, and a given k2 through
+    # dvdt_scan
     k1_scan = p.s0 if k1 is None else k1
     return {
         "certify": lambda: certify(p, f, eq, grid_n=grid_n,
                                    dvdt_grid_n=dvdt_grid_n).as_dict(),
         "find_k1": lambda: find_k1(p, f, eq, grid_n=grid_n),
         "check_a2": lambda: check_a2(p, f, eq, k1_scan, grid_n=grid_n),
-        "dvdt_scan": lambda: dvdt_scan(p, f, eq, k1_scan, grid_n=dvdt_grid_n),
+        "dvdt_scan": lambda: dvdt_scan(p, f, eq, k1_scan, k2, grid_n=dvdt_grid_n),
     }
 
 
-def _assert_matches_dense(p, f, eq, k1, grid_n, dvdt_grid_n, block=stability._BLOCK):
-    calls = _entry_points(p, f, eq, k1, grid_n, dvdt_grid_n)
+def _assert_matches_dense(p, f, eq, k1, grid_n, dvdt_grid_n, block=stability._BLOCK, k2=None):
+    calls = _entry_points(p, f, eq, k1, grid_n, dvdt_grid_n, k2)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(stability, "_BLOCK", block)
         streamed = {name: _outcome(call) for name, call in calls.items()}
@@ -122,15 +123,16 @@ MODELS = {
        where=st.sampled_from(["E1", "inside", "lattice"]),
        fractions=st.tuples(*[st.floats(0.0, 1.0)] * 3),
        k1=st.one_of(st.none(), st.floats(0.1, 100.0)),
-       grid_n=st.integers(2, 120), dvdt_grid_n=st.integers(2, 60),
+       log_k2=st.one_of(st.none(), st.floats(-6.0, 4.0)),
+       grid_n=st.integers(2, 120), dvdt_grid_n=st.integers(2, 125),
        block=st.one_of(st.just(stability._BLOCK), st.integers(1, 2000)))
 @settings(max_examples=150, deadline=None)
 def test_scans_match_dense_reference(label, log_s, strength, mu, delta, where, fractions,
-                                     k1, grid_n, dvdt_grid_n, block):
+                                     k1, log_k2, grid_n, dvdt_grid_n, block):
     # certify, find_k1, check_a2 and dvdt_scan give the dense scans' bits,
-    # or raise what they raise, whatever the slope block size: at E1, at
-    # any state of Omega with I > 0, or at a dV/dt lattice point, whose
-    # (S, I) column then lies partly in the ball
+    # or raise what they raise, whatever the slope block size and k2: at
+    # E1, at any state of Omega with I > 0, or at a dV/dt lattice point,
+    # whose (S, I) column then lies partly in the ball
     s = 10.0 ** log_s
     p = ModelParams(**{**REF, "Lambda": REF["Lambda"] * s, "mu": mu, "delta": delta})
     f = MODELS[label](s, strength)
@@ -146,7 +148,7 @@ def test_scans_match_dense_reference(label, log_s, strength, mu, delta, where, f
         eq = State(float(axis[int(fs * top / 3)]), float(axis[1 + int(fi * (top - 1) / 3)]),
                    float(axis[int(fr * top / 3)]))
     _assert_matches_dense(p, f, eq, None if k1 is None else k1 * s,
-                          grid_n, dvdt_grid_n, block)
+                          grid_n, dvdt_grid_n, block, None if log_k2 is None else 10.0 ** log_k2)
 
 
 @pytest.mark.parametrize("grid_n, dvdt_grid_n", [(201, 41), (801, 121)])
@@ -157,6 +159,18 @@ def test_reference_certificate_matches_dense_reference(grid_n, dvdt_grid_n):
     eq = find_endemic(p, f).endemic[0][0]
     outcome = _assert_matches_dense(p, f, eq, None, grid_n, dvdt_grid_n)
     assert outcome["certify"][1]["granted"]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("k2", [5e307, 1e308])
+def test_dvdt_scan_matches_dense_where_k2_overflows(k2):
+    # 2*(mu + k2*(mu + delta)) and the samples far from each column's
+    # vertex overflow, but the vertex does not, so dvdt_scan keeps the
+    # dense maximum's bits (a finite one at 5e307, +inf at 1e308)
+    p = ModelParams(**{**REF, "Lambda": 50.0, "mu": 1.0, "delta": 1.0})
+    f = make_builtin("power", {"k": 0.004, "q": 2.0})
+    eq = find_endemic(p, f).endemic[0][0]
+    _assert_matches_dense(p, f, eq, 7.0, 5, 41, k2=k2)
 
 
 def test_non_finite_only_inside_ball_is_not_evaluated():
@@ -202,8 +216,8 @@ def test_every_u_in_strip_raises_as_dense(monkeypatch, grid_n):
 
 
 def test_certify_fine_memory_stays_small():
-    # the dense scans peaked at 24.5 MB here; the streamed ones hold one
-    # slope block and one (S, I) triangle
+    # the dense scans peaked at 24.5 MB here; the slope scan holds one
+    # block, and the dV/dt scan one (S, I) triangle and two levels a column
     p = ModelParams(**REF)
     f = make_builtin("power", {"k": 0.0008, "q": 2.0})
     eq = find_endemic(p, f).endemic[0][0]

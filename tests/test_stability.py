@@ -307,6 +307,13 @@ def test_dvdt_gamma2_zero_requires_explicit_k2():
     assert dvdt_scan(p, f, eq, 50.0, k2=2.0) < 0.0
 
 
+@pytest.mark.parametrize("k2", [0.0, -1.0, math.inf, math.nan])
+def test_dvdt_scan_rejects_k2_not_positive_and_finite(ref_p, f_high, eq_high, k2):
+    # the column scan's exactness rests on dV/dt being concave in R, which needs k2 > 0
+    with pytest.raises(ValueError, match="k2 must be positive and finite"):
+        dvdt_scan(ref_p, f_high, eq_high, 7.0, k2)
+
+
 def test_pq_matrices_reference(ref_p, f_high, eq_high):
     p_mat, q_mat, minors = pq_matrices(ref_p, f_high, eq_high, 7.0, 2.5, (0.0, 0.0))
     assert np.allclose(p_mat, [[0.1, 0.2], [0.2, 0.95]], atol=1e-12)
