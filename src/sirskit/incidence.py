@@ -83,8 +83,10 @@ class HypothesisReport:
     failing sample and the value of f or of the small-I limit there.  An
     H2 entry gives the lower sample of a pair of grid neighbours, in S or
     in I, and the difference quotient of f1 between them.
-    ``h3_limit_at`` records the extrapolated small-I limit of f/I at
-    every sampled S > 0.  ``grid`` gives s_max, grid_n and eps; the
+    ``h3_limit_at`` records the small-I limit of f/I at every sampled
+    S > 0: f1(S, 0) exactly when f1 is declared (every built-in, or a
+    user-supplied f1), and the Richardson extrapolation of f/I when f1
+    is derived from f.  ``grid`` gives s_max, grid_n and eps; the
     sampled S and I are ``linspace(0, s_max, grid_n)``.
     """
 
@@ -308,7 +310,9 @@ def check_hypotheses(f: IncidenceFunction, s_max: float,
     between each pair of neighbouring samples, divided by the grid step,
     must be positive in S and non-positive in I.  (H3) is tested by
     extrapolating f(S, I)/I from I in {eps, eps/2, eps/4} at every
-    sampled S > 0, with eps = s_max/5e5.  Values of f within
+    sampled S > 0, with eps = s_max/5e5, when f1 is derived from f; a
+    declared f1 (every built-in, or a user-supplied f1) gives the limit
+    as f1(S, 0), which counts as converged.  Values of f within
     2e-14*s_max of zero and difference quotients of f1 within
     5e-11/s_max count as zero (1e-12 at s_max = 50).  Violations are
     listed H1 on the S axis, H1 on the I axis, H2 in S, H2 in I, then H3,
@@ -340,9 +344,13 @@ def check_hypotheses(f: IncidenceFunction, s_max: float,
     violations += (_violations("H2", ds <= slope_tol, su[:-1], iv[:-1], ds)
                    + _violations("H2", di > slope_tol, su[:, :-1], iv[:, :-1], di))
 
-    # (H3): positive, Cauchy-convergent small-I limit at every S > 0.
+    # (H3): positive, Cauchy-convergent small-I limit at every S > 0; a
+    # declared f1 gives it as f1(S, 0), as in compute_beta.
     s_pos = axis[axis > 0]
-    limits, converged = small_i_limit(f.eval_f, s_pos, eps)
+    if f.f1_derived:
+        limits, converged = small_i_limit(f.eval_f, s_pos, eps)
+    else:
+        limits, converged = f.eval_f1(s_pos, 0.0 * s_pos), True
     limits = require_finite(limits, "f(S, I)/I as I -> 0", s_pos, 0.0)
     violations += _violations("H3", ~(converged & (limits > _ZERO_TOL)), s_pos, 0.0, limits)
 

@@ -46,7 +46,10 @@ slope range is taken over a grid that leaves out a thin strip around
 u = S*, and a pass means "verified at the reported grid resolution".
 G is unbounded near u = S*, and no k1 can exist, exactly when
 f1(S*, v) != f1(S*, I*) for some v; ``divergence_flag`` reports that,
-decided from f1(S*, .) on the grid's v axis.
+decided from f1(S*, .) on the grid's v axis.  That column is evaluated
+before the slope grid, and ``certify`` and ``find_k1`` refuse an f1
+whose column is finite and varies without evaluating a single slope;
+``check_a2`` still scans the grid for its ``sup_h`` and ``worst_point``.
 
 The slope grid is evaluated in blocks of u rows, about ``_BLOCK`` points
 each.  The dV/dt scan evaluates the field once per (S, I) of its lattice;
@@ -160,7 +163,8 @@ _BLOCK = 16384
 
 
 class _SlopeRange(NamedTuple):
-    """Extremes of G over the scan samples and the (u, v) reaching each."""
+    """Extremes of G over the scan samples and the (u, v) reaching each;
+    all NaN in a range refused for divergence before the scan."""
 
     g_min: float
     g_max: float
@@ -169,27 +173,39 @@ class _SlopeRange(NamedTuple):
     divergence_flag: bool
 
 
-def _slope_range(f: IncidenceFunction, eq: State, s0: float, grid_n: int) -> _SlopeRange:
+def _slope_range(f: IncidenceFunction, eq: State, s0: float, grid_n: int, *,
+                 refuse_divergent: bool = False) -> _SlopeRange:
     """G over a grid_n x grid_n grid on [0, S0]^2 minus the strip
     |u - S*| < 1e-4*S0, and whether G is unbounded near u = S*.
 
-    The grid is taken in blocks of whole u rows, about ``_BLOCK`` points
-    each, in row-major order; each extreme keeps its first sample in that
-    order.  When f is a built-in whose f1 is a function of S alone
-    (``incidence.f1_of_s_only``), each row is taken at v = 0 only: every
-    v of a row gives G the same bits, so the first extreme of the grid
-    sits at v = 0 of its row, and the range, its points and any error
-    are those of the whole grid.  G is unbounded near u = S* exactly when
-    f1(S*, v) differs from f1(S*, I*) for some v; that is decided on the
-    grid's v axis, with differences within 1e-12*f1(S*, I*) counted as
-    round-off (at E1 that is the infected outflow rate, a per-capita rate
-    that rescaling leaves alone).  Raises ValueError when grid_n < 2."""
+    G is unbounded near u = S* exactly when f1(S*, v) differs from
+    f1(S*, I*) for some v; that is decided on the grid's v axis, with
+    differences within 1e-12*f1(S*, I*) counted as round-off (at E1 that
+    is the infected outflow rate, a per-capita rate that rescaling leaves
+    alone).  That column is evaluated before the grid.  With
+    ``refuse_divergent``, a column that is finite and varies returns a
+    refused range at once: its flag set, its slopes NaN, and no slope
+    evaluated.  Otherwise the grid is taken in blocks of whole u rows,
+    about ``_BLOCK`` points each, in row-major order; each extreme keeps
+    its first sample in that order.  When f is a built-in whose f1 is a
+    function of S alone (``incidence.f1_of_s_only``), each row is taken
+    at v = 0 only: every v of a row gives G the same bits, so the first
+    extreme of the grid sits at v = 0 of its row, and the range, its
+    points and any error are those of the whole grid.  Raises ValueError
+    when grid_n < 2."""
     if grid_n < 2:
         raise ValueError(f"grid_n must be at least 2, got {grid_n}")
     axis = np.linspace(0.0, s0, grid_n)
+    f1_star = float(f.eval_f1(eq.S, eq.I))
+    f1_column = np.asarray(f.eval_f1(eq.S, axis), dtype=float)
+    # a non-finite column raises below, after the grid's own errors
+    divergence = bool(np.all(np.isfinite(f1_column))
+                      and np.any(np.abs(f1_column - f1_star) > 1e-12 * abs(f1_star)))
+    if refuse_divergent and divergence:
+        return _SlopeRange(g_min=math.nan, g_max=math.nan, at_min=(math.nan, math.nan),
+                           at_max=(math.nan, math.nan), divergence_flag=True)
     rows = axis[np.abs(axis - eq.S) >= _STRIP * s0]
     columns = axis[:1] if f1_of_s_only(f.eval_f1) else axis
-    f1_star = float(f.eval_f1(eq.S, eq.I))
     step = max(1, _BLOCK // columns.size)
     lo = hi = None
     # with every u in the strip, one empty block raises numpy's ValueError
@@ -207,10 +223,14 @@ def _slope_range(f: IncidenceFunction, eq: State, s0: float, grid_n: int) -> _Sl
             lo = (float(g[k_lo]), (float(uu[k_lo]), float(vv[k_lo])))
         if hi is None or g[k_hi] > hi[0]:
             hi = (float(g[k_hi]), (float(uu[k_hi]), float(vv[k_hi])))
-    f1_column = require_finite(f.eval_f1(eq.S, axis), "incidence factor", eq.S, axis)
-    divergence = bool(np.any(np.abs(f1_column - f1_star) > 1e-12 * abs(f1_star)))
+    require_finite(f1_column, "incidence factor", eq.S, axis)
     return _SlopeRange(g_min=lo[0], g_max=hi[0], at_min=lo[1], at_max=hi[1],
                        divergence_flag=divergence)
+
+
+def _h_bound(p: ModelParams) -> float:
+    """2mu*(mu + alpha), the bound (a2) keeps h below."""
+    return 2.0 * p.mu * (p.mu + p.alpha)
 
 
 def _a2_scan(p: ModelParams, slopes: _SlopeRange, k1: float) -> A2Scan:
@@ -221,7 +241,7 @@ def _a2_scan(p: ModelParams, slopes: _SlopeRange, k1: float) -> A2Scan:
     h = (2.0 * p.mu + p.alpha - k1 * np.array([slopes.g_min, slopes.g_max])) ** 2
     worst = int(np.argmax(h))
     sup_h = float(h[worst])
-    bound = 2.0 * p.mu * (p.mu + p.alpha)
+    bound = _h_bound(p)
     return A2Scan(
         sup_h=sup_h,
         h_bound=bound,
@@ -232,6 +252,9 @@ def _a2_scan(p: ModelParams, slopes: _SlopeRange, k1: float) -> A2Scan:
 
 
 def _optimal_k1(p: ModelParams, slopes: _SlopeRange) -> float | None:
+    # no k1 passes (a2) with G unbounded near S*, whatever the range
+    if slopes.divergence_flag:
+        return None
     total = slopes.g_min + slopes.g_max
     if total <= 0.0:
         return None
@@ -248,8 +271,10 @@ def check_a2(p: ModelParams, f: IncidenceFunction, eq: State, k1: float,
     alone when f1 is a built-in of S alone, which gives the grid's range
     bit for bit; sup h is reached at one of its ends.  Passes when the
     supremum stays below the bound and f1(S*, .) is constant on the
-    grid's v axis, so that G stays bounded near S*.  Raises ValueError
-    unless 0 <= k1 < inf, or when grid_n < 2.
+    grid's v axis, so that G stays bounded near S*.  Unlike ``find_k1``
+    and ``certify`` it scans the whole grid for an f1 that varies there
+    too, so that ``sup_h`` and ``worst_point`` are reported.  Raises
+    ValueError unless 0 <= k1 < inf, or when grid_n < 2.
     """
     return _a2_scan(p, _slope_range(f, eq, p.s0, grid_n), k1)
 
@@ -263,11 +288,14 @@ def find_k1(p: ModelParams, f: IncidenceFunction, eq: State,
     is None when Gmin + Gmax <= 0 (no positive k1 lowers h below
     (2mu+alpha)^2), or when even this k1 fails condition (a2), which
     includes every f1 that varies with I at S*.  Absence of a valid k1
-    is a value, not an error.  The slope range is that of ``check_a2``:
-    grid_n points along u for a built-in f1 of S alone, with the bits of
-    the grid_n x grid_n grid, and the whole grid for any other f1.
+    is a value, not an error.  f1(S*, .) on the grid's v axis is
+    evaluated first: when it is finite and varies, None is returned
+    without evaluating a single slope.  Otherwise the slope range is
+    that of ``check_a2``: grid_n points along u for a built-in f1 of S
+    alone, with the bits of the grid_n x grid_n grid, and the whole grid
+    for any other f1.
     """
-    return _optimal_k1(p, _slope_range(f, eq, p.s0, grid_n))
+    return _optimal_k1(p, _slope_range(f, eq, p.s0, grid_n, refuse_divergent=True))
 
 
 def default_k2(p: ModelParams) -> float:
@@ -434,22 +462,24 @@ def certify(p: ModelParams, f: IncidenceFunction, eq: State,
     the only value for which dV/dt splits into the P and Q forms, so
     gamma2 = 0 raises DegenerateParameterError.  The slope range and the
     divergence decision are computed once and serve both the k1 choice
-    and the (a2) scan; the report's ``exclusion`` is the half-width
+    and the (a2) scan.  As in ``find_k1``, an f1 whose f1(S*, .) is
+    finite and varies on the grid's v axis is refused with
+    ``divergence_flag`` before any slope is evaluated, whether or not
+    (a1) holds.  The report's ``exclusion`` is the half-width
     1e-4*Lambda/mu of the strip around u = S* that the slope grid leaves
     out.
     """
     a1 = check_a1(p)
     k2 = default_k2(p)
-    slopes = _slope_range(f, eq, p.s0, grid_n)
+    slopes = _slope_range(f, eq, p.s0, grid_n, refuse_divergent=True)
     k1 = _optimal_k1(p, slopes)
-    scan = _a2_scan(p, slopes, 0.0 if k1 is None else k1)
     sup_h = dvdt_max = None
     dvdt_points = 0
     if k1 is not None:
-        sup_h = scan.sup_h
+        sup_h = _a2_scan(p, slopes, k1).sup_h
         dvdt_max, dvdt_points = _dvdt_samples(p, f, eq, k1, k2, dvdt_grid_n)
     return CertificateReport(
         granted=a1.passed and k1 is not None, a1_pass=a1.passed, a1_margin=a1.margin,
-        k1=k1, k2=k2, sup_h=sup_h, h_bound=scan.h_bound,
-        divergence_flag=scan.divergence_flag, dvdt_max=dvdt_max,
+        k1=k1, k2=k2, sup_h=sup_h, h_bound=_h_bound(p),
+        divergence_flag=slopes.divergence_flag, dvdt_max=dvdt_max,
         dvdt_points=dvdt_points, grid_n=grid_n, exclusion=_STRIP * p.s0)

@@ -64,6 +64,18 @@ def test_check_ruan_fails_h3(capsys, tmp_path):
     assert any(v["hypothesis"] == "H3" for v in doc["violations"])
 
 
+@pytest.mark.parametrize("incidence", [
+    {"family": "saturated_in_I", "coefficients": {"beta": 0.04, "a": 20}},
+    {"family": "saturated_in_I", "coefficients": {"beta": 0.04, "a": 2e4}},
+    {"family": "psi_ratio", "coefficients": {"beta": 0.04, "a": 0.1, "b": 1e4}},
+], ids=["a_S0_1e3", "a_S0_1e6", "b_S0sq_2.5e7"])
+def test_check_strong_saturation_passes(capsys, tmp_path, incidence):
+    # f/I tends to f1(S, 0) = beta*S > 0 however strongly f saturates in I
+    code, out, _ = run_cli(capsys, "check", write_config(tmp_path, incidence=incidence))
+    assert code == 0
+    assert json.loads(out)["violations"] == []
+
+
 def test_check_missing_param_exits_1(capsys, tmp_path):
     params = dict(REF_PARAMS)
     del params["mu"]

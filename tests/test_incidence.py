@@ -109,6 +109,29 @@ def test_bilinear_h3_limit_at_s_max():
     assert limit == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("family", sorted(FAMILY_INSTANCES))
+def test_h3_limit_of_a_builtin_is_f1_at_zero(family):
+    # every built-in declares f1, whose value at I = 0 is the limit itself
+    f = make_builtin(family, FAMILY_INSTANCES[family])
+    report = check_hypotheses(f, 50.0)
+    assert report.h3_limit_at == [(s, float(f.eval_f1(s, 0.0)))
+                                  for s, _ in report.h3_limit_at]
+
+
+@pytest.mark.parametrize("family, coefficients", [
+    ("saturated_in_I", {"beta": 0.04, "a": 20.0}),
+    ("saturated_in_I", {"beta": 0.04, "a": 2e4}),
+    ("psi_ratio", {"beta": 0.04, "a": 0.1, "b": 1e4}),
+])
+def test_h3_holds_for_strong_saturation(family, coefficients):
+    # a*S0 up to 1e6 and b*S0^2 = 2.5e7: f/I still tends to beta*S > 0,
+    # which extrapolating f/I from I = S0/5e5 did not resolve
+    report = check_hypotheses(make_builtin(family, coefficients), 50.0)
+    assert report.all_pass
+    assert [limit for _, limit in report.h3_limit_at] == [
+        0.04 * s for s, _ in report.h3_limit_at]
+
+
 def test_ruan_h2_fails_within_first_grid_cell():
     # f1 = beta*S*I/(1 + rho*I^2) rises in I up to I = 1/sqrt(rho) = 0.5,
     # inside the first cell of the 64-grid (step 0.79); no interior
@@ -165,7 +188,11 @@ def brute_force_violations(f, s_max, grid_n=64, eps=1e-4):
                 if bad(value):
                     found.append(("H2", (s, i), value))
     for s in axis[1:]:
-        limit, converged = small_i_limit(f.eval_f, float(s), eps)
+        # a declared f1 gives the limit as f1(S, 0)
+        if f.f1_derived:
+            limit, converged = small_i_limit(f.eval_f, float(s), eps)
+        else:
+            limit, converged = float(f.eval_f1(float(s), 0.0)), True
         if not (converged and limit > 1e-12):
             found.append(("H3", (float(s), 0.0), limit))
     return found

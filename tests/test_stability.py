@@ -467,11 +467,14 @@ _POWER_Q25 = make_builtin("power", {"k": 1.6e-4, "q": 2.5})
     (_POWER_Q25, 801, 0),
     (make_builtin("bilinear", {"beta": 0.04}), 801, 0),
     (forwarding(_POWER_Q25), math.inf, 600_000),
-    (make_builtin("saturated_in_I", {"beta": 0.03, "a": 0.5}), math.inf, 600_000),
-], ids=["power_q2", "power_q2.5", "bilinear", "forwarded_power_q2.5", "saturated_in_I"])
+    (make_builtin("saturated_in_I", {"beta": 0.03, "a": 0.5}), 0, 0),
+    (make_builtin("psi_ratio", {"beta": 0.04, "a": 0.1, "b": 0.01}), 0, 0),
+], ids=["power_q2", "power_q2.5", "bilinear", "forwarded_power_q2.5", "saturated_in_I",
+        "psi_ratio"])
 def test_slope_scan_work_at_grid_801(monkeypatch, ref_p, f, most, least):
     # a built-in f1 of S alone is scanned at one v per u row; any other f1,
-    # even one forwarding to such a built-in, on the whole grid
+    # even one forwarding to such a built-in, on the whole grid, unless
+    # f1(S*, .) varies, which refuses it before the grid
     eq = find_endemic(ref_p, f).endemic[0][0]
     checked = []
 
@@ -483,6 +486,84 @@ def test_slope_scan_work_at_grid_801(monkeypatch, ref_p, f, most, least):
     monkeypatch.setattr(stability, "require_finite", spy)
     find_k1(ref_p, f, eq, grid_n=801)
     assert least <= sum(checked) <= most
+
+
+_DIVERGENT = {
+    "saturated_in_I": lambda s: make_builtin("saturated_in_I",
+                                             {"beta": 0.03 / s, "a": 0.5 / s}),
+    "psi_ratio": lambda s: make_builtin("psi_ratio", {"beta": 0.04 / s, "a": 0.1 / s,
+                                                      "b": 0.01 / s ** 2}),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_DIVERGENT))
+@pytest.mark.parametrize("refuse", [
+    lambda p, f, eq: certify(p, f, eq, grid_n=801).k1,
+    lambda p, f, eq: find_k1(p, f, eq, grid_n=801),
+], ids=["certify", "find_k1"])
+def test_divergent_f1_is_refused_before_the_slope_grid(ref_p, family, refuse):
+    # f1(S*, .) on the v axis, 801 points, is all the slope scan evaluates
+    f = _DIVERGENT[family](1.0)
+    eq = find_endemic(ref_p, f).endemic[0][0]
+    sizes = []
+
+    def counting_f1(S, I):
+        sizes.append(np.broadcast(S, I).size)
+        return f.eval_f1(S, I)
+
+    assert refuse(ref_p, dataclasses.replace(f, eval_f1=counting_f1), eq) is None
+    assert sum(n for n in sizes if n > 1) <= 801
+
+
+@given(family=st.sampled_from(sorted(_DIVERGENT)), log_s=st.floats(-6.0, 6.0),
+       grid_n=st.integers(2, 120))
+@settings(max_examples=40, deadline=None)
+def test_divergent_certificate_matches_full_scan(family, log_s, grid_n):
+    # the early refusal reports what the full scan of check_a2 decides
+    s = 10.0 ** log_s
+    p = ModelParams(**{**REF, "Lambda": REF["Lambda"] * s})
+    f = _DIVERGENT[family](s)
+    eq = find_endemic(p, f).endemic[0][0]
+    cert = certify(p, f, eq, grid_n=grid_n)
+    scan = check_a2(p, f, eq, 1.0, grid_n)
+    assert not cert.granted
+    assert cert.k1 is None and cert.sup_h is None and cert.dvdt_max is None
+    assert cert.dvdt_points == 0
+    assert (cert.divergence_flag, cert.h_bound) == (scan.divergence_flag, scan.h_bound)
+
+
+def test_divergent_f1_refused_despite_non_finite_slope(ref_p, eq_high):
+    # f1 varies with I at S* and is inf at one grid point off the S*
+    # column: certify refuses it without meeting that point, check_a2
+    # scans it and raises, and the same f1 flat in I at S* raises as before
+
+    def make(i_weight):
+        def f1(S, I):
+            # (5, 10) lies on the 201-point grid over [0, 50]^2
+            return np.where((S == 5.0) & (I == 10.0), np.inf,
+                            0.0008 * S * S * (1.0 + i_weight * I))
+        return from_callables(lambda S, I: I * f1(S, I), f1=f1, label="inf-off-column")
+
+    varying = make(1e-3)
+    cert = certify(ref_p, varying, eq_high)
+    assert cert.divergence_flag and cert.k1 is None and not cert.granted
+    with pytest.raises(EvaluationError, match="^secant slope is non-finite at"):
+        check_a2(ref_p, varying, eq_high, 1.0)
+    flat = r"^secant slope is non-finite at \(S, I\) = \(5, 10\)$"
+    with pytest.raises(EvaluationError, match=flat):
+        certify(ref_p, make(0.0), eq_high)
+
+
+def test_divergent_f1_refused_with_every_u_in_strip(monkeypatch, ref_p):
+    # a strip wider than [0, S0] leaves no u row: check_a2 still raises
+    # numpy's ValueError on the empty scan, certify refuses first
+    f = _DIVERGENT["saturated_in_I"](1.0)
+    eq = find_endemic(ref_p, f).endemic[0][0]
+    monkeypatch.setattr(stability, "_STRIP", 2.0)
+    cert = certify(ref_p, f, eq)
+    assert cert.divergence_flag and not cert.granted
+    with pytest.raises(ValueError):
+        check_a2(ref_p, f, eq, 1.0)
 
 
 def test_certify_divergent_family(ref_p):
