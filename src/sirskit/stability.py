@@ -47,9 +47,8 @@ u = S*, and a pass means "verified at the reported grid resolution".
 G is unbounded near u = S*, and no k1 can exist, exactly when
 f1(S*, v) != f1(S*, I*) for some v; ``divergence_flag`` reports that,
 decided from f1(S*, .) on the grid's v axis.  That column is evaluated
-before the slope grid, and ``certify`` and ``find_k1`` refuse an f1
-whose column is finite and varies without evaluating a single slope;
-``check_a2`` still scans the grid for its ``sup_h`` and ``worst_point``.
+before the slope grid, and an f1 whose column is finite and varies is
+refused without evaluating a single slope.
 
 The slope grid is evaluated in blocks of u rows, about ``_BLOCK`` points
 each.  The dV/dt scan evaluates the field once per (S, I) of its lattice;
@@ -173,8 +172,7 @@ class _SlopeRange(NamedTuple):
     divergence_flag: bool
 
 
-def _slope_range(f: IncidenceFunction, eq: State, s0: float, grid_n: int, *,
-                 refuse_divergent: bool = False) -> _SlopeRange:
+def _slope_range(f: IncidenceFunction, eq: State, s0: float, grid_n: int) -> _SlopeRange:
     """G over a grid_n x grid_n grid on [0, S0]^2 minus the strip
     |u - S*| < 1e-4*S0, and whether G is unbounded near u = S*.
 
@@ -182,17 +180,16 @@ def _slope_range(f: IncidenceFunction, eq: State, s0: float, grid_n: int, *,
     f1(S*, I*) for some v; that is decided on the grid's v axis, with
     differences within 1e-12*f1(S*, I*) counted as round-off (at E1 that
     is the infected outflow rate, a per-capita rate that rescaling leaves
-    alone).  That column is evaluated before the grid.  With
-    ``refuse_divergent``, a column that is finite and varies returns a
-    refused range at once: its flag set, its slopes NaN, and no slope
-    evaluated.  Otherwise the grid is taken in blocks of whole u rows,
-    about ``_BLOCK`` points each, in row-major order; each extreme keeps
-    its first sample in that order.  When f is a built-in whose f1 is a
-    function of S alone (``incidence.f1_of_s_only``), each row is taken
-    at v = 0 only: every v of a row gives G the same bits, so the first
-    extreme of the grid sits at v = 0 of its row, and the range, its
-    points and any error are those of the whole grid.  Raises ValueError
-    when grid_n < 2."""
+    alone).  That column is evaluated before the grid, and a column that
+    is finite and varies returns a refused range at once: its flag set,
+    its slopes and points NaN, and no slope evaluated.  Otherwise the
+    grid is taken in blocks of whole u rows, about ``_BLOCK`` points
+    each, in row-major order; each extreme keeps its first sample in that
+    order.  When f is a built-in whose f1 is a function of S alone
+    (``incidence.f1_of_s_only``), each row is taken at v = 0 only: every
+    v of a row gives G the same bits, so the first extreme of the grid
+    sits at v = 0 of its row, and the range, its points and any error
+    are those of the whole grid.  Raises ValueError when grid_n < 2."""
     if grid_n < 2:
         raise ValueError(f"grid_n must be at least 2, got {grid_n}")
     axis = np.linspace(0.0, s0, grid_n)
@@ -201,7 +198,7 @@ def _slope_range(f: IncidenceFunction, eq: State, s0: float, grid_n: int, *,
     # a non-finite column raises below, after the grid's own errors
     divergence = bool(np.all(np.isfinite(f1_column))
                       and np.any(np.abs(f1_column - f1_star) > 1e-12 * abs(f1_star)))
-    if refuse_divergent and divergence:
+    if divergence:
         return _SlopeRange(g_min=math.nan, g_max=math.nan, at_min=(math.nan, math.nan),
                            at_max=(math.nan, math.nan), divergence_flag=True)
     rows = axis[np.abs(axis - eq.S) >= _STRIP * s0]
@@ -228,11 +225,6 @@ def _slope_range(f: IncidenceFunction, eq: State, s0: float, grid_n: int, *,
                        divergence_flag=divergence)
 
 
-def _h_bound(p: ModelParams) -> float:
-    """2mu*(mu + alpha), the bound (a2) keeps h below."""
-    return 2.0 * p.mu * (p.mu + p.alpha)
-
-
 def _a2_scan(p: ModelParams, slopes: _SlopeRange, k1: float) -> A2Scan:
     if not 0.0 <= k1 < math.inf:
         raise ValueError(f"k1 must be non-negative and finite, got {k1}")
@@ -241,7 +233,7 @@ def _a2_scan(p: ModelParams, slopes: _SlopeRange, k1: float) -> A2Scan:
     h = (2.0 * p.mu + p.alpha - k1 * np.array([slopes.g_min, slopes.g_max])) ** 2
     worst = int(np.argmax(h))
     sup_h = float(h[worst])
-    bound = _h_bound(p)
+    bound = 2.0 * p.mu * (p.mu + p.alpha)
     return A2Scan(
         sup_h=sup_h,
         h_bound=bound,
@@ -271,10 +263,11 @@ def check_a2(p: ModelParams, f: IncidenceFunction, eq: State, k1: float,
     alone when f1 is a built-in of S alone, which gives the grid's range
     bit for bit; sup h is reached at one of its ends.  Passes when the
     supremum stays below the bound and f1(S*, .) is constant on the
-    grid's v axis, so that G stays bounded near S*.  Unlike ``find_k1``
-    and ``certify`` it scans the whole grid for an f1 that varies there
-    too, so that ``sup_h`` and ``worst_point`` are reported.  Raises
-    ValueError unless 0 <= k1 < inf, or when grid_n < 2.
+    grid's v axis, so that G stays bounded near S*.  When that column is
+    finite and varies, no slope is evaluated: the scan reports
+    passed=False with ``divergence_flag`` set and NaN ``sup_h`` and
+    ``worst_point``.  Raises ValueError unless 0 <= k1 < inf, or when
+    grid_n < 2.
     """
     return _a2_scan(p, _slope_range(f, eq, p.s0, grid_n), k1)
 
@@ -295,7 +288,7 @@ def find_k1(p: ModelParams, f: IncidenceFunction, eq: State,
     alone, with the bits of the grid_n x grid_n grid, and the whole grid
     for any other f1.
     """
-    return _optimal_k1(p, _slope_range(f, eq, p.s0, grid_n, refuse_divergent=True))
+    return _optimal_k1(p, _slope_range(f, eq, p.s0, grid_n))
 
 
 def default_k2(p: ModelParams) -> float:
@@ -471,15 +464,16 @@ def certify(p: ModelParams, f: IncidenceFunction, eq: State,
     """
     a1 = check_a1(p)
     k2 = default_k2(p)
-    slopes = _slope_range(f, eq, p.s0, grid_n, refuse_divergent=True)
+    slopes = _slope_range(f, eq, p.s0, grid_n)
     k1 = _optimal_k1(p, slopes)
+    scan = _a2_scan(p, slopes, 0.0 if k1 is None else k1)
     sup_h = dvdt_max = None
     dvdt_points = 0
     if k1 is not None:
-        sup_h = _a2_scan(p, slopes, k1).sup_h
+        sup_h = scan.sup_h
         dvdt_max, dvdt_points = _dvdt_samples(p, f, eq, k1, k2, dvdt_grid_n)
     return CertificateReport(
         granted=a1.passed and k1 is not None, a1_pass=a1.passed, a1_margin=a1.margin,
-        k1=k1, k2=k2, sup_h=sup_h, h_bound=_h_bound(p),
-        divergence_flag=slopes.divergence_flag, dvdt_max=dvdt_max,
+        k1=k1, k2=k2, sup_h=sup_h, h_bound=scan.h_bound,
+        divergence_flag=scan.divergence_flag, dvdt_max=dvdt_max,
         dvdt_points=dvdt_points, grid_n=grid_n, exclusion=_STRIP * p.s0)

@@ -4,8 +4,8 @@
 were written before the slope scan streamed and the dV/dt scan took two
 levels a column: the slope range from one ``meshgrid`` and dV/dt from
 the whole ``omega_grid`` lattice.  The slope range keeps one later
-rule: asked by ``certify`` and ``find_k1``, it refuses an f1(S*, .) that
-is finite and varies before the grid.  Patched into ``sirskit.stability``
+rule: it refuses an f1(S*, .) that is finite and varies before the
+grid.  Patched into ``sirskit.stability``
 they give the reference outcome of every public entry point, which the
 scans must match bit for bit, errors included.
 """
@@ -27,19 +27,17 @@ from sirskit.model import make_rhs, omega_grid
 from conftest import REF, forwarding
 
 
-def dense_slope_range(f, eq, s0, grid_n, *, refuse_divergent=False):
+def dense_slope_range(f, eq, s0, grid_n):
     if grid_n < 2:
         raise ValueError(f"grid_n must be at least 2, got {grid_n}")
     axis = np.linspace(0.0, s0, grid_n)
     f1_star = float(f.eval_f1(eq.S, eq.I))
-    if refuse_divergent:
-        # the documented early return: a finite f1(S*, .) that varies is
-        # refused before any slope is evaluated
-        column = np.asarray(f.eval_f1(eq.S, axis), dtype=float)
-        if (np.all(np.isfinite(column))
-                and np.any(np.abs(column - f1_star) > 1e-12 * abs(f1_star))):
-            return stability._SlopeRange(math.nan, math.nan, (math.nan, math.nan),
-                                         (math.nan, math.nan), True)
+    # the documented early return: a finite f1(S*, .) that varies is
+    # refused before any slope is evaluated
+    column = np.asarray(f.eval_f1(eq.S, axis), dtype=float)
+    if np.all(np.isfinite(column)) and np.any(np.abs(column - f1_star) > 1e-12 * abs(f1_star)):
+        return stability._SlopeRange(math.nan, math.nan, (math.nan, math.nan),
+                                     (math.nan, math.nan), True)
     uu, vv = np.meshgrid(axis[np.abs(axis - eq.S) >= stability._STRIP * s0], axis,
                          indexing="ij")
     g = require_finite(stability.secant_slope(f, eq, uu, vv), "secant slope", uu, vv).ravel()

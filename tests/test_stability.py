@@ -497,11 +497,12 @@ _DIVERGENT = {
 
 
 @pytest.mark.parametrize("family", sorted(_DIVERGENT))
-@pytest.mark.parametrize("refuse", [
-    lambda p, f, eq: certify(p, f, eq, grid_n=801).k1,
-    lambda p, f, eq: find_k1(p, f, eq, grid_n=801),
-], ids=["certify", "find_k1"])
-def test_divergent_f1_is_refused_before_the_slope_grid(ref_p, family, refuse):
+@pytest.mark.parametrize("refused", [
+    lambda p, f, eq: certify(p, f, eq, grid_n=801).k1 is None,
+    lambda p, f, eq: find_k1(p, f, eq, grid_n=801) is None,
+    lambda p, f, eq: not check_a2(p, f, eq, 1.0, grid_n=801).passed,
+], ids=["certify", "find_k1", "check_a2"])
+def test_divergent_f1_is_refused_before_the_slope_grid(ref_p, family, refused):
     # f1(S*, .) on the v axis, 801 points, is all the slope scan evaluates
     f = _DIVERGENT[family](1.0)
     eq = find_endemic(ref_p, f).endemic[0][0]
@@ -511,15 +512,15 @@ def test_divergent_f1_is_refused_before_the_slope_grid(ref_p, family, refuse):
         sizes.append(np.broadcast(S, I).size)
         return f.eval_f1(S, I)
 
-    assert refuse(ref_p, dataclasses.replace(f, eval_f1=counting_f1), eq) is None
+    assert refused(ref_p, dataclasses.replace(f, eval_f1=counting_f1), eq)
     assert sum(n for n in sizes if n > 1) <= 801
 
 
 @given(family=st.sampled_from(sorted(_DIVERGENT)), log_s=st.floats(-6.0, 6.0),
        grid_n=st.integers(2, 120))
 @settings(max_examples=40, deadline=None)
-def test_divergent_certificate_matches_full_scan(family, log_s, grid_n):
-    # the early refusal reports what the full scan of check_a2 decides
+def test_divergent_f1_is_refused_at_every_scale(family, log_s, grid_n):
+    # refused at every population scale, with no slope or dV/dt sample
     s = 10.0 ** log_s
     p = ModelParams(**{**REF, "Lambda": REF["Lambda"] * s})
     f = _DIVERGENT[family](s)
@@ -529,13 +530,15 @@ def test_divergent_certificate_matches_full_scan(family, log_s, grid_n):
     assert not cert.granted
     assert cert.k1 is None and cert.sup_h is None and cert.dvdt_max is None
     assert cert.dvdt_points == 0
-    assert (cert.divergence_flag, cert.h_bound) == (scan.divergence_flag, scan.h_bound)
+    assert cert.divergence_flag and scan.divergence_flag and not scan.passed
+    assert cert.h_bound == scan.h_bound == 2.0 * p.mu * (p.mu + p.alpha)
+    assert math.isnan(scan.sup_h) and all(map(math.isnan, scan.worst_point))
 
 
 def test_divergent_f1_refused_despite_non_finite_slope(ref_p, eq_high):
     # f1 varies with I at S* and is inf at one grid point off the S*
-    # column: certify refuses it without meeting that point, check_a2
-    # scans it and raises, and the same f1 flat in I at S* raises as before
+    # column: certify and check_a2 refuse it without meeting that point,
+    # and the same f1 flat in I at S* raises as before
 
     def make(i_weight):
         def f1(S, I):
@@ -547,23 +550,10 @@ def test_divergent_f1_refused_despite_non_finite_slope(ref_p, eq_high):
     varying = make(1e-3)
     cert = certify(ref_p, varying, eq_high)
     assert cert.divergence_flag and cert.k1 is None and not cert.granted
-    with pytest.raises(EvaluationError, match="^secant slope is non-finite at"):
-        check_a2(ref_p, varying, eq_high, 1.0)
+    assert not check_a2(ref_p, varying, eq_high, 1.0).passed
     flat = r"^secant slope is non-finite at \(S, I\) = \(5, 10\)$"
     with pytest.raises(EvaluationError, match=flat):
         certify(ref_p, make(0.0), eq_high)
-
-
-def test_divergent_f1_refused_with_every_u_in_strip(monkeypatch, ref_p):
-    # a strip wider than [0, S0] leaves no u row: check_a2 still raises
-    # numpy's ValueError on the empty scan, certify refuses first
-    f = _DIVERGENT["saturated_in_I"](1.0)
-    eq = find_endemic(ref_p, f).endemic[0][0]
-    monkeypatch.setattr(stability, "_STRIP", 2.0)
-    cert = certify(ref_p, f, eq)
-    assert cert.divergence_flag and not cert.granted
-    with pytest.raises(ValueError):
-        check_a2(ref_p, f, eq, 1.0)
 
 
 def test_certify_divergent_family(ref_p):
