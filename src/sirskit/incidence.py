@@ -40,6 +40,7 @@ is called as it stands.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, NamedTuple
 
@@ -82,18 +83,16 @@ class HypothesisReport:
     when all three pass flags are true.  An H1 or H3 entry gives the
     failing sample and the value of f or of the small-I limit there.  An
     H2 entry gives the lower sample of a pair of grid neighbours, in S or
-    in I, and the difference quotient of f1 between them.
-    ``h3_limit_at`` records the small-I limit of f/I at every sampled
-    S > 0: f1(S, 0) exactly when f1 is declared (every built-in, or a
+    in I, and the difference quotient of f1 between them.  An H3 entry's
+    value is f1(S, 0) when f1 is declared (every built-in, or a
     user-supplied f1), and the Richardson extrapolation of f/I when f1
-    is derived from f.  ``grid`` gives s_max, grid_n and eps; the
-    sampled S and I are ``linspace(0, s_max, grid_n)``.
+    is derived from f.  ``grid`` gives s_max and grid_n; the sampled S
+    and I are ``linspace(0, s_max, grid_n)``.
     """
 
     h1_pass: bool
     h2_pass: bool
     h3_pass: bool
-    h3_limit_at: list = field(default_factory=list)
     violations: list = field(default_factory=list)
     grid: dict = field(default_factory=dict)
 
@@ -106,7 +105,6 @@ class HypothesisReport:
             "h1_pass": self.h1_pass,
             "h2_pass": self.h2_pass,
             "h3_pass": self.h3_pass,
-            "h3_limit_at": [[float(s), float(v)] for s, v in self.h3_limit_at],
             "violations": [
                 {"hypothesis": hyp, "point": [float(p[0]), float(p[1])], "value": float(v)}
                 for hyp, p, v in self.violations
@@ -308,23 +306,23 @@ def check_hypotheses(f: IncidenceFunction, s_max: float,
     (H1) is tested on boundary samples.  (H2) is tested on f1's values
     on the full grid, boundaries included: the difference quotient
     between each pair of neighbouring samples, divided by the grid step,
-    must be positive in S and non-positive in I.  (H3) is tested by
-    extrapolating f(S, I)/I from I in {eps, eps/2, eps/4} at every
-    sampled S > 0, with eps = s_max/5e5, when f1 is derived from f; a
-    declared f1 (every built-in, or a user-supplied f1) gives the limit
-    as f1(S, 0), which counts as converged.  Values of f within
-    2e-14*s_max of zero and difference quotients of f1 within
-    5e-11/s_max count as zero (1e-12 at s_max = 50).  Violations are
-    listed H1 on the S axis, H1 on the I axis, H2 in S, H2 in I, then H3,
-    each in grid order.  Deterministic: identical inputs yield identical
-    reports.
+    must be positive in S and non-positive in I.  (H3) is tested at every
+    sampled S > 0: a declared f1 (every built-in, or a user-supplied f1)
+    gives the limit as f1(S, 0), read from the (H2) grid's I = 0 column,
+    so f1 is evaluated once, on grid_n**2 points; an f1 derived from f
+    has it extrapolated from f(S, I)/I at I in {eps, eps/2, eps/4}, with
+    eps = s_max/5e5.  Values of f within 2e-14*s_max of zero and
+    difference quotients of f1 within 5e-11/s_max count as zero (1e-12
+    at s_max = 50).  Violations are listed H1 on the S axis, H1 on the I
+    axis, H2 in S, H2 in I, then H3, each in grid order.  Deterministic:
+    identical inputs yield identical reports.  Raises ValueError unless
+    0 < s_max < inf and grid_n >= 8.
     """
-    if not (s_max > 0):
-        raise ValueError(f"s_max must be positive, got {s_max}")
+    if not 0.0 < s_max < math.inf:
+        raise ValueError(f"s_max must be positive and finite, got {s_max}")
     if grid_n < 8:
         raise ValueError(f"grid_n must be at least 8, got {grid_n}")
 
-    eps = s_max / 5e5
     f_tol, slope_tol = 2e-14 * s_max, 5e-11 / s_max
     axis = np.linspace(0.0, s_max, grid_n)
     zero = 0.0 * axis
@@ -345,13 +343,14 @@ def check_hypotheses(f: IncidenceFunction, s_max: float,
                    + _violations("H2", di > slope_tol, su[:, :-1], iv[:, :-1], di))
 
     # (H3): positive, Cauchy-convergent small-I limit at every S > 0; a
-    # declared f1 gives it as f1(S, 0), as in compute_beta.
+    # declared f1 gives it as f1(S, 0), as in compute_beta: the I = 0
+    # column of the grid above.
     s_pos = axis[axis > 0]
     if f.f1_derived:
-        limits, converged = small_i_limit(f.eval_f, s_pos, eps)
+        limits, converged = small_i_limit(f.eval_f, s_pos, s_max / 5e5)
+        limits = require_finite(limits, "f(S, I)/I as I -> 0", s_pos, 0.0)
     else:
-        limits, converged = f.eval_f1(s_pos, 0.0 * s_pos), True
-    limits = require_finite(limits, "f(S, I)/I as I -> 0", s_pos, 0.0)
+        limits, converged = f1[axis > 0, 0], True
     violations += _violations("H3", ~(converged & (limits > _ZERO_TOL)), s_pos, 0.0, limits)
 
     failed = {hyp for hyp, _, _ in violations}
@@ -359,9 +358,8 @@ def check_hypotheses(f: IncidenceFunction, s_max: float,
         h1_pass="H1" not in failed,
         h2_pass="H2" not in failed,
         h3_pass="H3" not in failed,
-        h3_limit_at=list(zip(s_pos.tolist(), limits.tolist())),
         violations=violations,
-        grid={"s_max": float(s_max), "grid_n": int(grid_n), "eps": float(eps)},
+        grid={"s_max": float(s_max), "grid_n": int(grid_n)},
     )
 
 
@@ -370,11 +368,14 @@ def compute_beta(f: IncidenceFunction, Lambda: float, mu: float) -> float:
 
     S0 = Lambda/mu.  Uses f1(S0, 0) when f1 is given in closed form (a
     built-in or a user-supplied f1), otherwise Richardson extrapolation
-    of f(S0, I)/I toward I = 0+ from I = S0/5e5.
+    of f(S0, I)/I toward I = 0+ from I = S0/5e5.  Raises ValueError
+    unless Lambda, mu and S0 are positive and finite.
     """
-    if not (Lambda > 0 and mu > 0):
-        raise ValueError("Lambda and mu must be positive")
+    if not (0.0 < Lambda < math.inf and 0.0 < mu < math.inf):
+        raise ValueError(f"Lambda and mu must be positive and finite, got {Lambda}, {mu}")
     s0 = Lambda / mu
+    if not 0.0 < s0 < math.inf:
+        raise ValueError(f"Lambda/mu = {s0:g} must be positive and finite")
     if not f.f1_derived:
         slope = float(f.eval_f1(s0, 0.0))
     else:

@@ -47,8 +47,9 @@ u = S*, and a pass means "verified at the reported grid resolution".
 G is unbounded near u = S*, and no k1 can exist, exactly when
 f1(S*, v) != f1(S*, I*) for some v; ``divergence_flag`` reports that,
 decided from f1(S*, .) on the grid's v axis.  That column is evaluated
-before the slope grid, and an f1 whose column is finite and varies is
-refused without evaluating a single slope.
+before the slope grid and required finite: a non-finite entry raises
+EvaluationError, and an f1 whose column varies is refused without
+evaluating a single slope.
 
 The slope grid is evaluated in blocks of u rows, about ``_BLOCK`` points
 each.  The dV/dt scan evaluates the field once per (S, I) of its lattice;
@@ -163,13 +164,18 @@ _BLOCK = 16384
 
 class _SlopeRange(NamedTuple):
     """Extremes of G over the scan samples and the (u, v) reaching each;
-    all NaN in a range refused for divergence before the scan."""
+    all NaN in ``_DIVERGENT``, the range refused for divergence before
+    the scan."""
 
     g_min: float
     g_max: float
     at_min: tuple[float, float]
     at_max: tuple[float, float]
     divergence_flag: bool
+
+
+_DIVERGENT = _SlopeRange(g_min=math.nan, g_max=math.nan, at_min=(math.nan, math.nan),
+                         at_max=(math.nan, math.nan), divergence_flag=True)
 
 
 def _slope_range(f: IncidenceFunction, eq: State, s0: float, grid_n: int) -> _SlopeRange:
@@ -180,10 +186,11 @@ def _slope_range(f: IncidenceFunction, eq: State, s0: float, grid_n: int) -> _Sl
     f1(S*, I*) for some v; that is decided on the grid's v axis, with
     differences within 1e-12*f1(S*, I*) counted as round-off (at E1 that
     is the infected outflow rate, a per-capita rate that rescaling leaves
-    alone).  That column is evaluated before the grid, and a column that
-    is finite and varies returns a refused range at once: its flag set,
-    its slopes and points NaN, and no slope evaluated.  Otherwise the
-    grid is taken in blocks of whole u rows, about ``_BLOCK`` points
+    alone).  That column is evaluated before the grid and required
+    finite, so a non-finite entry raises EvaluationError naming it; a
+    column that varies returns ``_DIVERGENT`` at once: its flag set, its
+    slopes and points NaN, and no slope evaluated.  Otherwise the grid
+    is taken in blocks of whole u rows, about ``_BLOCK`` points
     each, in row-major order; each extreme keeps its first sample in that
     order.  When f is a built-in whose f1 is a function of S alone
     (``incidence.f1_of_s_only``), each row is taken at v = 0 only: every
@@ -194,19 +201,14 @@ def _slope_range(f: IncidenceFunction, eq: State, s0: float, grid_n: int) -> _Sl
         raise ValueError(f"grid_n must be at least 2, got {grid_n}")
     axis = np.linspace(0.0, s0, grid_n)
     f1_star = float(f.eval_f1(eq.S, eq.I))
-    f1_column = np.asarray(f.eval_f1(eq.S, axis), dtype=float)
-    # a non-finite column raises below, after the grid's own errors
-    divergence = bool(np.all(np.isfinite(f1_column))
-                      and np.any(np.abs(f1_column - f1_star) > 1e-12 * abs(f1_star)))
-    if divergence:
-        return _SlopeRange(g_min=math.nan, g_max=math.nan, at_min=(math.nan, math.nan),
-                           at_max=(math.nan, math.nan), divergence_flag=True)
+    f1_column = require_finite(f.eval_f1(eq.S, axis), "incidence factor", eq.S, axis)
+    if np.any(np.abs(f1_column - f1_star) > 1e-12 * abs(f1_star)):
+        return _DIVERGENT
     rows = axis[np.abs(axis - eq.S) >= _STRIP * s0]
     columns = axis[:1] if f1_of_s_only(f.eval_f1) else axis
     step = max(1, _BLOCK // columns.size)
     lo = hi = None
-    # with every u in the strip, one empty block raises numpy's ValueError
-    for start in range(0, max(rows.size, 1), step):
+    for start in range(0, rows.size, step):
         # contiguous copies, laid out as the rows of a meshgrid, so that
         # f1 sees the same arrays, element for element, at any block size
         uu = np.repeat(rows[start:start + step], columns.size)
@@ -220,9 +222,8 @@ def _slope_range(f: IncidenceFunction, eq: State, s0: float, grid_n: int) -> _Sl
             lo = (float(g[k_lo]), (float(uu[k_lo]), float(vv[k_lo])))
         if hi is None or g[k_hi] > hi[0]:
             hi = (float(g[k_hi]), (float(uu[k_hi]), float(vv[k_hi])))
-    require_finite(f1_column, "incidence factor", eq.S, axis)
     return _SlopeRange(g_min=lo[0], g_max=hi[0], at_min=lo[1], at_max=hi[1],
-                       divergence_flag=divergence)
+                       divergence_flag=False)
 
 
 def _a2_scan(p: ModelParams, slopes: _SlopeRange, k1: float) -> A2Scan:
@@ -237,18 +238,16 @@ def _a2_scan(p: ModelParams, slopes: _SlopeRange, k1: float) -> A2Scan:
     return A2Scan(
         sup_h=sup_h,
         h_bound=bound,
-        passed=sup_h < bound and not slopes.divergence_flag,
+        passed=sup_h < bound,
         divergence_flag=slopes.divergence_flag,
         worst_point=(slopes.at_min, slopes.at_max)[worst],
     )
 
 
 def _optimal_k1(p: ModelParams, slopes: _SlopeRange) -> float | None:
-    # no k1 passes (a2) with G unbounded near S*, whatever the range
-    if slopes.divergence_flag:
-        return None
+    # a range refused for divergence has NaN slopes, which no k1 passes
     total = slopes.g_min + slopes.g_max
-    if total <= 0.0:
+    if not total > 0.0:
         return None
     k1 = 2.0 * (2.0 * p.mu + p.alpha) / total
     return k1 if _a2_scan(p, slopes, k1).passed else None
@@ -263,11 +262,12 @@ def check_a2(p: ModelParams, f: IncidenceFunction, eq: State, k1: float,
     alone when f1 is a built-in of S alone, which gives the grid's range
     bit for bit; sup h is reached at one of its ends.  Passes when the
     supremum stays below the bound and f1(S*, .) is constant on the
-    grid's v axis, so that G stays bounded near S*.  When that column is
-    finite and varies, no slope is evaluated: the scan reports
-    passed=False with ``divergence_flag`` set and NaN ``sup_h`` and
-    ``worst_point``.  Raises ValueError unless 0 <= k1 < inf, or when
-    grid_n < 2.
+    grid's v axis, so that G stays bounded near S*.  That column is
+    required finite, and when it varies no slope is evaluated: the scan
+    reports passed=False with ``divergence_flag`` set and NaN ``sup_h``
+    and ``worst_point``.  Raises ValueError unless 0 <= k1 < inf, or when
+    grid_n < 2, and EvaluationError naming the first non-finite f1(S*, v)
+    or slope.
     """
     return _a2_scan(p, _slope_range(f, eq, p.s0, grid_n), k1)
 
@@ -282,7 +282,7 @@ def find_k1(p: ModelParams, f: IncidenceFunction, eq: State,
     (2mu+alpha)^2), or when even this k1 fails condition (a2), which
     includes every f1 that varies with I at S*.  Absence of a valid k1
     is a value, not an error.  f1(S*, .) on the grid's v axis is
-    evaluated first: when it is finite and varies, None is returned
+    evaluated first and required finite: when it varies, None is returned
     without evaluating a single slope.  Otherwise the slope range is
     that of ``check_a2``: grid_n points along u for a built-in f1 of S
     alone, with the bits of the grid_n x grid_n grid, and the whole grid
@@ -455,12 +455,11 @@ def certify(p: ModelParams, f: IncidenceFunction, eq: State,
     the only value for which dV/dt splits into the P and Q forms, so
     gamma2 = 0 raises DegenerateParameterError.  The slope range and the
     divergence decision are computed once and serve both the k1 choice
-    and the (a2) scan.  As in ``find_k1``, an f1 whose f1(S*, .) is
-    finite and varies on the grid's v axis is refused with
-    ``divergence_flag`` before any slope is evaluated, whether or not
-    (a1) holds.  The report's ``exclusion`` is the half-width
-    1e-4*Lambda/mu of the strip around u = S* that the slope grid leaves
-    out.
+    and the (a2) scan.  As in ``find_k1``, an f1 whose f1(S*, .) varies
+    on the grid's v axis is refused with ``divergence_flag`` before any
+    slope is evaluated, whether or not (a1) holds.  The report's
+    ``exclusion`` is the half-width 1e-4*Lambda/mu of the strip around
+    u = S* that the slope grid leaves out.
     """
     a1 = check_a1(p)
     k2 = default_k2(p)

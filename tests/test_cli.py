@@ -240,6 +240,12 @@ def test_analyze_states_each_fact_once(capsys, high_config):
     assert set(doc["equilibria"]) == {"i0", "endemic", "bracket_log"}
     for block in ("equilibria", "certificate"):
         assert not set(doc[block]) & set(doc), block
+    # the (H3) limits are f1(S, 0) and the grid's step follows from s_max
+    # and grid_n, so the hypothesis report lists neither
+    _, checked, _ = run_cli(capsys, "check", high_config)
+    for hypotheses in (doc["hypotheses"], json.loads(checked)):
+        assert list(hypotheses) == ["h1_pass", "h2_pass", "h3_pass", "violations", "grid"]
+        assert list(hypotheses["grid"]) == ["s_max", "grid_n"]
 
 
 def test_analyze_deterministic_output(capsys, high_config):

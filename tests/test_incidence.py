@@ -95,27 +95,54 @@ def test_check_hypotheses_power_family_q_ge_1(k, q):
 def test_ruan_fails_h3_with_zero_limits():
     report = check_hypotheses(make_builtin("ruan", {"beta": 0.5, "rho": 1.0}), 50.0)
     assert not report.h3_pass
-    failed_h3 = {point[0] for hyp, point, _ in report.violations if hyp == "H3"}
-    sampled = {s for s, _ in report.h3_limit_at}
-    assert failed_h3 == sampled  # the limit degenerates at every S
-    assert all(abs(limit) < 1e-6 for _, limit in report.h3_limit_at)
+    failed_h3 = [(point, value) for hyp, point, value in report.violations if hyp == "H3"]
+    # the limit f1(S, 0) = 0.0 degenerates at every sampled S > 0
+    assert failed_h3 == [((s, 0.0), 0.0) for s in np.linspace(0.0, 50.0, 64)[1:].tolist()]
 
 
 def test_bilinear_h3_limit_at_s_max():
+    # the sampled S run to s_max, where the limit f1(1, 0) = 1 passes
     report = check_hypotheses(make_builtin("bilinear", {"beta": 1.0}), 1.0)
-    assert report.all_pass
-    s_last, limit = report.h3_limit_at[-1]
-    assert s_last == 1.0
-    assert limit == pytest.approx(1.0, abs=1e-9)
+    assert report.all_pass and report.violations == []
+    assert report.grid == {"s_max": 1.0, "grid_n": 64}
 
 
 @pytest.mark.parametrize("family", sorted(FAMILY_INSTANCES))
 def test_h3_limit_of_a_builtin_is_f1_at_zero(family):
-    # every built-in declares f1, whose value at I = 0 is the limit itself
+    # every built-in declares f1, whose value at I = 0 is the limit itself:
+    # (H3) fails exactly where it is not positive, with that value
     f = make_builtin(family, FAMILY_INSTANCES[family])
+    axis = np.linspace(0.0, 50.0, 64)[1:].tolist()
+    limits = [float(f.eval_f1(s, 0.0)) for s in axis]
+    expected = [((s, 0.0), limit) for s, limit in zip(axis, limits) if not limit > 1e-12]
+    assert [(point, value) for hyp, point, value in check_hypotheses(f, 50.0).violations
+            if hyp == "H3"] == expected
+
+
+def test_h3_violation_of_a_declared_f1_carries_f1_at_zero():
+    # f1 = S - 25 is declared, so its limit is f1(S, 0) = S - 25: (H3)
+    # fails exactly at the sampled S < 25, with that value
+    f = from_callables(lambda S, I: I * (S - 25.0), f1=lambda S, I: S - 25.0 + 0.0 * I)
     report = check_hypotheses(f, 50.0)
-    assert report.h3_limit_at == [(s, float(f.eval_f1(s, 0.0)))
-                                  for s, _ in report.h3_limit_at]
+    axis = np.linspace(0.0, 50.0, 64)
+    expected = [((s, 0.0), s - 25.0) for s in axis[(axis > 0) & (axis < 25.0)].tolist()]
+    assert [(point, value) for hyp, point, value in report.violations
+            if hyp == "H3"] == expected
+
+
+def test_declared_f1_is_evaluated_once_on_the_grid():
+    # (H3) reads f1(S, 0) from the (H2) grid: one call of grid_n**2 points
+    sizes = []
+
+    def f1(S, I):
+        sizes.append(np.broadcast(S, I).size)
+        return 0.04 * S + 0.0 * I
+
+    for grid_n in (8, 64):
+        sizes.clear()
+        assert check_hypotheses(from_callables(lambda S, I: 0.04 * S * I, f1=f1),
+                                50.0, grid_n).all_pass
+        assert sizes == [grid_n ** 2]
 
 
 @pytest.mark.parametrize("family, coefficients", [
@@ -127,9 +154,7 @@ def test_h3_holds_for_strong_saturation(family, coefficients):
     # a*S0 up to 1e6 and b*S0^2 = 2.5e7: f/I still tends to beta*S > 0,
     # which extrapolating f/I from I = S0/5e5 did not resolve
     report = check_hypotheses(make_builtin(family, coefficients), 50.0)
-    assert report.all_pass
-    assert [limit for _, limit in report.h3_limit_at] == [
-        0.04 * s for s, _ in report.h3_limit_at]
+    assert report.all_pass and report.violations == []
 
 
 def test_ruan_h2_fails_within_first_grid_cell():
@@ -160,6 +185,12 @@ def test_check_hypotheses_validates_inputs():
         check_hypotheses(f, -1.0)
     with pytest.raises(ValueError):
         check_hypotheses(f, 50.0, grid_n=4)
+
+
+@pytest.mark.parametrize("s_max", [math.inf, math.nan])
+def test_check_hypotheses_rejects_non_finite_s_max(s_max):
+    with pytest.raises(ValueError, match="s_max must be positive and finite"):
+        check_hypotheses(make_builtin("bilinear", {"beta": 1.0}), s_max)
 
 
 def test_non_finite_value_reports_point():
@@ -229,6 +260,13 @@ def test_compute_beta_bilinear_self_consistent(beta0, lam, mu):
     # df/dI at (S0, 0) is beta0*S0, so (mu/Lambda)*beta0*S0 == beta0.
     f = make_builtin("bilinear", {"beta": beta0})
     assert compute_beta(f, lam, mu) == pytest.approx(beta0, rel=1e-12)
+
+
+@pytest.mark.parametrize("Lambda, mu", [(math.inf, 0.2), (10.0, math.inf), (1e308, 1e-10)])
+def test_compute_beta_rejects_non_finite_scales(Lambda, mu):
+    # an infinite rate, or an S0 = Lambda/mu that overflows, gave nan or inf
+    with pytest.raises(ValueError, match="positive and finite"):
+        compute_beta(make_builtin("bilinear", {"beta": 0.04}), Lambda, mu)
 
 
 def test_compute_beta_extrapolation_path():

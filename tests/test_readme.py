@@ -1,7 +1,8 @@
 """README.md's examples stay valid input: every ```json block is a
 config that parses, every ``sirskit ...`` line of a code block is a
 command line the parser accepts, and every ``--flag`` the text names
-exists.  Its list of certificate keys is the report's."""
+exists.  Its lists of certificate and hypothesis keys are the
+reports'."""
 
 import argparse
 import json
@@ -9,7 +10,7 @@ import re
 import shlex
 from pathlib import Path
 
-from sirskit import ModelParams, certify, find_endemic, make_builtin
+from sirskit import ModelParams, certify, check_hypotheses, find_endemic, make_builtin
 from sirskit.cli import build_parser
 from sirskit.config import parse_config
 
@@ -51,15 +52,25 @@ def test_readme_flags_exist():
     assert named <= _parser_flags(build_parser())
 
 
-# keys the certificate report no longer has: each restated others
-DROPPED_KEYS = ("a1_remark_value", "p_minors", "q_minors")
+# keys the certificate and hypothesis reports no longer have: each
+# restated others
+DROPPED_KEYS = ("a1_remark_value", "p_minors", "q_minors", "h3_limit_at")
+
+
+def _listed_keys(heading):
+    section = re.search(heading + r"\n\n(.*?)\n\n", README, flags=re.S).group(1)
+    return re.findall(r"^- `(\w+)`: ", section, flags=re.M)
 
 
 def test_readme_lists_every_certificate_key():
     p = ModelParams(**REF)
     f = make_builtin("power", {"k": 0.0008, "q": 2.0})
     keys = certify(p, f, find_endemic(p, f).endemic[0][0]).as_dict()
-    section = re.search(r"has these keys:\n\n(.*?)\n\n", README, flags=re.S).group(1)
-    assert re.findall(r"^- `(\w+)`: ", section, flags=re.M) == list(keys)
+    assert _listed_keys(r"`certificate`\) has\s+these keys:") == list(keys)
     for key in DROPPED_KEYS:
         assert f"`{key}`" not in README
+
+
+def test_readme_lists_every_hypothesis_key():
+    keys = check_hypotheses(make_builtin("power", {"k": 0.0008, "q": 2.0}), 50.0).as_dict()
+    assert _listed_keys(r"`hypotheses`\) has\s+these keys:") == list(keys)

@@ -148,7 +148,7 @@ def test_sweep_covariant_at_small_populations(s):
 # JSON fields that hold a population, or lists of them; each divided by s
 # must not depend on s
 POPULATION_KEYS = {"S", "I", "R", "distance", "conv_tol", "i0", "exclusion", "s_max",
-                   "eps", "bracket_log"}
+                   "bracket_log"}
 FLAG_KEYS = {"granted", "converged", "h1_pass", "h2_pass", "h3_pass"}
 S0_AT_1 = REF["Lambda"] / REF["mu"]
 

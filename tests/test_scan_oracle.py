@@ -3,9 +3,9 @@
 ``dense_slope_range`` and ``dense_dvdt_samples`` are the scans as they
 were written before the slope scan streamed and the dV/dt scan took two
 levels a column: the slope range from one ``meshgrid`` and dV/dt from
-the whole ``omega_grid`` lattice.  The slope range keeps one later
-rule: it refuses an f1(S*, .) that is finite and varies before the
-grid.  Patched into ``sirskit.stability``
+the whole ``omega_grid`` lattice.  The slope range keeps two later
+rules: it requires f1(S*, .) finite, and refuses one that varies,
+before the grid.  Patched into ``sirskit.stability``
 they give the reference outcome of every public entry point, which the
 scans must match bit for bit, errors included.
 """
@@ -32,22 +32,20 @@ def dense_slope_range(f, eq, s0, grid_n):
         raise ValueError(f"grid_n must be at least 2, got {grid_n}")
     axis = np.linspace(0.0, s0, grid_n)
     f1_star = float(f.eval_f1(eq.S, eq.I))
-    # the documented early return: a finite f1(S*, .) that varies is
-    # refused before any slope is evaluated
-    column = np.asarray(f.eval_f1(eq.S, axis), dtype=float)
-    if np.all(np.isfinite(column)) and np.any(np.abs(column - f1_star) > 1e-12 * abs(f1_star)):
+    # the documented early checks: f1(S*, .) must be finite, and one
+    # that varies is refused before any slope is evaluated
+    column = require_finite(f.eval_f1(eq.S, axis), "incidence factor", eq.S, axis)
+    if np.any(np.abs(column - f1_star) > 1e-12 * abs(f1_star)):
         return stability._SlopeRange(math.nan, math.nan, (math.nan, math.nan),
                                      (math.nan, math.nan), True)
     uu, vv = np.meshgrid(axis[np.abs(axis - eq.S) >= stability._STRIP * s0], axis,
                          indexing="ij")
     g = require_finite(stability.secant_slope(f, eq, uu, vv), "secant slope", uu, vv).ravel()
-    f1_column = require_finite(f.eval_f1(eq.S, axis), "incidence factor", eq.S, axis)
-    divergence = bool(np.any(np.abs(f1_column - f1_star) > 1e-12 * abs(f1_star)))
     lo, hi = int(np.argmin(g)), int(np.argmax(g))
     return stability._SlopeRange(g_min=float(g[lo]), g_max=float(g[hi]),
                                  at_min=(float(uu.flat[lo]), float(vv.flat[lo])),
                                  at_max=(float(uu.flat[hi]), float(vv.flat[hi])),
-                                 divergence_flag=divergence)
+                                 divergence_flag=False)
 
 
 def dense_dvdt_samples(p, f, eq, k1, k2, grid_n):
@@ -211,16 +209,28 @@ def test_non_finite_scan_names_the_dense_sample():
         assert outcome[name][:2] == ("raises", EvaluationError)
 
 
-@pytest.mark.parametrize("grid_n", [2, 3, 201])
-def test_every_u_in_strip_raises_as_dense(monkeypatch, grid_n):
-    # a strip wider than [0, S0] leaves no u to scan
+def test_non_finite_column_raises_before_any_slope():
+    # f1 is NaN at S = S* for I > 25 and at (0, 25): the slope scan would
+    # name (0, 25), but the column f1(S*, .) is checked first, on its own
     p = ModelParams(**REF)
-    f = make_builtin("power", {"k": 0.0008, "q": 2.0})
-    eq = find_endemic(p, f).endemic[0][0]
-    monkeypatch.setattr(stability, "_STRIP", 2.0)
-    outcome = _assert_matches_dense(p, f, eq, None, grid_n, 5)
+    eq = find_endemic(p, make_builtin("power", {"k": 0.0008, "q": 2.0})).endemic[0][0]
+    sizes = []
+
+    def f1(S, I):
+        S, I = np.broadcast_arrays(np.asarray(S, dtype=float), np.asarray(I, dtype=float))
+        sizes.append(S.size)
+        bad = ((S == eq.S) & (I > 25.0)) | ((S == 0.0) & (I == 25.0))
+        return np.where(bad, np.nan, 0.0008 * S * S)
+
+    f = from_callables(lambda S, I: I * f1(S, I), f1=f1, label="nan-column")
+    outcome = _assert_matches_dense(p, f, eq, 7.0, 201, 5)
     for name in ("certify", "find_k1", "check_a2"):
-        assert outcome[name][:2] == ("raises", ValueError)
+        assert outcome[name] == ("raises", EvaluationError,
+                                 "incidence factor is non-finite at (S, I) = (29.5804, 25.25)")
+    sizes.clear()
+    with pytest.raises(EvaluationError, match="incidence factor"):
+        find_k1(p, f, eq, grid_n=201)
+    assert sizes == [1, 201]  # f1(S*, I*), then the column: no slope
 
 
 def test_certify_fine_memory_stays_small():
