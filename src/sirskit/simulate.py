@@ -411,8 +411,11 @@ def _compile(method: str, f_text: str, names: tuple):
 
 
 def _step_range(t_end: float):
-    """Initial, smallest and largest step of the adaptive method."""
-    return t_end / 1000.0, 1e-10, t_end / 10.0
+    """Initial, smallest and largest step of the adaptive method, each a
+    multiple of t_end, so that a run with every rate multiplied by c and
+    t_end divided by c takes the same steps (2e-13*t_end is 1e-10 at
+    t_end = 500)."""
+    return t_end / 1000.0, 2e-13 * t_end, t_end / 10.0
 
 
 def _next_step(h, err_norm, h_min, h_max, smaller=min, larger=max):
@@ -579,8 +582,8 @@ def integrate(p: ModelParams, f: IncidenceFunction, x0: State, t_end: float,
     ``rk45_adaptive`` (``step_or_tol`` is the relative error tolerance
     and step_or_tol*2e-2*S0 the absolute one, so both scale with the
     population and agree at S0 = 50; the initial step is t_end/1000 and
-    steps stay in [1e-10, t_end/10]).  The initial state must lie
-    exactly in Omega.
+    steps stay in [2e-13*t_end, t_end/10], so rescaling time leaves the
+    steps taken unchanged).  The initial state must lie exactly in Omega.
     """
     _check_run(p, [x0], t_end, step_or_tol)
     if method not in METHODS:

@@ -226,31 +226,33 @@ def _slope_range(f: IncidenceFunction, eq: State, s0: float, grid_n: int) -> _Sl
                        divergence_flag=False)
 
 
+def _h_bound(p: ModelParams) -> float:
+    return 2.0 * p.mu * (p.mu + p.alpha)
+
+
 def _a2_scan(p: ModelParams, slopes: _SlopeRange, k1: float) -> A2Scan:
-    if not 0.0 <= k1 < math.inf:
-        raise ValueError(f"k1 must be non-negative and finite, got {k1}")
     # h is convex in G and rounding is monotone, so the sampled supremum
     # of h is reached at Gmin or Gmax, bit for bit.
     h = (2.0 * p.mu + p.alpha - k1 * np.array([slopes.g_min, slopes.g_max])) ** 2
     worst = int(np.argmax(h))
-    sup_h = float(h[worst])
-    bound = 2.0 * p.mu * (p.mu + p.alpha)
-    return A2Scan(
-        sup_h=sup_h,
-        h_bound=bound,
-        passed=sup_h < bound,
-        divergence_flag=slopes.divergence_flag,
-        worst_point=(slopes.at_min, slopes.at_max)[worst],
-    )
+    sup_h, bound = float(h[worst]), _h_bound(p)
+    return A2Scan(sup_h=sup_h, h_bound=bound, passed=sup_h < bound,
+                  divergence_flag=slopes.divergence_flag,
+                  worst_point=(slopes.at_min, slopes.at_max)[worst])
 
 
-def _optimal_k1(p: ModelParams, slopes: _SlopeRange) -> float | None:
-    # a range refused for divergence has NaN slopes, which no k1 passes
+def _closed_form_k1(p: ModelParams, slopes: _SlopeRange):
+    """The closed-form k1 2(2mu + alpha)/(Gmin + Gmax) and the (a2) scan at
+    it, or (None, None) when no k1 exists: the range was refused for
+    divergence, Gmin + Gmax <= 0, the k1 overflows, or it fails (a2)."""
     total = slopes.g_min + slopes.g_max
-    if not total > 0.0:
-        return None
+    if slopes.divergence_flag or total <= 0.0:
+        return None, None
     k1 = 2.0 * (2.0 * p.mu + p.alpha) / total
-    return k1 if _a2_scan(p, slopes, k1).passed else None
+    if not math.isfinite(k1):
+        return None, None
+    scan = _a2_scan(p, slopes, k1)
+    return (k1, scan) if scan.passed else (None, None)
 
 
 def check_a2(p: ModelParams, f: IncidenceFunction, eq: State, k1: float,
@@ -265,10 +267,14 @@ def check_a2(p: ModelParams, f: IncidenceFunction, eq: State, k1: float,
     grid's v axis, so that G stays bounded near S*.  That column is
     required finite, and when it varies no slope is evaluated: the scan
     reports passed=False with ``divergence_flag`` set and NaN ``sup_h``
-    and ``worst_point``.  Raises ValueError unless 0 <= k1 < inf, or when
-    grid_n < 2, and EvaluationError naming the first non-finite f1(S*, v)
-    or slope.
+    and ``worst_point``.  This is the one function that takes a caller's
+    k1, and the only one that rejects it: raises ValueError unless
+    0 <= k1 < inf, before any f1 is evaluated.  Also raises ValueError
+    when grid_n < 2, and EvaluationError naming the first non-finite
+    f1(S*, v) or slope.
     """
+    if not 0.0 <= k1 < math.inf:
+        raise ValueError(f"k1 must be non-negative and finite, got {k1}")
     return _a2_scan(p, _slope_range(f, eq, p.s0, grid_n), k1)
 
 
@@ -279,16 +285,17 @@ def find_k1(p: ModelParams, f: IncidenceFunction, eq: State,
     That is k1 = 2(2mu+alpha)/(Gmin + Gmax), where both parabolas
     (2mu + alpha - k1*G)^2 at the slope extremes take equal values.  It
     is None when Gmin + Gmax <= 0 (no positive k1 lowers h below
-    (2mu+alpha)^2), or when even this k1 fails condition (a2), which
-    includes every f1 that varies with I at S*.  Absence of a valid k1
-    is a value, not an error.  f1(S*, .) on the grid's v axis is
-    evaluated first and required finite: when it varies, None is returned
-    without evaluating a single slope.  Otherwise the slope range is
-    that of ``check_a2``: grid_n points along u for a built-in f1 of S
-    alone, with the bits of the grid_n x grid_n grid, and the whole grid
-    for any other f1.
+    (2mu+alpha)^2), when the quotient is not a finite float (a slope
+    range so close to zero that it overflows), or when even this k1 fails
+    condition (a2), which includes every f1 that varies with I at S*.
+    Absence of a valid k1 is a value, not an error.  f1(S*, .) on the
+    grid's v axis is evaluated first and required finite: when it varies,
+    None is returned without evaluating a single slope.  Otherwise the
+    slope range is that of ``check_a2``: grid_n points along u for a
+    built-in f1 of S alone, with the bits of the grid_n x grid_n grid,
+    and the whole grid for any other f1.
     """
-    return _optimal_k1(p, _slope_range(f, eq, p.s0, grid_n))
+    return _closed_form_k1(p, _slope_range(f, eq, p.s0, grid_n))[0]
 
 
 def default_k2(p: ModelParams) -> float:
@@ -453,26 +460,26 @@ def certify(p: ModelParams, f: IncidenceFunction, eq: State,
     k1 is the closed form of ``find_k1``, which minimises sup h, so no
     other k1 passes (a2) where it fails.  k2 is always ``default_k2(p)``,
     the only value for which dV/dt splits into the P and Q forms, so
-    gamma2 = 0 raises DegenerateParameterError.  The slope range and the
-    divergence decision are computed once and serve both the k1 choice
-    and the (a2) scan.  As in ``find_k1``, an f1 whose f1(S*, .) varies
-    on the grid's v axis is refused with ``divergence_flag`` before any
-    slope is evaluated, whether or not (a1) holds.  The report's
-    ``exclusion`` is the half-width 1e-4*Lambda/mu of the strip around
-    u = S* that the slope grid leaves out.
+    gamma2 = 0 raises DegenerateParameterError.  The slope range is
+    computed once, and (a2) is decided once, by the function that gives
+    ``find_k1`` its k1: ``sup_h`` is that k1's scan, taken only when the
+    k1 exists, and ``h_bound`` and ``divergence_flag`` are read from the
+    model and the slope range.  When no k1 exists, ``k1``, ``sup_h`` and
+    ``dvdt_max`` are None and ``dvdt_points`` is 0.  As in ``find_k1``, an
+    f1 whose f1(S*, .) varies on the grid's v axis is refused with
+    ``divergence_flag`` before any slope is evaluated, whether or not (a1)
+    holds, and a k1 that is not a finite float is a refusal, not an
+    error.  The report's ``exclusion`` is the half-width 1e-4*Lambda/mu
+    of the strip around u = S* that the slope grid leaves out.
     """
     a1 = check_a1(p)
     k2 = default_k2(p)
     slopes = _slope_range(f, eq, p.s0, grid_n)
-    k1 = _optimal_k1(p, slopes)
-    scan = _a2_scan(p, slopes, 0.0 if k1 is None else k1)
-    sup_h = dvdt_max = None
-    dvdt_points = 0
-    if k1 is not None:
-        sup_h = scan.sup_h
-        dvdt_max, dvdt_points = _dvdt_samples(p, f, eq, k1, k2, dvdt_grid_n)
+    k1, scan = _closed_form_k1(p, slopes)
+    dvdt_max, dvdt_points = (None, 0) if k1 is None else _dvdt_samples(
+        p, f, eq, k1, k2, dvdt_grid_n)
     return CertificateReport(
         granted=a1.passed and k1 is not None, a1_pass=a1.passed, a1_margin=a1.margin,
-        k1=k1, k2=k2, sup_h=sup_h, h_bound=scan.h_bound,
-        divergence_flag=scan.divergence_flag, dvdt_max=dvdt_max,
+        k1=k1, k2=k2, sup_h=None if scan is None else scan.sup_h, h_bound=_h_bound(p),
+        divergence_flag=slopes.divergence_flag, dvdt_max=dvdt_max,
         dvdt_points=dvdt_points, grid_n=grid_n, exclusion=_STRIP * p.s0)

@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sirskit import cli, simulate
 from sirskit.cli import main
+from sirskit.errors import BracketFailureError
 
 REF_PARAMS = {"Lambda": 10, "mu": 0.2, "gamma1": 0.2, "gamma2": 0.2,
               "alpha": 0.1, "delta": 0.1}
@@ -90,6 +92,15 @@ def test_check_unknown_key_exits_1(capsys, tmp_path):
     code, _, err = run_cli(capsys, "check", cfg)
     assert code == 1
     assert "plotting" in err
+
+
+def test_check_coefficients_as_a_list_exits_1(capsys, tmp_path):
+    cfg = write_config(tmp_path, "list.json",
+                       incidence={"family": "bilinear", "coefficients": [0.5]})
+    code, out, err = run_cli(capsys, "check", cfg)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.endswith("incidence.coefficients must be an object\n")
 
 
 def test_check_malformed_json_exits_1(capsys, tmp_path):
@@ -178,6 +189,45 @@ def test_analyze_refused_certificate_exits_0(capsys, tmp_path):
     assert cert["k1"] is None
     assert cert["sup_h"] is None
     assert cert["exclusion"] == 0.005
+
+
+def test_analyze_overflowing_k1_is_refused_exits_0(capsys, tmp_path):
+    # G = beta = 1.1e-308 makes the closed-form k1 overflow: a valid model
+    # whose certificate is refused, not an input error
+    cfg = write_config(tmp_path, "huge.json",
+                       params={"Lambda": 1e308, "mu": 1, "gamma1": 0, "gamma2": 1e-3,
+                               "alpha": 0, "delta": 0},
+                       incidence={"family": "bilinear", "coefficients": {"beta": 1.1e-308}})
+    code, out, err = run_cli(capsys, "analyze", cfg)
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["errors"] == []
+    assert doc["r0"] == pytest.approx(1.0989, rel=1e-4)
+    cert = doc["certificate"]
+    assert cert["granted"] is False and cert["a1_pass"] is True
+    assert cert["k1"] is None and cert["sup_h"] is None and cert["dvdt_max"] is None
+    assert cert["divergence_flag"] is False
+
+
+def test_analyze_equilibrium_failure_exits_3(capsys, monkeypatch, high_config):
+    def failing(params, f):
+        raise BracketFailureError("no sign change")
+
+    monkeypatch.setattr(cli, "find_endemic", failing)
+    code, out, _ = run_cli(capsys, "analyze", high_config)
+    assert code == 3
+    doc = json.loads(out)
+    assert doc["errors"] == [{"stage": "equilibria", "type": "BracketFailureError",
+                              "message": "no sign change"}]
+    assert doc["equilibria"] is None and doc["certificate"] is None
+
+
+@pytest.mark.parametrize("command", ["check", "analyze"])
+def test_out_file_gets_what_stdout_would(capsys, high_config, tmp_path, command):
+    _, printed, _ = run_cli(capsys, command, high_config)
+    code, out, err = run_cli(capsys, command, high_config, "--out", tmp_path / "report.json")
+    assert code == 0 and out == "" and err == ""
+    assert (tmp_path / "report.json").read_text() == printed
 
 
 def test_analyze_ruan_hypotheses_fail(capsys, tmp_path):
@@ -334,6 +384,18 @@ def test_sweep_deterministic(capsys, high_config, tmp_path):
     runs = json.loads(outputs[0][0])["runs"]
     assert len(runs) == len(outputs[0][1]) == 10
     assert all(run["error"] is None for run in runs)
+
+
+def test_sweep_failed_runs_get_no_csv(capsys, monkeypatch, high_config, tmp_path):
+    # about 120 steps reach t = 500; a budget of 20 fails every run
+    monkeypatch.setattr(simulate, "_MAX_STEPS", 20)
+    out_dir = tmp_path / "failed"
+    code, out, _ = run_cli(capsys, "sweep", high_config, "--lattice", 3, "--out", out_dir)
+    assert code == 2
+    runs = json.loads(out)["runs"]
+    assert runs and all(run["csv"] is None for run in runs)
+    assert all(run["error"] == f"BlowUpError: {simulate._EXHAUSTED}" for run in runs)
+    assert not list(out_dir.glob("run_*.csv"))
 
 
 def test_sweep_insufficient_time_exits_2(capsys, high_config, tmp_path):

@@ -282,6 +282,13 @@ def test_compute_beta_ruan_violates_h3():
         compute_beta(f, 10.0, 0.2)
 
 
+def test_compute_beta_zero_derived_limit_violates_h3():
+    # the extrapolated limit of f/I is 0, which (H3) refuses
+    f = from_callables(lambda S, I: 0.0 * S * I)
+    with pytest.raises(HypothesisViolationError, match=r"is 0, not positive; \(H3\) fails$"):
+        compute_beta(f, 10.0, 0.2)
+
+
 def test_compute_beta_nonconvergent_limit():
     # f/I oscillates as I -> 0+, so the extrapolants cannot settle.
     f = from_callables(lambda S, I: I * (1.0 + 0.5 * np.sin(1.0 / (I + 1e-30))) * S)

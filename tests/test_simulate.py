@@ -545,6 +545,61 @@ def test_non_finite_incidence_fails_fast(ref_params):
     assert time.perf_counter() - start < 1.0
 
 
+def test_overflowing_fixed_step_state_fails_as_non_finite(ref_params):
+    # beta*S*I overflows a stage to inf without raising, so the state after
+    # the first step is non-finite and only _postprocess sees it
+    f = make_builtin("bilinear", {"beta": 1e300})
+    with pytest.raises(BlowUpError, match=r"^state non-finite at t = 0.1$"):
+        integrate(ref_params, f, State(30.0, 10.0, 5.0), 500.0, "rk4_fixed", 0.1)
+
+
+def test_postprocess_clamps_round_off_below_zero_in_s_and_r(ref_params):
+    # S and R within 2e-14*S0 below zero are round-off and become 0.0
+    bounds = simulate_mod._bounds(ref_params)
+    clamp = bounds[0]
+    assert clamp == -2e-14 * ref_params.s0
+    assert simulate_mod._postprocess((clamp, 10.0, clamp / 2), 1.0, *bounds) == (0.0, 10.0, 0.0)
+    assert simulate_mod._postprocess((clamp / 2, 10.0, clamp), 1.0, *bounds) == (0.0, 10.0, 0.0)
+    below = (2 * clamp, 10.0, 2 * clamp)
+    assert simulate_mod._postprocess(below, 1.0, *bounds) == below
+
+
+@pytest.mark.parametrize("conv_tol", [0.0, -1.0, math.inf, math.nan])
+def test_sweep_rejects_conv_tol_not_positive_and_finite(ref_params, high_incidence, conv_tol):
+    with pytest.raises(ValueError, match="^conv_tol must be positive and finite"):
+        sweep(ref_params, high_incidence, [State(30.0, 10.0, 5.0)], 500.0, conv_tol)
+
+
+def test_usable_cpus_without_affinity(monkeypatch):
+    # platforms without sched_getaffinity count every CPU
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert simulate_mod._usable_cpus() == (os.cpu_count() or 1)
+
+
+def time_rescaled(c):
+    """The reference power model with every rate and k multiplied by c: its
+    trajectories are the reference ones with t replaced by c*t."""
+    p = ModelParams(**{key: value * c for key, value in REF.items()})
+    return p, make_builtin("power", {"k": 0.0008 * c, "q": 2.0})
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e10, 1e14])
+def test_rk45_steps_are_covariant_when_time_is_rescaled(c):
+    # every step bound is a multiple of t_end, so t_end/c takes the same steps
+    reference = integrate(*time_rescaled(1.0), State(30.0, 10.0, 5.0), 500.0)
+    rescaled = integrate(*time_rescaled(c), State(30.0, 10.0, 5.0), 500.0 / c)
+    assert rescaled.step_stats[:2] == reference.step_stats[:2] == (122, 9)
+    assert np.allclose(rescaled.states[-1], reference.states[-1], rtol=1e-12, atol=0.0)
+
+
+def test_sweep_converges_when_time_is_rescaled():
+    c = 1e10
+    p, f = time_rescaled(c)
+    report = sweep(p, f, omega_lattice(p, 4, include_i_zero=False), 500.0 / c, 2e-4 * p.s0)
+    assert report.converged_fraction == 1.0
+    assert all(run.error is None for run in report.runs)
+
+
 def test_sweep_records_failures_without_aborting(ref_params):
     # (30, 10, 5) crosses the patch near t = 0.56; (30, 5, 5) never enters it.
     f = nan_patch_incidence(lambda S, I: (S < 29.7) & (I > 9.9))

@@ -162,6 +162,13 @@ def test_check_a2_rejects_invalid_k1(ref_p, f_high, eq_high, k1):
     with pytest.raises(ValueError, match=f"^k1 must be non-negative and finite, got {k1}$"):
         check_a2(ref_p, f_high, eq_high, k1)
 
+    # a caller's k1 is checked before f1 is evaluated
+    def unused(S, I):
+        raise AssertionError("f1 evaluated for a rejected k1")
+
+    with pytest.raises(ValueError, match="^k1 must be non-negative and finite"):
+        check_a2(ref_p, dataclasses.replace(f_high, eval_f1=unused), eq_high, k1)
+
 
 def test_check_a2_divergence_for_i_dependent_f1(ref_p):
     f = make_builtin("saturated_in_I", {"beta": 0.03, "a": 0.5})
@@ -231,6 +238,46 @@ def test_find_k1_none_for_decreasing_f1(ref_p):
     assert find_k1(ref_p, f, State(25.0, 5.0, 2.0)) is None
 
 
+def test_overflowing_closed_form_k1_is_a_refusal(ref_p):
+    # G = beta = 1e-310 everywhere, so 2(2mu + alpha)/(Gmin + Gmax)
+    # overflows to inf: no k1 exists, which is a result, not an error
+    f = make_builtin("bilinear", {"beta": 1e-310})
+    eq = State(30.0, 10.0, 5.0)
+    assert find_k1(ref_p, f, eq) is None
+    cert = certify(ref_p, f, eq)
+    assert not cert.granted and cert.a1_pass
+    assert cert.k1 is None and cert.sup_h is None and cert.dvdt_max is None
+    assert cert.dvdt_points == 0
+    assert cert.divergence_flag is False
+    assert cert.h_bound == 2.0 * ref_p.mu * (ref_p.mu + ref_p.alpha)
+
+
+@pytest.mark.parametrize("f, eq, scans", [
+    (make_builtin("power", {"k": 0.0008, "q": 2.0}), None, 1),
+    (make_builtin("bilinear", {"beta": 1e-310}), State(30.0, 10.0, 5.0), 0),
+    (make_builtin("saturated_in_I", {"beta": 0.03, "a": 0.5}), None, 0),
+    (from_callables(lambda S, I: (60.0 - S) * I, f1=lambda S, I: 60.0 - S + 0.0 * I),
+     State(25.0, 5.0, 2.0), 0),
+], ids=["granted", "k1-overflows", "divergent", "no-positive-k1"])
+def test_certify_decides_a2_once(monkeypatch, ref_p, f, eq, scans):
+    # the closed-form k1's scan is the only one, and none is taken without a k1
+    eq = eq or find_endemic(ref_p, f).endemic[0][0]
+    a2_scan = stability._a2_scan
+    calls = []
+
+    def counting_scan(*args):
+        calls.append(args)
+        return a2_scan(*args)
+
+    monkeypatch.setattr(stability, "_a2_scan", counting_scan)
+    cert = certify(ref_p, f, eq)
+    assert len(calls) == scans
+    assert (cert.k1 is not None) == (scans == 1)
+    if scans:
+        assert calls[0][2] == cert.k1
+        assert cert.sup_h == a2_scan(*calls[0]).sup_h
+
+
 def test_default_k2(ref_p):
     assert default_k2(ref_p) == pytest.approx(2.5, rel=1e-15)
     p = ModelParams(Lambda=10.0, mu=0.2, gamma1=0.2, gamma2=0.0, alpha=0.1, delta=0.1)
@@ -263,6 +310,17 @@ def test_lyapunov_positive_away_from_equilibrium(s, i, rv):
 def test_lyapunov_domain_error(eq_high):
     with pytest.raises(ValueError):
         lyapunov_v(eq_high, 7.0, 2.5, State(10.0, 0.0, 5.0))
+
+
+@pytest.mark.parametrize("k1, k2", [(0.0, 2.5), (-7.0, 2.5), (7.0, 0.0)])
+def test_lyapunov_rejects_non_positive_weights(eq_high, k1, k2):
+    with pytest.raises(ValueError, match="^k1 and k2 must be positive$"):
+        lyapunov_v(eq_high, k1, k2, State(10.0, 5.0, 5.0))
+
+
+def test_dvdt_at_requires_positive_i(ref_p, f_high, eq_high):
+    with pytest.raises(ValueError, match=r"^dV/dt requires I > 0, got I = 0.0$"):
+        dvdt_at(ref_p, f_high, eq_high, 7.0, 2.5, State(10.0, 0.0, 5.0))
 
 
 def test_dvdt_scan_reference_negative(ref_p, f_high, eq_high):
