@@ -126,9 +126,11 @@ def find_endemic(p: ModelParams, f: IncidenceFunction) -> EquilibriumReport:
     r0_value = r0(p, f)
     i0 = i_axis_intercept(p)
     outflow = p.infected_outflow
+    s0, rate, mu, eval_f1 = p.s0, _line_slope_rate(p), p.mu, f.eval_f1
 
     def g(i):
-        return float(f.eval_f1(equilibrium_line(p, i), i)) - outflow
+        # f1 on equilibrium_line, with its terms bound once
+        return float(eval_f1(s0 - rate * i / mu, i)) - outflow
 
     eps = 1e-9 * i0
     lo, hi = eps, i0 - eps

@@ -282,17 +282,18 @@ def require_finite(values, what: str, s, i):
     non-finite entry by its sample (S, I); ``s`` and ``i`` broadcast
     against ``values``."""
     values = np.asarray(values, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        s_at, i_at, _ = np.broadcast_arrays(s, i, values)
-        k = bad[0]
-        raise EvaluationError(
-            f"{what} is non-finite at (S, I) = ({s_at.flat[k]:g}, {i_at.flat[k]:g})")
-    return values
+    if np.isfinite(values).all():
+        return values
+    s_at, i_at, _ = np.broadcast_arrays(s, i, values)
+    k = np.flatnonzero(~np.isfinite(values))[0]
+    raise EvaluationError(
+        f"{what} is non-finite at (S, I) = ({s_at.flat[k]:g}, {i_at.flat[k]:g})")
 
 
 def _violations(hyp: str, bad, s, i, values) -> list:
     """(hyp, (S, I), value) for every flagged sample, in grid order."""
+    if not np.any(bad):
+        return []
     bad, s, i, values = np.broadcast_arrays(bad, s, i, values)
     at = np.flatnonzero(bad)
     s, i, values = (a.ravel()[at].tolist() for a in (s, i, values))

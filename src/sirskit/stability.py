@@ -56,8 +56,11 @@ each.  The dV/dt scan evaluates the field once per (S, I) of its lattice;
 above it dV/dt is a quadratic in R with R^2 coefficient -(mu + k2*(mu +
 delta)) < 0, so each column is taken at the two levels around its
 vertex, and at every level only where the ball around E1 may cut it.
-Every sample goes through the operations of a dense scan in the same
-order, so the results keep their bits.  A built-in f1 that its family
+Those columns are found from the axes, and the scan holds about a dozen
+float arrays over the (S, I) columns, updated in place.  Every sample
+goes through the operations of a dense scan in the same order, so the
+results keep their bits; a scan left with no lattice point outside the
+ball raises DegenerateParameterError.  A built-in f1 that its family
 declares a function of S alone (see ``incidence.f1_of_s_only``) gives G
 the same bits at every v of a u row, so the slope scan takes each row
 at v = 0 only: grid_n evaluations instead of grid_n**2, for the range,
@@ -74,7 +77,7 @@ import numpy as np
 
 from .errors import DegenerateParameterError, SingularPointError
 from .incidence import IncidenceFunction, f1_of_s_only, require_finite
-from .model import ModelParams, State, make_rhs, omega_grid, omega_indices, r0
+from .model import ModelParams, State, make_rhs, omega_grid, r0
 
 
 class A1Check(NamedTuple):
@@ -345,58 +348,116 @@ def _dvdt_samples(p: ModelParams, f: IncidenceFunction, eq: State, k1: float,
     more steps from the vertex is lower than the two around it by about
     2*(mu + k2*(mu + delta))*h^2, far above rounding.  Each sample takes
     the operations of ``_dvdt`` and ``make_rhs`` in order, so it has a
-    dense scan's bits."""
+    dense scan's bits.  The columns the ball may cut are found from the
+    axes; the others are taken with about a dozen float arrays over the
+    (S, I) columns, each freed once its last use is past.  Raises
+    DegenerateParameterError when no lattice point is left to scan."""
     k2_value = default_k2(p) if k2 is None else k2
     if not 0.0 < k2_value < math.inf:
         raise ValueError(f"k2 must be positive and finite, got {k2_value}")
     if grid_n < 2:
         raise ValueError(f"grid size must be at least 2 points per axis, got {grid_n}")
     axis = np.linspace(0.0, p.s0, grid_n)
-    a, b = omega_indices(grid_n, 2)
-    ss, ii = axis[a], axis[b]
     r_off = axis - eq.R
     r_sq = r_off ** 2
-    near = (ss - eq.S) ** 2 + (ii - eq.I) ** 2
-    # the R term is monotone in c on either side of R*, and rounding keeps
-    # that order, so a column keeps some c iff it keeps c = 0 or its top c
+    s_sq, i_sq = (axis - eq.S) ** 2, (axis - eq.I) ** 2
     radius_sq = (1e-3 * p.s0) ** 2
+    # the (S, I) columns with I > 0 in lexicographic order, as small
+    # integers: b = 1..n-1-a above each a (axis[1] > 0)
+    runs = np.arange(grid_n - 1, 0, -1)
+    small = np.min_scalar_type(-grid_n)
+    a = np.repeat(np.arange(grid_n - 1, dtype=small), runs)
+    b = (np.arange(1, a.size + 1) - np.repeat(np.cumsum(runs) - runs, runs)).astype(small)
     top = grid_n - 1 - a - b
-    keep = (ii > 0) & ((near + r_sq[0] > radius_sq) | (near + r_sq[top] > radius_sq))
-    ss, ii, near, top = ss[keep], ii[keep], near[keep], top[keep]
 
+    # near = (S - S*)^2 + (I - I*)^2 is at least either term, so a column
+    # with near inside the radius has its a and its b in the axis windows;
+    # adding (R - R*)^2 >= 0 cannot bring any other column under the radius
+    window = np.flatnonzero(np.take(s_sq <= radius_sq, a) & np.take(i_sq <= radius_sq, b))
+    near = s_sq[a[window]] + i_sq[b[window]]
+    inside = near <= radius_sq
+    ball, near = window[inside], near[inside]
+    top_ball = top[ball]
+    rows, levels = np.nonzero((np.arange(grid_n) <= top_ball[:, None])
+                              & (near[:, None] + r_sq > radius_sq))
+    # the C(n+1, 3) lattice points with I > 0, less the ball's columns, whose
+    # levels outside the ball are their rows
+    count = math.comb(grid_n + 1, 3) - int(np.sum(top_ball + 1)) + rows.size
+    if count == 0:
+        raise DegenerateParameterError(
+            f"no lattice point of the dV/dt grid lies outside the ball of radius 1e-3*S0 "
+            f"around E1 (S0 = {p.s0:g})")
+    # the R term is monotone in c on either side of R*, and rounding keeps
+    # that order, so a column keeps some c iff it keeps c = 0 or its top c;
+    # one that keeps none is never evaluated
+    low = near + r_sq[0] > radius_sq
+    kept = low | (near + r_sq[top_ball] > radius_sq)
+    dropped = ball[~kept]
+    if dropped.size:
+        a, b, top = (np.delete(x, dropped) for x in (a, b, top))
+        ball -= np.searchsorted(dropped, ball)
+
+    # np.take, unlike indexing, reads small integers without an intp copy
+    ss, ii = np.take(axis, a), np.take(axis, b)
+    del a, b
     # each equation is affine in R with its R term last, so the field at
     # R = 0 is its (S, I) part plus or minus 0.0, which can differ from that
     # part only in the sign of a zero; adding a level's R term, delta*R or
     # -(mu + delta)*R, then rounds to the dense field's bits
     ds, di, dr = make_rhs(p, f)(ss, ii, 0.0)
     require_finite(di, "incidence", ss, ii)
-    shift = (ss - eq.S) + (ii - eq.I)
-    k1_term = k1 * (1.0 - eq.I / ii) * di
+    shift = ss - eq.S
+    shift += ii - eq.I
+    k1_term = np.divide(eq.I, ii)
+    del ss, ii
+    np.subtract(1.0, k1_term, out=k1_term)
+    np.multiply(k1, k1_term, out=k1_term)
+    k1_term *= di
 
     def sample(column, level):
-        dr_c = dr[column] - (p.mu + p.delta) * axis[level]
-        return ((shift[column] + r_off[level])
-                * ((ds[column] + p.delta * axis[level]) + di[column] + dr_c)
-                + k1_term[column] + k2_value * r_off[level] * dr_c)
+        # the largest _dvdt at R = axis[level] above each column
+        at, off = axis[level], r_off[level]
+        dr_c = np.multiply(p.mu + p.delta, at)
+        np.subtract(dr[column], dr_c, out=dr_c)
+        value = shift[column] + off
+        at *= p.delta
+        np.add(ds[column], at, out=at)
+        at += di[column]
+        at += dr_c
+        value *= at
+        value += k1_term[column]
+        off *= k2_value
+        off *= dr_c
+        value += off
+        return np.max(value, initial=-np.inf)
 
-    # adding (R - R*)^2 >= 0 to near cannot bring it under the radius, so
-    # only a column with near inside it can lose levels to the ball
-    cut = np.flatnonzero(near <= radius_sq)
-    rows, levels = np.nonzero((np.arange(grid_n) <= top[cut, None])
-                              & (near[cut, None] + r_sq > radius_sq))
-    dvdt = [sample(cut[rows], levels)]
+    dvdt_max = sample(ball[rows], levels)
     # every other column peaks at one of the two levels around its vertex,
     # weighed by 1/(1 + k2) and k2/(1 + k2) so that no k2 overflows it;
     # fmax and fmin clip the levels to the column, a NaN vertex to level 0
-    whole = np.flatnonzero(near > radius_sq)
     u, w = 1.0 / (1.0 + k2_value), k2_value / (1.0 + k2_value)
-    vertex = ((u * ((ds + di + dr) - p.mu * (shift - eq.R)) + w * (dr + (p.mu + p.delta) * eq.R))
-              / (2.0 * (u * p.mu + w * (p.mu + p.delta))))
-    below = np.floor(vertex / (p.s0 / (grid_n - 1)))[whole]
+    below = ds + di
+    below += dr
+    term = shift - eq.R
+    term *= p.mu
+    below -= term
+    below *= u
+    np.add(dr, (p.mu + p.delta) * eq.R, out=term)
+    term *= w
+    below += term
+    del term
+    below /= 2.0 * (u * p.mu + w * (p.mu + p.delta))
+    below /= p.s0 / (grid_n - 1)
+    np.floor(below, out=below)
+    # a cut column takes, for its two levels, one outside the ball that its
+    # own samples above hold already, so it adds no point and no value
+    cut, outside = ball[kept], np.where(low, 0, top_ball)[kept]
     for step in (0.0, 1.0):
-        dvdt.append(sample(whole, np.fmin(np.fmax(below + step, 0.0), top[whole]).astype(np.intp)))
-    # no point at all raises numpy's ValueError, as an empty scan did
-    return float(np.max(np.concatenate(dvdt))), int(np.sum(top[whole] + 1)) + rows.size
+        level = np.fmin(np.fmax(below + step, 0.0), top).astype(np.intp)
+        level[cut] = outside
+        # np.maximum keeps a NaN, as np.max over all the samples does
+        dvdt_max = np.maximum(dvdt_max, sample(slice(None), level))
+    return float(dvdt_max), count
 
 
 def dvdt_scan(p: ModelParams, f: IncidenceFunction, eq: State, k1: float,
@@ -409,8 +470,10 @@ def dvdt_scan(p: ModelParams, f: IncidenceFunction, eq: State, k1: float,
     taken analytically; finite differences of V are only a cross-check
     in the test suite.  A sound certificate makes the returned maximum
     negative.  Raises ValueError when grid_n < 2 or k2 is not positive
-    and finite, and EvaluationError naming the first (S, I) where the
-    incidence is non-finite.
+    and finite, EvaluationError naming the first (S, I) where the
+    incidence is non-finite, and DegenerateParameterError when no lattice
+    point with I > 0 lies outside the ball (at S0 below about 1e-160 the
+    squared distances and radius underflow to 0).
     """
     return _dvdt_samples(p, f, eq, k1, k2, grid_n)[0]
 
@@ -465,7 +528,9 @@ def certify(p: ModelParams, f: IncidenceFunction, eq: State,
     ``find_k1`` its k1: ``sup_h`` is that k1's scan, taken only when the
     k1 exists, and ``h_bound`` and ``divergence_flag`` are read from the
     model and the slope range.  When no k1 exists, ``k1``, ``sup_h`` and
-    ``dvdt_max`` are None and ``dvdt_points`` is 0.  As in ``find_k1``, an
+    ``dvdt_max`` are None and ``dvdt_points`` is 0; when it exists, a
+    dV/dt scan with no point raises DegenerateParameterError, as in
+    ``dvdt_scan``.  As in ``find_k1``, an
     f1 whose f1(S*, .) varies on the grid's v axis is refused with
     ``divergence_flag`` before any slope is evaluated, whether or not (a1)
     holds, and a k1 that is not a finite float is a refusal, not an

@@ -255,6 +255,23 @@ def test_analyze_gamma2_zero_is_degenerate(capsys, tmp_path, gamma2):
     assert doc["certificate"] is None
 
 
+def test_analyze_empty_dvdt_scan_is_degenerate(capsys, tmp_path):
+    # at S0 = 5e-169 the squared distances of the dV/dt scan underflow to 0,
+    # so no lattice point lies outside the ball around E1: a degenerate
+    # model, not an input error
+    scale = 1e-170
+    params = dict(REF_PARAMS, Lambda=REF_PARAMS["Lambda"] * scale)
+    cfg = write_config(tmp_path, params=params,
+                       incidence={"family": "bilinear", "coefficients": {"beta": 0.04 / scale}})
+    code, out, err = run_cli(capsys, "analyze", cfg)
+    assert code == 3 and err == ""
+    doc = json.loads(out)
+    assert doc["certificate"] is None and doc["equilibria"]["endemic"]
+    [error] = doc["errors"]
+    assert error["stage"] == "certificate" and error["type"] == "DegenerateParameterError"
+    assert "no lattice point" in error["message"] and "S0 = 5e-169" in error["message"]
+
+
 def test_analyze_bilinear_at_threshold(capsys, tmp_path):
     # beta chosen so Lambda*beta == mu*outflow: R0 lands at 1 up to
     # round-off and the endemic list must stay empty

@@ -5,9 +5,15 @@ were written before the slope scan streamed and the dV/dt scan took two
 levels a column: the slope range from one ``meshgrid`` and dV/dt from
 the whole ``omega_grid`` lattice.  The slope range keeps two later
 rules: it requires f1(S*, .) finite, and refuses one that varies,
-before the grid.  Patched into ``sirskit.stability``
+before the grid; the dV/dt scan keeps one: a scan left with no point
+raises DegenerateParameterError.  Patched into ``sirskit.stability``
 they give the reference outcome of every public entry point, which the
 scans must match bit for bit, errors included.
+
+``column_dvdt_samples`` is the dV/dt scan as it was written when it first
+took one (S, I) column at a time, with whole arrays over the columns.  It
+is O(n^2), so it checks the scan at grids of about 1000, where the ball
+around E1 spans several columns.
 """
 
 import dataclasses
@@ -16,13 +22,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sirskit import (EvaluationError, ModelParams, SirsKitError, State, certify, check_a2,
-                     dvdt_scan, find_endemic, find_k1, from_callables, make_builtin, stability)
+from sirskit import (DegenerateParameterError, EvaluationError, ModelParams, SirsKitError,
+                     State, certify, check_a2, dvdt_scan, find_endemic, find_k1,
+                     from_callables, make_builtin, stability)
 from sirskit.incidence import require_finite
-from sirskit.model import make_rhs, omega_grid
+from sirskit.model import make_rhs, omega_grid, omega_indices
 
 from conftest import REF, forwarding
 
@@ -54,10 +61,62 @@ def dense_dvdt_samples(p, f, eq, k1, k2, grid_n):
     keep = (ii > 0) & (((ss - eq.S) ** 2 + (ii - eq.I) ** 2 + (rr - eq.R) ** 2)
                        > (1e-3 * p.s0) ** 2)
     ss, ii, rr = ss[keep], ii[keep], rr[keep]
+    if not ss.size:
+        raise _empty_scan(p)
     field = make_rhs(p, f)(ss, ii, rr)
     require_finite(field[1], "incidence", ss, ii)
     dvdt = stability._dvdt(eq, k1, k2_value, ss, ii, rr, field)
     return float(np.max(dvdt)), dvdt.size
+
+
+def _empty_scan(p):
+    return DegenerateParameterError(
+        f"no lattice point of the dV/dt grid lies outside the ball of radius 1e-3*S0 "
+        f"around E1 (S0 = {p.s0:g})")
+
+
+def column_dvdt_samples(p, f, eq, k1, k2, grid_n):
+    k2_value = stability.default_k2(p) if k2 is None else k2
+    if not 0.0 < k2_value < math.inf:
+        raise ValueError(f"k2 must be positive and finite, got {k2_value}")
+    if grid_n < 2:
+        raise ValueError(f"grid size must be at least 2 points per axis, got {grid_n}")
+    axis = np.linspace(0.0, p.s0, grid_n)
+    a, b = omega_indices(grid_n, 2)
+    ss, ii = axis[a], axis[b]
+    r_off = axis - eq.R
+    r_sq = r_off ** 2
+    near = (ss - eq.S) ** 2 + (ii - eq.I) ** 2
+    radius_sq = (1e-3 * p.s0) ** 2
+    top = grid_n - 1 - a - b
+    keep = (ii > 0) & ((near + r_sq[0] > radius_sq) | (near + r_sq[top] > radius_sq))
+    ss, ii, near, top = ss[keep], ii[keep], near[keep], top[keep]
+    ds, di, dr = make_rhs(p, f)(ss, ii, 0.0)
+    require_finite(di, "incidence", ss, ii)
+    shift = (ss - eq.S) + (ii - eq.I)
+    k1_term = k1 * (1.0 - eq.I / ii) * di
+
+    def sample(column, level):
+        dr_c = dr[column] - (p.mu + p.delta) * axis[level]
+        return ((shift[column] + r_off[level])
+                * ((ds[column] + p.delta * axis[level]) + di[column] + dr_c)
+                + k1_term[column] + k2_value * r_off[level] * dr_c)
+
+    cut = np.flatnonzero(near <= radius_sq)
+    rows, levels = np.nonzero((np.arange(grid_n) <= top[cut, None])
+                              & (near[cut, None] + r_sq > radius_sq))
+    dvdt = [sample(cut[rows], levels)]
+    whole = np.flatnonzero(near > radius_sq)
+    u, w = 1.0 / (1.0 + k2_value), k2_value / (1.0 + k2_value)
+    vertex = ((u * ((ds + di + dr) - p.mu * (shift - eq.R)) + w * (dr + (p.mu + p.delta) * eq.R))
+              / (2.0 * (u * p.mu + w * (p.mu + p.delta))))
+    below = np.floor(vertex / (p.s0 / (grid_n - 1)))[whole]
+    for step in (0.0, 1.0):
+        dvdt.append(sample(whole, np.fmin(np.fmax(below + step, 0.0), top[whole]).astype(np.intp)))
+    dvdt = np.concatenate(dvdt)
+    if not dvdt.size:
+        raise _empty_scan(p)
+    return float(np.max(dvdt)), int(np.sum(top[whole] + 1)) + rows.size
 
 
 def _bits(value):
@@ -179,6 +238,57 @@ def test_dvdt_scan_matches_dense_where_k2_overflows(k2):
     _assert_matches_dense(p, f, eq, 7.0, 5, 41, k2=k2)
 
 
+def test_empty_scan_matches_dense_reference():
+    # at S0 = 5e-169 the squared radius and every squared distance underflow
+    # to 0, so no lattice point lies outside the ball: both scans name that
+    s = 1e-170
+    p = ModelParams(**{**REF, "Lambda": REF["Lambda"] * s})
+    f = MODELS["bilinear"](s, 1.0)
+    eq = find_endemic(p, f).endemic[0][0]
+    outcome = _assert_matches_dense(p, f, eq, None, 41, 41)
+    error = ("raises", DegenerateParameterError, str(_empty_scan(p)))
+    assert outcome["certify"] == outcome["dvdt_scan"] == error
+
+
+@given(dvdt_grid_n=st.integers(1001, 1201),
+       where=st.sampled_from(["lattice", "corner", "E1", "face", "below_face", "E1_on_face"]),
+       offset=st.floats(0.0, 1.0, exclude_max=True), log_k2=st.floats(-6.0, 4.0))
+@example(1001, "lattice", 0.0, 0.0)
+@example(1001, "corner", 0.0, -6.0)
+@example(1101, "E1", 0.0, 4.0)
+@example(1201, "face", 0.0, -2.0)
+@example(1101, "below_face", 0.5, 2.0)
+@example(1101, "E1_on_face", 0.0, 3.0)
+@settings(max_examples=8, deadline=None)
+def test_dvdt_scan_matches_column_scan_where_the_ball_spans_columns(dvdt_grid_n, where, offset,
+                                                                    log_k2):
+    # the radius 1e-3*S0 is 1.0-1.2 lattice spacings here, so the ball cuts
+    # several (S, I) columns.  The state is E1 moved onto the lattice; the
+    # lattice point (h, h, R) next to the column (0, h), which lies exactly
+    # one radius away at grid 1001; E1 itself, between lattice points; a
+    # point of the face S + I = S0 with R = 0, whose own column lies inside
+    # the ball; or two spacings below that face with R in [0, 2h), whose
+    # column may lie inside the ball while the next one is cut.  With
+    # alpha = 0 and a small gamma2, E1 itself lies on the face
+    # S + I + R = S0 with R* below one spacing, where dV/dt peaks at the
+    # ball, so the max shows a cut column taken at a level inside it
+    p = ModelParams(**REF) if where != "E1_on_face" else ModelParams(
+        **{**REF, "alpha": 0.0, "gamma2": 5e-4})
+    f = MODELS["power"](1.0, 1.0)
+    e1 = find_endemic(p, f).endemic[0][0]
+    axis = np.linspace(0.0, p.s0, dvdt_grid_n)
+    step, top = axis[1], dvdt_grid_n - 1
+    i, j, k = (int(x / step) for x in (e1.S, e1.I, e1.R))
+    eq = {"lattice": (axis[i], axis[j], axis[k]), "corner": (axis[1], axis[1], axis[k]),
+          "E1": (e1.S, e1.I, e1.R), "E1_on_face": (e1.S, e1.I, e1.R),
+          "face": (axis[i], axis[top - i], 0.0),
+          "below_face": (axis[i], axis[top - 2 - i], 2.0 * offset * step)}[where]
+    args = (p, f, State(*map(float, eq)), 7.0, 10.0 ** log_k2, dvdt_grid_n)
+    outcome = _outcome(lambda: stability._dvdt_samples(*args))
+    assert outcome[0] == "returns"
+    assert outcome == _outcome(lambda: column_dvdt_samples(*args))
+
+
 def test_non_finite_only_inside_ball_is_not_evaluated():
     # E1 on the lattice face S + I = S0 with R* = 0: its (S, I) column has
     # the one point (S*, I*, 0), which lies in the ball, so f must never be
@@ -248,3 +358,20 @@ def test_certify_fine_memory_stays_small():
         tracemalloc.stop()
     assert report.granted and math.isfinite(report.dvdt_max)
     assert peak < 4_000_000
+
+
+def test_dvdt_scan_working_set_per_column():
+    # at most 14 float64 values per scanned (S, I) column: the scan holds a
+    # few arrays over the columns, not one per intermediate (170 bytes a
+    # column when every operation made a new array)
+    p, n = ModelParams(**REF), 121
+    f = make_builtin("power", {"k": 0.0008, "q": 2.0})
+    eq = find_endemic(p, f).endemic[0][0]
+    stability._dvdt_samples(p, f, eq, 7.0, None, n)
+    tracemalloc.start()
+    try:
+        stability._dvdt_samples(p, f, eq, 7.0, None, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14 * 8 * (n * (n - 1) // 2)
