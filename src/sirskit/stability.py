@@ -472,8 +472,8 @@ def dvdt_scan(p: ModelParams, f: IncidenceFunction, eq: State, k1: float,
     negative.  Raises ValueError when grid_n < 2 or k2 is not positive
     and finite, EvaluationError naming the first (S, I) where the
     incidence is non-finite, and DegenerateParameterError when no lattice
-    point with I > 0 lies outside the ball (at S0 below about 1e-160 the
-    squared distances and radius underflow to 0).
+    point with I > 0 lies outside the ball (at S0 below about 2e-162,
+    where every squared distance underflows to 0).
     """
     return _dvdt_samples(p, f, eq, k1, k2, grid_n)[0]
 
