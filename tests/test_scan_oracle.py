@@ -270,8 +270,8 @@ def test_dvdt_scan_matches_column_scan_where_the_ball_spans_columns(dvdt_grid_n,
     # the ball; or two spacings below that face with R in [0, 2h), whose
     # column may lie inside the ball while the next one is cut.  With
     # alpha = 0 and a small gamma2, E1 itself lies on the face
-    # S + I + R = S0 with R* below one spacing, where dV/dt peaks at the
-    # ball, so the max shows a cut column taken at a level inside it
+    # S + I + R = S0 with R* about one spacing; dV/dt peaks at the ball
+    # there, so a cut column sampled at a level inside it moves the max
     p = ModelParams(**REF) if where != "E1_on_face" else ModelParams(
         **{**REF, "alpha": 0.0, "gamma2": 5e-4})
     f = MODELS["power"](1.0, 1.0)

@@ -6,11 +6,12 @@ write the result lines and their summary as one ``BENCH_<pr>.json``.
         --workload reference:3 --seed-base 3400 --out BENCH_32.json
 
 Pair k (from 1) of a workload runs ``perfbench/run.py --workload NAME --seed
-SEED_BASE+k --seconds SECONDS --trace 0`` in both checkouts, the parent first
-when k is odd.  Every run gets its own empty ``PYTHONPYCACHEPREFIX`` and
-``PYTHONDONTWRITEBYTECODE=1``, so no run reads or writes bytecode in either
-checkout, and every module is compiled from source in every process on both
-sides.  Nothing in either checkout is deleted.
+SEED_BASE+k --seconds S --trace 0`` in both checkouts, the parent first when
+k is odd, with S the ``run_seconds`` of ``BENCHMARK.json``.  Every run gets
+its own empty ``PYTHONPYCACHEPREFIX`` and ``PYTHONDONTWRITEBYTECODE=1``, so no
+run reads or writes bytecode in either checkout, and every module is compiled
+from source in every process on both sides.  Nothing in either checkout is
+deleted.
 
 For each workload and end-to-end metric of ``BENCHMARK.json`` the summary
 gives both sides' medians, quartiles (numpy's linear ones), interquartile
@@ -92,11 +93,10 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", type=workload_pairs, action="append", required=True,
                         metavar="NAME:PAIRS")
     parser.add_argument("--seed-base", type=int, required=True)
-    parser.add_argument("--seconds", type=int)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds or benchmark["run_seconds"]
+    seconds = benchmark["run_seconds"]
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs, summary = [], {}
     for name, pairs in args.workload:
