@@ -19,14 +19,17 @@ run, since the model guarantees non-negativity and forward invariance.
 At S0 = 50 those bounds are 1e-12 and 1e-6.  ``_postprocess`` is that
 rule, for every accepted state outside Omega in both integrators.
 
-Every run keeps its accepted states as one history, a flat
-``array('d')`` of (t, S, I, R) rows, which ``_trajectory`` downsamples.
-``sweep`` steps all its initial states once, as one batch, one array row
-each with its own step size, and appends that row's accepted steps to
-its history in blocks.  ``integrate`` stays scalar: a batch of one pays
-NumPy's per-call cost on every stage, about 45 ms against 1.6 ms for the
-scalar loop from (30, 10, 5) to t = 500 on the reference model (2-core
-x86-64 VM, Python 3.11, NumPy 2.4); the batch breaks even near 32 rows.
+Every run keeps its states as one history, a flat ``array('d')`` of
+(t, S, I, R) rows.  A fixed-step run knows its times before its first
+step, so it stores only the at most ``_MAX_STORED`` rows it reports; an
+adaptive run stores every accepted state, and ``_trajectory`` picks its
+rows by the same rule.  ``sweep`` steps all its initial states once, as
+one batch, one array row each with its own step size, and appends that
+row's accepted steps to its history in blocks.  ``integrate`` stays
+scalar: a batch of one pays NumPy's per-call cost on every stage, about
+45 ms against 1.6 ms for the scalar loop from (30, 10, 5) to t = 500 on
+the reference model (2-core x86-64 VM, Python 3.11, NumPy 2.4); the
+batch breaks even near 32 rows.
 
 ``sweep``'s CSVs are written by ``write_trajectories``, one forked
 process per usable CPU, with no option to set: formatting the floats,
@@ -258,17 +261,18 @@ def _step_lines(rows, error, derivative):
     which ``derivative(f"k{m}")`` binds (k{m}s, k{m}i, k{m}r); after stage
     n, (S, I, R) is the new solution, whose derivative starts the next
     step.  With an error row, (es, ei, er) is the error estimate.  Each
-    input is y + h*d, where d = 0.0 + a0*k0 and then d += a*k for each
-    further nonzero weight a, in stage order; the error is 0.0 + h*d over
-    the error row.  The weights enter as their ``repr``, so every float
-    rounds as in that sum, and arrays accumulate in place.
+    input is y + h*d, where d = a0*k0 over the first nonzero weight a0 and
+    then d += a*k for each further one, in stage order; the error is h*d
+    over the error row.  The weights enter as their ``repr``, so every
+    float rounds as in that sum, and arrays accumulate in place, in the
+    fresh array that a0*k0 is.
     """
     lines = []
 
     def accumulate(weights):
         for c in "sir":
             terms = [f"{a!r} * k{j}{c}" for j, a in enumerate(weights) if a]
-            lines.append(f"d{c} = 0.0 + {terms[0]}")
+            lines.append(f"d{c} = {terms[0]}")
             lines.extend(f"d{c} += {term}" for term in terms[1:])
 
     for m, weights in enumerate(rows, 1):
@@ -277,7 +281,7 @@ def _step_lines(rows, error, derivative):
         lines.extend(derivative(f"k{m}"))
     if error is not None:
         accumulate(error)
-        lines.extend(f"e{c} = 0.0 + h * d{c}" for c in "sir")
+        lines.extend(f"e{c} = h * d{c}" for c in "sir")
     return lines
 
 
@@ -318,27 +322,23 @@ def _loop_source(method: str, f_text: str, names) -> str:
     def derivative(k):
         return [f"fv = {f_text}", *(f"{k}{c} = {eq}" for c, eq in zip("sir", EQUATIONS))]
 
-    k_new = f"k{n}s, k{n}i, k{n}r"
-    head = [("tol, atol, h, h_min, h_max, max_steps = control" if adaptive
-             else "step, n_steps = control"),
-            "clamp, low, top = bounds",
+    def accept(t, copy):
+        # ``copy`` takes the new state (S, I, R) into (s, i, r)
+        return ["try:",
+                "    # a state inside Omega is what postprocess would return unchanged",
+                "    if 0.0 <= S and 0.0 <= I and 0.0 <= R and S + I + R <= top:",
+                f"        {copy}",
+                "    else:",
+                f"        s, i, r = S, I, R = postprocess((S, I, R), {t}, clamp, low, top)",
+                *(f"        {line}" for line in derivative("k0")),
+                "except TypeError:  # only a fixed step is accepted off the reals",
+                f"    raise BlowUpError(NON_FINITE.format({t})) from None"]
+
+    head = ["clamp, low, top = bounds",
             "s, i, r = S, I, R = y0",
             *derivative("k0"),
             'history = array("d", (0.0, s, i, r))',
-            "record = history.extend",
-            "t, steps, rejected, max_error = 0.0, 0, 0, 0.0"]
-    stages = ["try:", *(f"    {line}" for line in _step_lines(rows, error, derivative))]
-    accept = ["try:",
-              "    # a state inside Omega is what postprocess would return unchanged",
-              "    if 0.0 <= S and 0.0 <= I and 0.0 <= R and S + I + R <= top:",
-              f"        s, i, r, k0s, k0i, k0r = S, I, R, {k_new}",
-              "    else:",
-              "        s, i, r = S, I, R = postprocess((S, I, R), t, clamp, low, top)",
-              *(f"        {line}" for line in derivative("k0")),
-              "except TypeError:  # only a fixed step is accepted off the reals",
-              "    raise BlowUpError(NON_FINITE.format(t)) from None",
-              "record((t, s, i, r))",
-              "steps += 1"]
+            "record = history.extend"]
     # A stage far outside Omega can overflow (OverflowError from ``float **
     # q``) or leave the reals (a negative base to a fractional power gives a
     # complex, which isfinite and ``<=`` reject with TypeError).  The adaptive
@@ -349,11 +349,14 @@ def _loop_source(method: str, f_text: str, names) -> str:
         finite = " and ".join(f"isfinite({v})" for v in ("es", "ei", "er", "S", "I", "R"))
         norm = ", ".join(f"abs(e{c}) / (atol + tol * max(abs({c}), abs({c.upper()})))"
                          for c in "sir")
+        head = ["tol, atol, h, h_min, h_max, max_steps = control", *head,
+                "t, steps, rejected, max_error = 0.0, 0, 0, 0.0"]
         loop = ["while t_end - t > 1e-14 * t_end:",
                 "    rest = t_end - t",
                 "    if rest < h:  # min(h, rest) without a call",
                 "        h = rest",
-                *(f"    {line}" for line in stages),
+                "    try:",
+                *(f"        {line}" for line in _step_lines(rows, error, derivative)),
                 f"        if {finite}:",
                 f"            err_norm = max({norm})",
                 "        else:",
@@ -362,7 +365,10 @@ def _loop_source(method: str, f_text: str, names) -> str:
                 "        err_norm = inf",
                 "    if err_norm <= 1.0:",
                 "        t = t + h",
-                *(f"        {line}" for line in accept),
+                *(f"        {line}" for line in accept(
+                    "t", f"s, i, r, k0s, k0i, k0r = S, I, R, k{n}s, k{n}i, k{n}r")),
+                "        record((t, s, i, r))",
+                "        steps += 1",
                 "        max_error = max(max_error, abs(es), abs(ei), abs(er))",
                 "    else:",
                 "        rejected += 1",
@@ -370,22 +376,47 @@ def _loop_source(method: str, f_text: str, names) -> str:
                 "    if h <= h_min and err_norm > 1.0:",
                 "        raise BlowUpError(UNDERFLOW.format(t))",
                 "    if steps + rejected > max_steps:",
-                "        raise BlowUpError(EXHAUSTED)"]
+                "        raise BlowUpError(EXHAUSTED)",
+                "return history, StepStats(steps, rejected, max_error)"]
     else:
-        # times come from k*step, not accumulation, so the grid stays uniform
-        # to the ulp and no spurious sliver step appears at t_end; _run has
-        # checked n_steps against the step budget
-        loop = ["while steps < n_steps:",
+        # a fixed step is always accepted, so its last stage goes straight
+        # to k0, where the next step starts
+        def fsal(k):
+            return derivative("k0" if k == f"k{n}" else k)
+
+        def body(failed, t):
+            # one step ending at ``t``, whose stages fail at ``failed``
+            return ["try:",
+                    *(f"    {line}" for line in _step_lines(rows, error, fsal)),
+                    "except (OverflowError, TypeError):",
+                    f"    raise BlowUpError(NON_FINITE.format({failed})) from None",
+                    *accept(t, "s, i, r = S, I, R"),
+                    "if steps == kept:",
+                    f"    record(({t}, s, i, r))",
+                    "    kept = next_kept()"]
+
+        # Step j ends at j*step + h, from j*step, not accumulation, so the
+        # grid stays uniform to the ulp and no spurious sliver step appears
+        # at t_end.  h is the step but in the last two steps: the last ends
+        # at t_end and may be shorter, and when it is a sliver, the rest
+        # before it can round below the step too.  ``kept`` runs through
+        # the steps whose end rows _run keeps, then -1; _run has checked
+        # n_steps against the step budget.
+        head = ["step, n_steps, kept = control", *head,
+                "next_kept = iter(kept).__next__",
+                "kept = next_kept()"]
+        loop = ["h = step",
+                "for steps in range(n_steps - 2):",
+                *(f"    {line}" for line in body("steps * step + h", "steps * step + h")),
+                "for steps in range(max(n_steps - 2, 0), n_steps):",
                 "    t = steps * step",
                 "    rest = t_end - t",
                 "    h = rest if rest < step else step",
-                *(f"    {line}" for line in stages),
-                "    except (OverflowError, TypeError):",
-                "        raise BlowUpError(NON_FINITE.format(t + h)) from None",
-                "    t = t + h if steps < n_steps - 1 else t_end",
-                *(f"    {line}" for line in accept)]
+                "    end = t + h if steps < n_steps - 1 else t_end",
+                *(f"    {line}" for line in body("t + h", "end")),
+                "return history, StepStats(n_steps, 0, 0.0)"]
     return (f"def loop(y0, t_end, control, bounds, {', '.join((*RATES, *names))}):\n"
-            + _indent([*head, *loop, "return history, StepStats(steps, rejected, max_error)"], 1))
+            + _indent([*head, *loop], 1))
 
 
 @functools.cache
@@ -395,8 +426,9 @@ def _compile(method: str, f_text: str, names: tuple):
     on first use: ``loop(y0, t_end, control, bounds, **rates,
     **coefficients)`` returns the history and the StepStats of one run.
 
-    ``control`` is (step, number of steps) for a fixed-step method and
-    (tol, atol, h, h_min, h_max, step budget) for an adaptive one.  Every stage
+    ``control`` is (step, number of steps, the steps whose end rows the
+    history keeps, in order, then -1) for a fixed-step method and (tol,
+    atol, h, h_min, h_max, step budget) for an adaptive one.  Every stage
     writes its input to S, I and R and evaluates ``f_text`` and the model's
     ``EQUATIONS`` there verbatim, so a step makes no Python call but those
     in ``f_text``.  The rates and coefficients are the loop's parameters,
@@ -433,15 +465,22 @@ def _run(p: ModelParams, f: IncidenceFunction, y0, t_end: float,
 
     The loop inlines a built-in family's f when ``f.eval_f`` is the very
     function ``make_builtin`` built from its text; any other callable is
-    called once per stage as ``eval_f(S, I)``.  A fixed-step run that
-    needs more than ``_MAX_STEPS`` steps fails before it takes one.
+    called once per stage as ``eval_f(S, I)``.  An adaptive run's history
+    holds every accepted state.  A fixed-step run's holds only the rows
+    ``_fixed_rows`` keeps, at most ``_MAX_STORED``, so its memory does not
+    grow with its step count; one that needs more than ``_MAX_STEPS``
+    steps fails before it takes one.
     """
     if METHODS[method][1] is None:
-        n_steps = max(1, math.ceil(t_end / step_or_tol - 1e-12))
-        if n_steps > _MAX_STEPS:
-            raise BlowUpError(f"{method} needs {n_steps} steps of {step_or_tol:g} "
+        quotient = t_end / step_or_tol - 1e-12
+        if quotient > _MAX_STEPS:  # inf when the quotient overflows
+            needed = math.ceil(quotient) if quotient < math.inf else quotient
+            raise BlowUpError(f"{method} needs {needed} steps of {step_or_tol:g} "
                               f"to t = {t_end:g}, over the step budget of {_MAX_STEPS}")
-        control = (step_or_tol, n_steps)
+        n_steps = max(1, math.ceil(quotient))
+        # row j > 0 ends step j - 1
+        kept = (_fixed_rows(t_end, step_or_tol, n_steps)[1:] - 1).tolist()
+        control = (step_or_tol, n_steps, [*kept, -1])
     else:
         control = (step_or_tol, step_or_tol * (_ATOL * p.s0), *_step_range(t_end), _MAX_STEPS)
     f_text, coefficients = formula(f.eval_f) or (_CALL, {"eval_f": f.eval_f})
@@ -544,17 +583,54 @@ def _run_batch(rhs, y0: np.ndarray, t_end: float, tol: float, p: ModelParams):
     return histories, outcomes
 
 
+def _kept_rows(search, n_rows: int, first: float, last: float) -> np.ndarray:
+    """The indices, ascending, of the at most ``_MAX_STORED`` of ``n_rows``
+    rows, timed in order from ``first`` to ``last``, that a run keeps: for
+    each of ``_MAX_STORED`` times spaced uniformly from ``first`` to
+    ``last``, the first row at or after it, which ``search(times)`` finds
+    as ``np.searchsorted`` over the rows' times does; the first and the
+    last row are always kept."""
+    targets = np.linspace(first, last, _MAX_STORED)
+    idx = np.unique(np.clip(search(targets), 0, n_rows - 1))
+    idx[0], idx[-1] = 0, n_rows - 1
+    return idx
+
+
+def _fixed_rows(t_end: float, step: float, n_steps: int) -> np.ndarray:
+    """The rows, by index, that a fixed-step run of ``n_steps`` keeps:
+    all of them when they fit in ``_MAX_STORED``, else ``_kept_rows``' of
+    the times its loop forms.  Row j > 0 ends step j - 1 at (j-1)*step + h,
+    with h the step, or the rest to t_end in the step before the last, and
+    the last row is at t_end.  Each row is guessed as ceil(time/step),
+    which is the row or a neighbour, and set from the exact times on either
+    side, so the schedule takes memory for its rows only."""
+    if n_steps + 1 <= _MAX_STORED:
+        return np.arange(n_steps + 1)
+    rest = t_end - (n_steps - 2) * step
+    h_last_but_one = rest if rest < step else step
+
+    def time_of(j):
+        t = (j - 1) * step + np.where(j == n_steps - 1, h_last_but_one, step)
+        t[j == n_steps] = t_end
+        return t  # 0.0 at j = 0, where (j-1)*step is -step
+
+    def search(targets):
+        j = np.minimum(np.ceil(targets / step), n_steps).astype(np.intp)
+        j -= (j > 0) & (time_of(j - 1) >= targets)
+        j += time_of(j) < targets
+        return j
+
+    return _kept_rows(search, n_steps + 1, 0.0, t_end)
+
+
 def _downsample(history):
     """Times and states of a history, a buffer of float (t, S, I, R) rows,
-    at most ``_MAX_STORED`` rows picked uniformly in time.  Both are views
-    of one (n, 4) array, the history itself when nothing is dropped."""
+    the ``_kept_rows`` of them.  Both are views of one (n, 4) array, the
+    history itself when nothing is dropped, as for every fixed-step run."""
     data = np.frombuffer(history, dtype=float).reshape(-1, 4)
     if len(data) > _MAX_STORED:
         t_arr = data[:, 0]
-        targets = np.linspace(t_arr[0], t_arr[-1], _MAX_STORED)
-        idx = np.unique(np.clip(np.searchsorted(t_arr, targets), 0, len(t_arr) - 1))
-        idx[0], idx[-1] = 0, len(t_arr) - 1
-        data = data[idx]
+        data = data[_kept_rows(t_arr.searchsorted, len(t_arr), t_arr[0], t_arr[-1])]
     return data[:, 0], data[:, 1:]
 
 
@@ -584,6 +660,8 @@ def integrate(p: ModelParams, f: IncidenceFunction, x0: State, t_end: float,
     population and agree at S0 = 50; the initial step is t_end/1000 and
     steps stay in [2e-13*t_end, t_end/10], so rescaling time leaves the
     steps taken unchanged).  The initial state must lie exactly in Omega.
+    A fixed-step run stores only the rows it returns, so its memory does
+    not grow with its step count.
     """
     _check_run(p, [x0], t_end, step_or_tol)
     if method not in METHODS:

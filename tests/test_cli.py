@@ -531,6 +531,20 @@ def test_fixed_step_over_budget_exits_3_at_once(capsys, tmp_path):
                    "over the step budget of 5000000\n")
 
 
+@pytest.mark.parametrize("step, t_end, shown", [(5e-324, 600, "4.94066e-324 to t = 600"),
+                                                 (1e-10, 1e300, "1e-10 to t = 1e+300")])
+def test_fixed_step_count_overflowing_exits_3_at_once(capsys, tmp_path, step, t_end, shown):
+    # t_end/step overflows to inf, which has no step count to round up to
+    cfg = write_config(tmp_path, solver={"method": "rk4_fixed", "step_or_tol": step,
+                                         "t_end": t_end})
+    code, out, err = run_cli(capsys, "simulate", cfg, "--initial", "30,10,5",
+                             "--out", tmp_path / "out.csv")
+    assert code == 3
+    assert out == ""
+    assert err == (f"error: BlowUpError: rk4_fixed needs inf steps of {shown}, "
+                   "over the step budget of 5000000\n")
+
+
 def test_reproduce(capsys, tmp_path):
     out_dir = tmp_path / "repro"
     code, out, _ = run_cli(capsys, "reproduce", "--out", out_dir)

@@ -5,11 +5,12 @@ import math
 import os
 import signal
 import time
+import tracemalloc
 import traceback
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import sirskit.simulate as simulate_mod
@@ -151,8 +152,9 @@ def test_stages_float_and_array_bit_identical(method, y, h):
     assert (err is None) == (simulate_mod.METHODS[method][1] is None)
     f_text, coefficients = formula(make_builtin("bilinear", {"beta": 0.04}).eval_f)
     loop = simulate_mod._compile(method, f_text, tuple(coefficients))
-    # an infinite tolerance accepts the step; these bounds leave every state as it is
-    control = (h, 1) if err is None else (math.inf, math.inf, h, h, h, 1)
+    # an infinite tolerance accepts the step, the one fixed step's row is
+    # kept, and these bounds leave every state as it is
+    control = (h, 1, [0, -1]) if err is None else (math.inf, math.inf, h, h, h, 1)
     history, stats = loop(y, h, control, (0.0, -math.inf, math.inf),
                           **rates(ModelParams(**REF)), **coefficients)
     assert [v.hex() for v in history[4:]] == [v.hex() for v in (h, *y_new)]
@@ -343,14 +345,18 @@ _INCIDENCE_TEXTS = sorted({text for family in _FAMILIES.values() for text in fam
 @pytest.mark.parametrize("method", sorted(simulate_mod.METHODS))
 def test_loop_source_writes_each_text_verbatim(method, f_text):
     # f and every equation appear as written, once per stage, once in the
-    # head and once where a clamped state is re-evaluated
+    # head and once where a clamped state is re-evaluated.  The fixed-step
+    # loop writes its step twice, for the steps of a full step and for the
+    # last two, and its last stage into k0, where the next step starts.
     n = len(simulate_mod.METHODS[method][0])
+    fixed = simulate_mod.METHODS[method][1] is None
     lines = [line.strip() for line in simulate_mod._loop_source(method, f_text, ()).splitlines()]
-    assert lines.count(f"fv = {f_text}") == n + 2
+    bodies = 2 if fixed else 1
+    assert lines.count(f"fv = {f_text}") == 1 + bodies * (n + 1)
     for c, eq in zip("sir", EQUATIONS):
-        assert lines.count(f"k0{c} = {eq}") == 2
+        assert lines.count(f"k0{c} = {eq}") == 1 + bodies * (1 + fixed)
         for m in range(1, n + 1):
-            assert lines.count(f"k{m}{c} = {eq}") == 1
+            assert lines.count(f"k{m}{c} = {eq}") == (0 if fixed and m == n else bodies)
 
 
 def _clashes(method, names):
@@ -422,6 +428,100 @@ def test_rk4_fixed_grid(ref_params, monkeypatch, t_end, step):
     widths = np.diff(traj.times)
     assert np.all(np.abs(widths[:-1] - step) <= 4 * np.spacing(t_end))
     assert 0.0 < widths[-1] <= step + 4 * np.spacing(t_end)
+
+
+def every_fixed_step_time(t_end, step, n_steps):
+    """The time of every row of a fixed-step run, as its loop forms them:
+    0, then step j from t = j*step takes h = min(t_end - t, step) and
+    ends at t + h, the last at t_end."""
+    t = np.arange(n_steps) * step
+    rest = t_end - t
+    ends = t + np.where(rest < step, rest, step)
+    ends[-1] = t_end
+    return np.concatenate(([0.0], ends))
+
+
+def rows_kept_from(times):
+    """All rows when 10,000 fit, else for each of 10,000 times spaced
+    uniformly over the run the first row at or after it, with the first
+    and the last row."""
+    if len(times) <= 10_000:
+        return np.arange(len(times))
+    targets = np.linspace(times[0], times[-1], 10_000)
+    idx = np.unique(np.clip(np.searchsorted(times, targets), 0, len(times) - 1))
+    idx[0], idx[-1] = 0, len(times) - 1
+    return idx
+
+
+# the last step shorter than step, or t_end/step an integer or just off one
+_LAST_STEP = st.one_of(st.floats(1e-6, 1.0), st.sampled_from(
+    [1.0, 1.0 - 1e-13, 1.0 + 1e-13, 1e-11, 3e-12, 1e-9, 0.5]))
+
+
+@given(step=st.floats(1e-3, 1.0), n=st.one_of(st.integers(1, 200_000),
+                                              st.integers(9_990, 10_010)),
+       last=_LAST_STEP, leaking=st.booleans())
+@example(step=0.5, n=9_998, last=1.0, leaking=False)   # 9,999 rows
+@example(step=0.5, n=9_999, last=1.0, leaking=False)   # 10,000 rows
+@example(step=0.5, n=10_000, last=1.0, leaking=True)   # 10,001 rows
+# the rest before the last step, a sliver, rounds below the step
+@example(step=0.0145, n=93_905, last=5e-12, leaking=False)
+@settings(max_examples=20, deadline=None)
+def test_fixed_step_keeps_the_rows_of_every_step_downsampled(step, n, last, leaking):
+    # A fixed-step run stores only the rows it keeps; they are the rows
+    # of the run that stores every step, picked by time, to the bit.  The
+    # leaking incidence clamps I to 0 from I = 0 on every step.
+    p = ModelParams(**REF)
+    if leaking:
+        f, x0, n = leaking_incidence(1e-16)[0], State(30.0, 0.0, 5.0), min(n, 30_000)
+    else:
+        f, x0 = make_builtin("bilinear", {"beta": 0.04}), State(30.0, 10.0, 5.0)
+    t_end = step * (n - 1 + last)
+    n_steps = max(1, math.ceil(t_end / step - 1e-12))
+    traj = integrate(p, f, x0, t_end, "rk4_fixed", step)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulate_mod, "_MAX_STORED", 10**9)
+        every = integrate(p, f, x0, t_end, "rk4_fixed", step)
+    assert len(every.times) == n_steps + 1
+    assert not leaking or not every.states[:, 1].any()
+    idx = rows_kept_from(every.times)
+
+    def hexes(values):
+        return [float(v).hex() for v in np.ravel(values)]
+
+    assert hexes(traj.times) == hexes(every.times[idx])
+    assert hexes(traj.states) == hexes(every.states[idx])
+    stats = traj.step_stats
+    assert (stats.steps, stats.rejected, stats.max_error.hex()) == (n_steps, 0, (0.0).hex())
+
+
+@pytest.mark.parametrize("t_end, step", [
+    (500.0, 0.01), (99.99, 0.01), (12345.678, 0.0062), (438.228, 0.007),
+    (1.0, 1e-4 / 1.5), (18.18, 1e-3 / 3),  # ceil(time/step) one row short or over
+    (39649.20375445136, 0.3085421092910887),  # the rest before the last step rounds short
+    (2e6 * 0.37, 0.37), (2e6 * 1e-3 - 5e-4, 1e-3), (1999999.000000001, 1.0)])
+def test_fixed_rows_match_every_row_picked(t_end, step):
+    # the schedule, found without forming every time, is the rows the
+    # rule picks from every time; up to 2,000,000 steps
+    n_steps = max(1, math.ceil(t_end / step - 1e-12))
+    expected = rows_kept_from(every_fixed_step_time(t_end, step, n_steps))
+    assert simulate_mod._fixed_rows(t_end, step, n_steps).tolist() == expected.tolist()
+
+
+def test_fixed_step_memory_does_not_grow_with_steps(ref_params, high_incidence):
+    # 20,000 and 200,000 steps keep the same 10,000 rows; storing every
+    # step took 1.13 and 6.91 MB
+    integrate(ref_params, high_incidence, State(30, 10, 5), 1.0, "rk4_fixed", 0.01)
+    peaks = []
+    for t_end in (200.0, 2000.0):
+        tracemalloc.start()
+        try:
+            integrate(ref_params, high_incidence, State(30, 10, 5), t_end, "rk4_fixed", 0.01)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
+    assert peaks[1] < 1_500_000
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
