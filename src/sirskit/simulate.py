@@ -583,14 +583,14 @@ def _run_batch(rhs, y0: np.ndarray, t_end: float, tol: float, p: ModelParams):
     return histories, outcomes
 
 
-def _kept_rows(search, n_rows: int, first: float, last: float) -> np.ndarray:
+def _kept_rows(search, n_rows: int, t_last: float) -> np.ndarray:
     """The indices, ascending, of the at most ``_MAX_STORED`` of ``n_rows``
-    rows, timed in order from ``first`` to ``last``, that a run keeps: for
-    each of ``_MAX_STORED`` times spaced uniformly from ``first`` to
-    ``last``, the first row at or after it, which ``search(times)`` finds
-    as ``np.searchsorted`` over the rows' times does; the first and the
-    last row are always kept."""
-    targets = np.linspace(first, last, _MAX_STORED)
+    rows, timed in order from 0 to ``t_last``, that a run keeps: for each
+    of ``_MAX_STORED`` times spaced uniformly from 0 to ``t_last``, the
+    first row at or after it, which ``search(times)`` finds as
+    ``np.searchsorted`` over the rows' times does; the first and the last
+    row are always kept."""
+    targets = np.linspace(0.0, t_last, _MAX_STORED)
     idx = np.unique(np.clip(search(targets), 0, n_rows - 1))
     idx[0], idx[-1] = 0, n_rows - 1
     return idx
@@ -620,7 +620,7 @@ def _fixed_rows(t_end: float, step: float, n_steps: int) -> np.ndarray:
         j += time_of(j) < targets
         return j
 
-    return _kept_rows(search, n_steps + 1, 0.0, t_end)
+    return _kept_rows(search, n_steps + 1, t_end)
 
 
 def _downsample(history):
@@ -630,7 +630,7 @@ def _downsample(history):
     data = np.frombuffer(history, dtype=float).reshape(-1, 4)
     if len(data) > _MAX_STORED:
         t_arr = data[:, 0]
-        data = data[_kept_rows(t_arr.searchsorted, len(t_arr), t_arr[0], t_arr[-1])]
+        data = data[_kept_rows(t_arr.searchsorted, len(t_arr), t_arr[-1])]
     return data[:, 0], data[:, 1:]
 
 
