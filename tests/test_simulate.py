@@ -346,7 +346,7 @@ _INCIDENCE_TEXTS = sorted({text for family in _FAMILIES.values() for text in fam
 def test_loop_source_writes_each_text_verbatim(method, f_text):
     # f and every equation appear as written, once per stage, once in the
     # head and once where a clamped state is re-evaluated.  The fixed-step
-    # loop writes its step twice, for the steps of a full step and for the
+    # loop writes its step twice, once for the full steps and once for the
     # last two, and its last stage into k0, where the next step starts.
     n = len(simulate_mod.METHODS[method][0])
     fixed = simulate_mod.METHODS[method][1] is None
@@ -464,7 +464,7 @@ _LAST_STEP = st.one_of(st.floats(1e-6, 1.0), st.sampled_from(
 @example(step=0.5, n=9_998, last=1.0, leaking=False)   # 9,999 rows
 @example(step=0.5, n=9_999, last=1.0, leaking=False)   # 10,000 rows
 @example(step=0.5, n=10_000, last=1.0, leaking=True)   # 10,001 rows
-# the rest before the last step, a sliver, rounds below the step
+# the last step is a sliver, and the rest before it rounds below the step
 @example(step=0.0145, n=93_905, last=5e-12, leaking=False)
 @settings(max_examples=20, deadline=None)
 def test_fixed_step_keeps_the_rows_of_every_step_downsampled(step, n, last, leaking):
